@@ -112,20 +112,25 @@ SNAPSHOT_SCHEMA = {
 }
 
 
-def git_rev(root: Path | str = ".") -> str:
-    """Short git revision of ``root``, or ``"local"`` outside a checkout."""
+def _git(root: Path | str, *args: str) -> str:
+    """Stripped stdout of ``git args`` run in ``root``; empty outside a
+    checkout or when git fails."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=str(root),
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
-        return "local"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "local"
+        return ""
+    return out.stdout.strip() if out.returncode == 0 else ""
+
+
+def git_rev(root: Path | str = ".") -> str:
+    """Short git revision of ``root``, or ``"local"`` outside a checkout."""
+    return _git(root, "rev-parse", "--short", "HEAD") or "local"
 
 
 def _measure(cell: GateCell, *, gpu: str, repeats: int, seed: int, **kwargs):
@@ -236,14 +241,26 @@ def load_snapshot(path: Path | str) -> dict:
 def find_baseline(
     root: Path | str = ".", *, exclude: Path | str | None = None
 ) -> Path | None:
-    """Most recent ``BENCH_*.json`` under ``root`` (optionally excluding
-    the snapshot just written), or None when there is no baseline yet."""
+    """The ``BENCH_<rev>.json`` under ``root`` to gate against, or None
+    when there is no baseline yet.
+
+    The snapshot whose rev is the nearest git ancestor of HEAD wins (HEAD
+    itself included), so the choice does not depend on file times, which
+    a fresh clone sets arbitrarily.  Outside a git checkout, or when no
+    snapshot's rev is an ancestor, the newest file by mtime is used.
+    ``exclude`` drops the snapshot just written.
+    """
     exclude = Path(exclude).resolve() if exclude is not None else None
     candidates = [
         p for p in Path(root).glob("BENCH_*.json") if p.resolve() != exclude
     ]
     if not candidates:
         return None
+    by_rev = {p.stem[len("BENCH_"):]: p for p in candidates}
+    for sha in _git(root, "rev-list", "HEAD").split():
+        for rev, path in by_rev.items():
+            if rev and sha.startswith(rev):
+                return path
     return max(candidates, key=lambda p: p.stat().st_mtime)
 
 

@@ -429,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pg.add_argument(
         "--baseline",
         default=None,
-        help="snapshot to gate against (default: newest BENCH_*.json in "
-        "--out, other than the one just written)",
+        help="snapshot to gate against (default: the BENCH_*.json in --out "
+        "of the nearest git ancestor of HEAD, else the newest)",
     )
     p_pg.add_argument(
         "--no-gate",

@@ -15,9 +15,11 @@ Two things are worth remembering between requests:
   *quality class*: an approximate-tier answer and the exact answer for
   the same payload are different results and must never alias (an exact
   caller getting a cached approximate answer would be a silent
-  correctness bug).  Entries carry a ``meta`` dict (``exact``,
-  ``recall_bound``, ``algo``) so a cache hit reproduces the original
-  outcome's quality annotations.
+  correctness bug).  The service hashes each payload once per admission
+  (:meth:`ServeCache.digest`) and passes that digest to every lookup,
+  corruption check and insert for the request.  Entries carry a
+  ``meta`` dict (``exact``, ``recall_bound``, ``algo``) so a cache hit
+  reproduces the original outcome's quality annotations.
 
 Both sit behind :class:`ServeCache`, a pair of bounded
 :class:`LRUCache` maps with hit/miss counters the service exports as
@@ -39,7 +41,7 @@ def fingerprint(data: np.ndarray) -> str:
     digest = hashlib.blake2b(digest_size=16)
     digest.update(str(arr.dtype).encode())
     digest.update(str(arr.shape).encode())
-    digest.update(arr.tobytes())
+    digest.update(arr)  # reads the buffer in place: no copy of the payload
     return digest.hexdigest()
 
 
@@ -255,12 +257,22 @@ class ServeCache:
         return plan, False
 
     # -- results -------------------------------------------------------- #
+    def digest(self, data: np.ndarray) -> str | None:
+        """The payload fingerprint the result keys are built from, or None
+        while the result cache is disabled (nothing is looked up or
+        stored, so nothing needs hashing)."""
+        if self.results.capacity <= 0:
+            return None
+        return fingerprint(data)
+
     def result_key(
         self,
         data: np.ndarray,
         k: int,
         largest: bool,
         quality: float | None = None,
+        *,
+        digest: str | None = None,
     ) -> tuple:
         """Cache key of one (payload, k, largest, quality-class) result.
 
@@ -268,10 +280,12 @@ class ServeCache:
         (:func:`repro.serve.batcher.quality_class`); None for exact
         traffic.  Keeping it in the key is what guarantees an exact
         request can never be served a cached approximate answer for the
-        same payload, and vice versa.
+        same payload, and vice versa.  ``digest`` is ``data``'s
+        :func:`fingerprint` when the caller already has it; without it the
+        payload is hashed here.
         """
         return (
-            fingerprint(data),
+            digest if digest is not None else fingerprint(data),
             int(data.shape[-1]),
             int(k),
             bool(largest),
@@ -291,6 +305,8 @@ class ServeCache:
         k: int,
         largest: bool,
         quality: float | None = None,
+        *,
+        digest: str | None = None,
     ):
         """The cached ``(values, indices, meta)``, or None on miss *or*
         when the stored entry fails its integrity checksum.
@@ -302,7 +318,7 @@ class ServeCache:
         half of the circuit-breaker policy) and reported as a miss, never
         served.
         """
-        key = self.result_key(data, k, largest, quality)
+        key = self.result_key(data, k, largest, quality, digest=digest)
         entry = self.results.get(key)
         if entry is None:
             self._fire("result_miss")
@@ -325,11 +341,13 @@ class ServeCache:
         indices: np.ndarray,
         quality: float | None = None,
         meta: dict | None = None,
+        *,
+        digest: str | None = None,
     ) -> None:
         values = np.array(values, copy=True)
         indices = np.array(indices, copy=True)
         self.results.put(
-            self.result_key(data, k, largest, quality),
+            self.result_key(data, k, largest, quality, digest=digest),
             (values, indices, self._checksum(values, indices), dict(meta or {})),
         )
 
@@ -339,12 +357,14 @@ class ServeCache:
         k: int,
         largest: bool,
         quality: float | None = None,
+        *,
+        digest: str | None = None,
     ) -> bool:
         """Flip one byte of the cached values for this key (the
         ``cache_corruption`` fault seam); returns True when an entry was
         there to corrupt.  The stored checksum is left intact, so the
         next :meth:`get_result` detects and repairs the damage."""
-        key = self.result_key(data, k, largest, quality)
+        key = self.result_key(data, k, largest, quality, digest=digest)
         entry = self.results._data.get(key)
         if entry is None:
             return False

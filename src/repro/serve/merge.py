@@ -1,11 +1,13 @@
-"""Hierarchical k-way merge of per-shard top-k candidates.
+"""k-way merge of per-shard top-k candidates.
 
 Dr. Top-k (Gaihre et al., SC '21) decomposes a large selection into
 per-delegate sub-selections whose candidates are merged hierarchically;
 the same tree shape is how a multi-device sharded top-k combines its
-per-shard (value, index) candidates.  Each merge level folds pairs of
-sorted candidate lists into one, so ``S`` shards take ``ceil(log2 S)``
-levels and every level's work is O(k) per pair.
+per-shard (value, index) candidates.  On the simulated device ``S``
+shards take ``ceil(log2 S)`` merge levels, and that depth is what a
+coordinator charges.  On the host the tree is not built: every partial
+is concatenated once and ordered by one sort, which gives the same
+answer because the order below is total.
 
 Ordering is exact and deterministic: candidates are compared by their
 monotone priority key (:func:`repro.primitives.priority_keys`, the same
@@ -24,18 +26,29 @@ from ..primitives import priority_keys
 def _order_candidates(
     values: np.ndarray, indices: np.ndarray, *, largest: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sort candidate columns by (priority key, index), per row."""
+    """Sort candidate columns by (priority key, index), per row.
+
+    Both paths are the same stable lexicographic sort.  Keys of at most
+    32 bits with indices in ``[0, 2**32)`` are packed into one uint64
+    per candidate, so a single stable argsort orders them; that sort
+    also runs fast over the already-sorted runs the shards hand in.
+    """
     keys = priority_keys(np.ascontiguousarray(values), largest=largest)
-    # lexicographic (key, index): stable-sort by the secondary key first,
-    # then stable-sort by the primary — ties in `keys` keep index order
-    by_index = np.argsort(indices, axis=1, kind="stable")
-    keys = np.take_along_axis(keys, by_index, axis=1)
-    values = np.take_along_axis(values, by_index, axis=1)
-    indices = np.take_along_axis(indices, by_index, axis=1)
-    by_key = np.argsort(keys, axis=1, kind="stable")
+    if (
+        keys.dtype.itemsize <= 4
+        and indices.size
+        and indices.min() >= 0
+        and indices.max() <= 0xFFFFFFFF
+    ):
+        packed = (keys.astype(np.uint64) << np.uint64(32)) | indices.astype(
+            np.uint64
+        )
+        order = np.argsort(packed, axis=1, kind="stable")
+    else:
+        order = np.lexsort((indices, keys), axis=1)
     return (
-        np.take_along_axis(values, by_key, axis=1),
-        np.take_along_axis(indices, by_key, axis=1),
+        np.take_along_axis(values, order, axis=1),
+        np.take_along_axis(indices, order, axis=1),
     )
 
 
@@ -51,11 +64,8 @@ def merge_pair(
     Inputs are ``(batch, m)`` arrays (any m); the output is the best
     ``min(k, m_a + m_b)`` columns, best first.
     """
-    values = np.concatenate([a[0], b[0]], axis=1)
-    indices = np.concatenate([a[1], b[1]], axis=1)
-    values, indices = _order_candidates(values, indices, largest=largest)
-    keep = min(k, values.shape[1])
-    return values[:, :keep], indices[:, :keep]
+    values, indices, _ = hierarchical_merge([a, b], k, largest=largest)
+    return values, indices
 
 
 def hierarchical_merge(
@@ -64,28 +74,20 @@ def hierarchical_merge(
     *,
     largest: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Tree-reduce per-shard candidates to one global top-k.
+    """Reduce per-shard candidates to one global top-k.
 
     ``partials`` is one ``(values, indices)`` pair per shard, each
-    ``(batch, k_s)`` best-first with *global* indices.  Returns
-    ``(values, indices, levels)`` where ``levels`` is the merge-tree
-    depth (what a coordinator charges to the simulated device).
+    ``(batch, k_s)`` with *global* indices.  Returns ``(values, indices,
+    levels)``: the best ``min(k, sum k_s)`` columns, best first, and
+    ``levels = ceil(log2 S)``, the depth of the pairwise merge tree a
+    coordinator charges to the simulated device.  The result equals
+    that tree's: (priority key, index) is a total order, so the first k
+    of one sort over every candidate are the first k of any fold.
     """
     if not partials:
         raise ValueError("hierarchical_merge needs at least one partial")
-    level = list(partials)
-    levels = 0
-    if len(level) == 1:
-        # single shard: still normalise ordering through the same path
-        values, indices = _order_candidates(*level[0], largest=largest)
-        return values[:, :k], indices[:, :k], 0
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(merge_pair(level[i], level[i + 1], k, largest=largest))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-        levels += 1
-    values, indices = level[0]
+    values = np.concatenate([p[0] for p in partials], axis=1)
+    indices = np.concatenate([p[1] for p in partials], axis=1)
+    values, indices = _order_candidates(values, indices, largest=largest)
+    levels = (len(partials) - 1).bit_length()
     return values[:, :k], indices[:, :k], levels

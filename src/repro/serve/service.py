@@ -475,18 +475,20 @@ class TopKService:
                 ts_s=now_s,
             )
             return None
+        digest = request.digest
         if self.injector is not None and self.cache.result_key(
-            request.data, request.k, request.largest, quality
+            request.data, request.k, request.largest, quality, digest=digest
         ) in self.cache.results:
             if self.injector.decide(
                 "cache_corruption", "serve.cache", f"rid={request.rid}"
             ):
                 self.cache.corrupt_result(
-                    request.data, request.k, request.largest, quality
+                    request.data, request.k, request.largest, quality,
+                    digest=digest,
                 )
         before = self.cache.corruptions
         cached = self.cache.get_result(
-            request.data, request.k, request.largest, quality
+            request.data, request.k, request.largest, quality, digest=digest
         )
         if self.cache.corruptions > before:
             # checksum caught a corrupt entry: repaired (evicted) above,
@@ -530,6 +532,9 @@ class TopKService:
             request.deadline_s = request.arrival_s + float(request.slo[0])
         if request.deadline_s is None and cfg.default_deadline_s is not None:
             request.deadline_s = request.arrival_s + cfg.default_deadline_s
+        # one hash per admission, reused by every result-cache call; a
+        # digest left by an earlier run or set by the caller is not trusted
+        request.digest = self.cache.digest(request.data)
         cached = self._cached_result(request)
         if cached is not None:
             values, indices, meta = cached
@@ -913,7 +918,7 @@ class TopKService:
                     or (result.recall_bound or 0.0) >= min_recall,
                 )
                 continue
-            if self.breaker.allow(request.arrival_s):
+            if cfg.result_cache > 0 and self.breaker.allow(request.arrival_s):
                 # approximate results are cached under the request's
                 # quality class with their quality annotations, so an
                 # exact lookup for the same payload can never alias them
@@ -934,6 +939,7 @@ class TopKService:
                     indices,
                     quality,
                     meta,
+                    digest=request.digest,
                 )
             self._finish(
                 Outcome(

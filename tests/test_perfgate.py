@@ -10,6 +10,9 @@ flags an artificially slowed run and passes an identical one.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
 import time
 
 import pytest
@@ -87,6 +90,34 @@ class TestSnapshotRoundTrip:
         assert perfgate.find_baseline(tmp_path) == new
         assert perfgate.find_baseline(tmp_path, exclude=new) == old
         assert perfgate.find_baseline(tmp_path / "empty") is None
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_find_baseline_prefers_nearest_ancestor_over_mtime(self, tmp_path):
+        def git(*args):
+            out = subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path, capture_output=True, text=True, check=True,
+            )
+            return out.stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "first")
+        first = git("rev-parse", "--short", "HEAD")
+        git("commit", "-q", "--allow-empty", "-m", "second")
+        second = git("rev-parse", "--short", "HEAD")
+        git("commit", "-q", "--allow-empty", "-m", "third, no snapshot")
+        near = perfgate.write_snapshot(_snapshot([_cell()], rev=second), tmp_path)
+        far = perfgate.write_snapshot(_snapshot([_cell()], rev=first), tmp_path)
+        stranger = perfgate.write_snapshot(
+            _snapshot([_cell()], rev="fffffff"), tmp_path
+        )
+        # a fresh clone's file times: the far and unrelated snapshots look newest
+        os.utime(near, (1_000, 1_000))
+        os.utime(far, (2_000, 2_000))
+        os.utime(stranger, (3_000, 3_000))
+        assert perfgate.find_baseline(tmp_path) == near
+        assert perfgate.find_baseline(tmp_path, exclude=near) == far
 
 
 class TestComparator:

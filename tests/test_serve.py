@@ -8,6 +8,8 @@ occupancy >= 8 under the default 200-QPS load.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,106 @@ class TestMerge:
         assert levels == 3  # ceil(log2 5)
         assert values.tolist() == [[0.0, 1.0, 2.0]]
         assert indices.tolist() == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_wide_and_negative_indices_take_the_general_sort(self, index_dtype):
+        # indices past 2**32 (or negative) cannot be packed next to a
+        # 32-bit key; the lexsort path must give the same order
+        shift = (1 << 40) if index_dtype is np.int64 else -(1 << 20)
+        a = (np.array([[2.0, 1.0]], np.float32), np.array([[3, 1]], index_dtype))
+        b = (np.array([[1.0, 2.0]], np.float32), np.array([[0, 2]], index_dtype))
+        packed = merge_pair(a, b, 3, largest=False)
+        wide = merge_pair(
+            (a[0], a[1] + shift), (b[0], b[1] + shift), 3, largest=False
+        )
+        assert packed[1].tolist() == [[0, 1, 2]]
+        assert np.array_equal(wide[0], packed[0])
+        assert np.array_equal(wide[1], packed[1] + shift)
+
+
+def _reference_order(values, indices, largest):
+    """(priority key, index) order by two stable argsorts, per row."""
+    from repro.primitives import priority_keys
+
+    keys = priority_keys(np.ascontiguousarray(values), largest=largest)
+    by_index = np.argsort(indices, axis=1, kind="stable")
+    keys = np.take_along_axis(keys, by_index, axis=1)
+    values = np.take_along_axis(values, by_index, axis=1)
+    indices = np.take_along_axis(indices, by_index, axis=1)
+    by_key = np.argsort(keys, axis=1, kind="stable")
+    return (
+        np.take_along_axis(values, by_key, axis=1),
+        np.take_along_axis(indices, by_key, axis=1),
+    )
+
+
+def _reference_tree_merge(partials, k, largest):
+    """The pairwise merge tree: fold neighbours level by level, keeping
+    the best k of each pair; returns (values, indices, levels)."""
+    level = list(partials)
+    if len(level) == 1:
+        values, indices = _reference_order(*level[0], largest)
+        return values[:, :k], indices[:, :k], 0
+    levels = 0
+    while len(level) > 1:
+        nxt = []
+        for a, b in zip(level[0::2], level[1::2]):
+            values, indices = _reference_order(
+                np.concatenate([a[0], b[0]], axis=1),
+                np.concatenate([a[1], b[1]], axis=1),
+                largest,
+            )
+            nxt.append((values[:, :k], indices[:, :k]))
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+        levels += 1
+    values, indices = level[0]
+    return values[:, :k], indices[:, :k], levels
+
+
+@st.composite
+def merge_cases(draw):
+    """Per-shard candidate sets: 1..9 shards of ragged widths, values
+    from a tiny range (heavy ties), disjoint global indices."""
+    dtype = draw(st.sampled_from(ALL_DTYPES))
+    largest = draw(st.booleans())
+    shards = draw(st.integers(1, 9))
+    batch = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 7), min_size=shards, max_size=shards))
+    presorted = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, sum(widths) + 2))
+    rng = np.random.default_rng(seed)
+    total = sum(widths)
+    low = -2 if np.dtype(dtype).kind in "if" else 0  # cross the sign bit
+    values = rng.integers(low, low + 4, size=(batch, total)).astype(dtype)
+    indices = np.stack(
+        [rng.permutation(4 * total)[:total] for _ in range(batch)]
+    ).astype(np.int64)
+    partials, start = [], 0
+    for width in widths:
+        part = (values[:, start:start + width], indices[:, start:start + width])
+        if presorted:  # best-first, as the sharder hands them over
+            part = _reference_order(*part, largest)
+        partials.append(part)
+        start += width
+    return partials, k, largest
+
+
+class TestOneSortMerge:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_cases())
+    def test_equals_pairwise_tree(self, case):
+        partials, k, largest = case
+        values, indices, levels = hierarchical_merge(partials, k, largest=largest)
+        ref_values, ref_indices, ref_levels = _reference_tree_merge(
+            partials, k, largest
+        )
+        assert levels == ref_levels == math.ceil(math.log2(len(partials)))
+        assert values.dtype == ref_values.dtype
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(indices, ref_indices)
 
 
 class TestShardedIdentity:
@@ -304,6 +406,113 @@ class TestLRUCache:
         assert not hit1 and hit2  # 9 and 12 share the 16 bucket
         assert plan1.algo == plan2.algo
         assert plan1.ranking and plan1.predicted_time is not None
+
+
+@pytest.fixture
+def fingerprint_calls(monkeypatch):
+    """Count every payload hash: the cache module's ``fingerprint`` and
+    the router's own import of it."""
+    import repro.cluster.router as router_module
+    import repro.serve.cache as cache_module
+
+    calls = []
+    original = cache_module.fingerprint
+
+    def counting(data):
+        calls.append(data.shape)
+        return original(data)
+
+    monkeypatch.setattr(cache_module, "fingerprint", counting)
+    monkeypatch.setattr(router_module, "fingerprint", counting)
+    return calls
+
+
+def repeated_payload_requests(count=8, pool=3, n=256):
+    """``count`` requests cycling over ``pool`` payloads (cache hits)."""
+    payloads = [unique_data(n, "float32", seed=s) for s in range(pool)]
+    return [
+        Request(rid=i, data=payloads[i % pool], k=8, largest=False,
+                arrival_s=i * 0.01)
+        for i in range(count)
+    ]
+
+
+class TestFingerprintCounts:
+    """Each admitted request is hashed once, however many cache calls
+    (lookup, corruption check, insert) it makes."""
+
+    CONFIG = dict(algo="sort", max_batch=4, max_delay_s=0.0)
+
+    def test_one_per_admission(self, fingerprint_calls):
+        requests = repeated_payload_requests()
+        service = TopKService(ServeConfig(**self.CONFIG))
+        stats = service.run(requests)
+        assert stats.served == len(requests)
+        assert stats.cache["result_hits"] > 0
+        assert len(fingerprint_calls) == len(requests)
+        # a replay re-hashes: no digest carries over between runs
+        TopKService(ServeConfig(**self.CONFIG)).run(requests)
+        assert len(fingerprint_calls) == 2 * len(requests)
+
+    def test_one_per_admission_under_cache_corruption(self, fingerprint_calls):
+        from repro.faults import FaultPlan, FaultRule
+
+        plan = FaultPlan(
+            seed=6, rules=(FaultRule(kind="cache_corruption", rate=1.0),)
+        )
+        requests = repeated_payload_requests()
+        service = TopKService(ServeConfig(**self.CONFIG, faults=plan))
+        stats = service.run(requests)
+        assert stats.faults.get("cache_corruption", 0) >= 1
+        assert len(fingerprint_calls) == len(requests)
+
+    def test_none_with_the_result_cache_off(self, fingerprint_calls):
+        requests = repeated_payload_requests()
+        service = TopKService(ServeConfig(**self.CONFIG, result_cache=0))
+        stats = service.run(requests)
+        assert stats.served == len(requests)
+        assert fingerprint_calls == []
+        assert all(r.digest is None for r in requests)
+        assert len(service.cache.results) == 0
+
+    def test_cluster_hashes_once_per_request_and_sub_dispatch(
+        self, fingerprint_calls
+    ):
+        from repro.cluster import ClusterConfig, ClusterRouter
+
+        router = ClusterRouter(
+            ClusterConfig(
+                nodes=3,
+                replication=2,
+                partitions=3,
+                partition_min_n=1 << 10,
+                node_config=ServeConfig(**self.CONFIG),
+            )
+        )
+        requests = repeated_payload_requests(count=6, n=1 << 11)
+        stats = router.run(requests)
+        assert stats.answered == len(requests)
+        sub_dispatches = sum(len(node.requests) for node in router.nodes)
+        assert sub_dispatches == 3 * len(requests)
+        assert len(fingerprint_calls) <= len(requests) + sub_dispatches
+
+    def test_stale_preset_digest_is_rehashed(self, fingerprint_calls):
+        a = unique_data(256, "float32", seed=1)
+        b = unique_data(256, "float32", seed=2)
+        service = TopKService(ServeConfig(**self.CONFIG))
+        first = Request(rid=0, data=a, k=8, largest=False, arrival_s=0.0)
+        second = Request(rid=1, data=b, k=8, largest=False, arrival_s=0.01)
+        # b's request claims a's digest: trusted, it would hit a's answer
+        second.digest = fingerprint(a)
+        fingerprint_calls.clear()
+        service.run([first, second])
+        assert len(fingerprint_calls) == 2
+        assert second.digest == fingerprint(b)
+        outcome = service.outcomes[-1]
+        assert outcome.rid == 1 and not outcome.cache_hit
+        expected = topk(b, 8, algo="sort")
+        assert np.array_equal(outcome.values, expected.values)
+        assert np.array_equal(outcome.indices, expected.indices)
 
 
 # --------------------------------------------------------------------------- #
