@@ -36,12 +36,10 @@ tiny grid twice and ``cmp``s the files (see docs/adaptive.md).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
+from ..obs.manifest import git_revision
 from ..obs.schema import validate
-from .perfgate import git_rev
 from .report import format_table, format_time
 
 SCHEMA_ID = "repro.bench.adapt/v1"
@@ -373,7 +371,7 @@ def collect_snapshot(
     store = replay["store"]
     snapshot = {
         "schema": SCHEMA_ID,
-        "rev": rev if rev is not None else git_rev(),
+        "rev": rev if rev is not None else git_revision(short=True) or "local",
         "gpu": gpu,
         "gpu_shift": gpu_shift,
         "seed": int(seed),
@@ -499,19 +497,3 @@ def render_adapt_report(snapshot: dict) -> str:
         f"no_telemetry_noop={'yes' if snapshot['no_telemetry_noop'] else 'NO'}"
     )
     return "\n".join(out)
-
-
-def write_snapshot(snapshot: dict, path: Path | str) -> Path:
-    """Validate and write the snapshot JSON to ``path``."""
-    validate(snapshot, SNAPSHOT_SCHEMA)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_snapshot(path: Path | str) -> dict:
-    """Read and schema-validate a snapshot file."""
-    payload = json.loads(Path(path).read_text())
-    validate(payload, SNAPSHOT_SCHEMA)
-    return payload

@@ -24,14 +24,11 @@ via ``repro-topk cluster-bench`` — see docs/cluster.md.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from typing import TYPE_CHECKING
 
 from ..faults import FaultPlan, FaultRule, fault_draw
+from ..obs.manifest import git_revision
 from ..obs.schema import validate
-from .perfgate import git_rev
 from .report import format_table, format_time
 
 if TYPE_CHECKING:  # real imports are lazy: cluster -> serve -> bench cycle
@@ -371,7 +368,7 @@ def collect_snapshot(
             progress(cell)
     snapshot = {
         "schema": SCHEMA_ID,
-        "rev": rev if rev is not None else git_rev(),
+        "rev": rev if rev is not None else git_revision(short=True) or "local",
         "gpu": gpu,
         "seed": int(seed),
         "spec": {
@@ -502,19 +499,3 @@ def render_cluster_report(snapshot: dict) -> str:
             f"wasted={chaos['wasted_dispatches']}, faults={chaos['faults']}"
         )
     return "\n".join(out)
-
-
-def write_snapshot(snapshot: dict, path: Path | str) -> Path:
-    """Validate and write the snapshot JSON to ``path``."""
-    validate(snapshot, SNAPSHOT_SCHEMA)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_snapshot(path: Path | str) -> dict:
-    """Read and schema-validate a snapshot file."""
-    payload = json.loads(Path(path).read_text())
-    validate(payload, SNAPSHOT_SCHEMA)
-    return payload

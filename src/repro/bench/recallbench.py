@@ -31,14 +31,12 @@ this via ``repro-topk recall-bench`` — see docs/approximate.md.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ..obs.manifest import git_revision
 from ..obs.schema import validate
-from .perfgate import git_rev
 from .report import format_table, format_time
 
 SCHEMA_ID = "repro.bench.recall/v1"
@@ -309,7 +307,7 @@ def collect_snapshot(
     ]
     snapshot = {
         "schema": SCHEMA_ID,
-        "rev": rev if rev is not None else git_rev(),
+        "rev": rev if rev is not None else git_revision(short=True) or "local",
         "gpu": gpu,
         "seed": int(seed),
         "cells": cells,
@@ -427,19 +425,3 @@ def render_recall_report(snapshot: dict) -> str:
             f"{serve['recall_violations']}"
         )
     return "\n".join(out)
-
-
-def write_snapshot(snapshot: dict, path: Path | str) -> Path:
-    """Validate and write the snapshot JSON to ``path``."""
-    validate(snapshot, SNAPSHOT_SCHEMA)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_snapshot(path: Path | str) -> dict:
-    """Read and schema-validate a snapshot file."""
-    payload = json.loads(Path(path).read_text())
-    validate(payload, SNAPSHOT_SCHEMA)
-    return payload

@@ -32,16 +32,19 @@ from . import algorithm_names, obs
 from .cluster import PLACEMENTS as CLUSTER_PLACEMENTS
 from .bench import (
     ALL_ALGORITHMS,
+    SNAPSHOT_SCHEMAS,
     BenchPoint,
     format_dispatch_table,
     format_table,
     format_time,
+    load_snapshot,
     plot_sweep,
     read_csv,
     run_paper_suite,
     sweep,
     table2,
     write_csv,
+    write_snapshot,
 )
 from .datagen import DISTRIBUTIONS
 from .device import PRESETS, get_spec, timeline_spans
@@ -154,6 +157,24 @@ def build_parser() -> argparse.ArgumentParser:
             type=_size,
             default=DEFAULT_EXACT_CAP,
             help="max elements materialised; larger runs use scaled execution",
+        )
+
+    def add_gate_bench(p, kind, tiny_help, gpu_help="simulated board"):
+        p.add_argument(
+            "--gpu", choices=sorted(PRESETS), default="A100", help=gpu_help
+        )
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--out",
+            default=None,
+            metavar="PATH",
+            help=f"write the repro.bench.{kind}/v1 snapshot JSON here",
+        )
+        p.add_argument("--tiny", action="store_true", help=tiny_help)
+        p.add_argument(
+            "--no-gate",
+            action="store_true",
+            help="measure and report without gating",
         )
 
     p_topk = sub.add_parser("topk", help="run one algorithm on one problem")
@@ -402,48 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_logging(p_drift)
 
-    p_pg = sub.add_parser(
-        "perf-bench",
-        help="run the pinned perf-gate grid and write a BENCH_<rev>.json "
-        "snapshot (simulated time + emulation wall-clock per cell); "
-        "compares against the previous snapshot and fails on hot-path "
-        "wall-clock regressions",
-    )
-    p_pg.add_argument(
-        "--repeats", type=int, default=3, help="wall-clock takes best-of-N"
-    )
-    p_pg.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="fractional wall-clock regression allowed on hot cells "
-        "(default 0.25)",
-    )
-    p_pg.add_argument(
-        "--gpu", choices=sorted(PRESETS), default="A100", help="simulated board"
-    )
-    p_pg.add_argument("--seed", type=int, default=0)
-    p_pg.add_argument(
-        "--out", default=".", help="directory for the BENCH_<rev>.json snapshot"
-    )
-    p_pg.add_argument(
-        "--baseline",
-        default=None,
-        help="snapshot to gate against (default: the BENCH_*.json in --out "
-        "of the nearest git ancestor of HEAD, else the newest)",
-    )
-    p_pg.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="measure and write the snapshot without comparing",
-    )
-    p_pg.add_argument(
-        "--tiny",
-        action="store_true",
-        help="use the reduced smoke grid instead of the pinned grid",
-    )
-    add_logging(p_pg)
-
     p_rb = sub.add_parser(
         "recall-bench",
         help="Pareto sweep of the approximate tier (recall vs simulated "
@@ -451,31 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
         "gates empirical recall against the promised floors and the "
         "acceptance regime's speedup headline",
     )
-    p_rb.add_argument(
-        "--gpu", choices=sorted(PRESETS), default="A100", help="simulated board"
-    )
-    p_rb.add_argument("--seed", type=int, default=0)
-    p_rb.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the repro.bench.recall/v1 snapshot JSON here",
-    )
-    p_rb.add_argument(
-        "--tiny",
-        action="store_true",
-        help="use the reduced smoke grid instead of the pinned regimes "
+    add_gate_bench(
+        p_rb,
+        "recall",
+        "use the reduced smoke grid instead of the pinned regimes "
         "(skips the acceptance-speedup gate)",
     )
     p_rb.add_argument(
         "--no-serve",
         action="store_true",
         help="skip the mixed-load serving gate (offline sweep only)",
-    )
-    p_rb.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="measure and report without gating",
     )
     add_logging(p_rb)
 
@@ -510,10 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="data partitions per large request (default: node count)",
     )
-    p_cb.add_argument(
-        "--gpu", choices=sorted(PRESETS), default="A100", help="simulated board"
+    add_gate_bench(
+        p_cb,
+        "cluster",
+        "use the reduced smoke workload instead of the pinned acceptance "
+        "load (skips the scaling-speedup gate)",
     )
-    p_cb.add_argument("--seed", type=int, default=0)
     p_cb.add_argument(
         "--workers",
         type=int,
@@ -534,23 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the chaos cell (scaling sweep only)",
     )
-    p_cb.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the repro.bench.cluster/v1 snapshot JSON here",
-    )
-    p_cb.add_argument(
-        "--tiny",
-        action="store_true",
-        help="use the reduced smoke workload instead of the pinned "
-        "acceptance load (skips the scaling-speedup gate)",
-    )
-    p_cb.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="measure and report without gating",
-    )
     add_logging(p_cb)
 
     p_ab = sub.add_parser(
@@ -560,11 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
         "dispatcher's post-shift cumulative regret against static "
         "cost-model dispatch (plus byte-identity and no-telemetry no-op)",
     )
-    p_ab.add_argument(
-        "--gpu",
-        choices=sorted(PRESETS),
-        default="A100",
-        help="the board the cost model believes it is on",
+    add_gate_bench(
+        p_ab,
+        "adapt",
+        "use the reduced smoke grid instead of the pinned regimes",
+        gpu_help="the board the cost model believes it is on",
     )
     p_ab.add_argument(
         "--gpu-shift",
@@ -572,29 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="V100",
         help="the board the device silently becomes mid-stream",
     )
-    p_ab.add_argument("--seed", type=int, default=0)
     p_ab.add_argument(
         "--decisions",
         type=int,
         default=None,
         help="length of the dispatch decision stream (default 240, "
         "tiny 80); the shift lands halfway",
-    )
-    p_ab.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the repro.bench.adapt/v1 snapshot JSON here",
-    )
-    p_ab.add_argument(
-        "--tiny",
-        action="store_true",
-        help="use the reduced smoke grid instead of the pinned regimes",
-    )
-    p_ab.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="measure and report without gating",
     )
     add_logging(p_ab)
 
@@ -1283,97 +1215,23 @@ def cmd_drift(args) -> int:
     return 0
 
 
-def cmd_perf_bench(args) -> int:
-    from .bench import perfgate
-
-    grid = perfgate.TINY_GRID if args.tiny else perfgate.PINNED_GRID
-    logger.info(
-        "perf-gate: %d cells, best-of-%d wall clock", len(grid), args.repeats
-    )
-
-    def show(entry) -> None:
-        logger.info(
-            "%s n=%d k=%d batch=%d: sim %s wall %.4fs%s",
-            entry["algo"],
-            entry["n"],
-            entry["k"],
-            entry["batch"],
-            format_time(entry["sim_time_s"]),
-            entry["wall_s"],
-            (
-                f" (fused speedup {entry['fused_speedup']:.2f}x)"
-                if "fused_speedup" in entry
-                else ""
-            ),
-        )
-
-    snapshot = perfgate.collect_snapshot(
-        grid,
-        gpu=args.gpu,
-        repeats=args.repeats,
-        seed=args.seed,
-        progress=show,
-    )
-    rows = [
-        (
-            c["algo"],
-            c["n"],
-            c["k"],
-            c["batch"],
-            "hot" if c["hot"] else "cold",
-            format_time(c["sim_time_s"]),
-            f"{c['wall_s']:.4f}s",
-            f"{c['fused_speedup']:.2f}x" if "fused_speedup" in c else "-",
-        )
-        for c in snapshot["cells"]
-    ]
-    print(
-        format_table(
-            ["algo", "n", "k", "batch", "gate", "sim", "wall", "fused speedup"],
-            rows,
-        )
-    )
-    if "batch100_fused_speedup" in snapshot:
-        print(
-            "batch=100 fused speedup (wall-weighted): "
-            f"{snapshot['batch100_fused_speedup']:.2f}x"
-        )
-    # resolve and read the baseline *before* writing: re-running at the
-    # same revision overwrites the previous snapshot, which must still be
-    # the one gated against
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline
-        else perfgate.find_baseline(args.out)
-    )
-    baseline = (
-        perfgate.load_snapshot(baseline_path)
-        if baseline_path is not None
-        else None
-    )
-    path = perfgate.write_snapshot(snapshot, args.out)
-    print(f"snapshot: {path}")
+def _finish_gate_bench(args, snapshot: dict, render, gate) -> int:
+    """Shared tail of the gate benches: print the report, write ``--out``,
+    then (unless ``--no-gate``) print each ``GATE FAIL`` and return 1 if
+    ``gate`` found any, else 0."""
+    print(render(snapshot))
+    if args.out:
+        print(f"snapshot: {write_snapshot(snapshot, args.out)}")
     if args.no_gate:
         return 0
-    if baseline is None:
-        print("no baseline snapshot found; gate skipped")
-        return 0
-    tolerance = (
-        args.tolerance if args.tolerance is not None
-        else perfgate.DEFAULT_TOLERANCE
-    )
-    report = perfgate.compare_snapshots(baseline, snapshot, tolerance=tolerance)
-    print(f"baseline: {baseline_path} (rev {baseline['rev']})")
-    for note in report.notes:
-        print(f"note: {note}")
-    for line in report.regressions:
-        print(f"REGRESSION: {line}")
-    if not report.ok:
-        logger.error(
-            "%d hot-path wall-clock regression(s)", len(report.regressions)
-        )
+    name = args.command.removesuffix("-bench")
+    failures = gate(snapshot)
+    for line in failures:
+        print(f"GATE FAIL: {line}")
+    if failures:
+        logger.error("%d %s-gate failure(s)", len(failures), name)
         return 1
-    print("perf gate: ok")
+    print(f"{name} gate: ok")
     return 0
 
 
@@ -1410,20 +1268,9 @@ def cmd_recall_bench(args) -> int:
         serve=not args.no_serve,
         progress=show,
     )
-    print(recallbench.render_recall_report(snapshot))
-    if args.out:
-        path = recallbench.write_snapshot(snapshot, args.out)
-        print(f"snapshot: {path}")
-    if args.no_gate:
-        return 0
-    failures = recallbench.gate_recall(snapshot)
-    for line in failures:
-        print(f"GATE FAIL: {line}")
-    if failures:
-        logger.error("%d recall-gate failure(s)", len(failures))
-        return 1
-    print("recall gate: ok")
-    return 0
+    return _finish_gate_bench(
+        args, snapshot, recallbench.render_recall_report, recallbench.gate_recall
+    )
 
 
 def cmd_adapt_bench(args) -> int:
@@ -1467,20 +1314,9 @@ def cmd_adapt_bench(args) -> int:
         decisions=decisions,
         progress=show,
     )
-    print(adaptbench.render_adapt_report(snapshot))
-    if args.out:
-        path = adaptbench.write_snapshot(snapshot, args.out)
-        print(f"snapshot: {path}")
-    if args.no_gate:
-        return 0
-    failures = adaptbench.gate_adapt(snapshot)
-    for line in failures:
-        print(f"GATE FAIL: {line}")
-    if failures:
-        logger.error("%d adapt-gate failure(s)", len(failures))
-        return 1
-    print("adapt gate: ok")
-    return 0
+    return _finish_gate_bench(
+        args, snapshot, adaptbench.render_adapt_report, adaptbench.gate_adapt
+    )
 
 
 def cmd_cluster_bench(args) -> int:
@@ -1535,24 +1371,15 @@ def cmd_cluster_bench(args) -> int:
         tiny=args.tiny,
         progress=show,
     )
-    print(clusterbench.render_cluster_report(snapshot))
-    if args.out:
-        path = clusterbench.write_snapshot(snapshot, args.out)
-        print(f"snapshot: {path}")
-    if args.no_gate:
-        return 0
     # the tiny smoke workload is launch-bound, so only the full
     # acceptance load is held to the scaling floor
-    failures = clusterbench.gate_cluster(
-        snapshot, min_speedup=0.0 if args.tiny else clusterbench.ACCEPT_SPEEDUP
+    min_speedup = 0.0 if args.tiny else clusterbench.ACCEPT_SPEEDUP
+    return _finish_gate_bench(
+        args,
+        snapshot,
+        clusterbench.render_cluster_report,
+        lambda s: clusterbench.gate_cluster(s, min_speedup=min_speedup),
     )
-    for line in failures:
-        print(f"GATE FAIL: {line}")
-    if failures:
-        logger.error("%d cluster-gate failure(s)", len(failures))
-        return 1
-    print("cluster gate: ok")
-    return 0
 
 
 def cmd_inspect(args) -> int:
@@ -1632,10 +1459,11 @@ def cmd_inspect(args) -> int:
         ]
         print(format_table(["field", "value"], rows))
         return 0
+    if schema in SNAPSHOT_SCHEMAS:
+        payload = load_snapshot(path)
     if schema == "repro.bench.recall/v1":
-        from .bench.recallbench import SNAPSHOT_SCHEMA, gate_recall
+        from .bench.recallbench import gate_recall
 
-        obs.schema.validate(payload, SNAPSHOT_SCHEMA)
         failures = gate_recall(payload)
         points = sum(len(c["points"]) for c in payload["cells"])
         print(
@@ -1645,9 +1473,8 @@ def cmd_inspect(args) -> int:
         )
         return 0
     if schema == "repro.bench.cluster/v1":
-        from .bench.clusterbench import SNAPSHOT_SCHEMA, gate_cluster
+        from .bench.clusterbench import gate_cluster
 
-        obs.schema.validate(payload, SNAPSHOT_SCHEMA)
         failures = gate_cluster(payload, min_speedup=0.0)
         counts = ",".join(str(c["nodes"]) for c in payload["sweep"])
         chaos = payload.get("chaos")
@@ -1659,9 +1486,8 @@ def cmd_inspect(args) -> int:
         )
         return 0
     if schema == "repro.bench.adapt/v1":
-        from .bench.adaptbench import SNAPSHOT_SCHEMA, gate_adapt
+        from .bench.adaptbench import gate_adapt
 
-        obs.schema.validate(payload, SNAPSHOT_SCHEMA)
         failures = gate_adapt(payload)
         ratio = payload["post_shift"]["ratio"]
         print(
@@ -1728,7 +1554,6 @@ COMMANDS = {
     "serve-bench": cmd_serve_bench,
     "serve-report": cmd_serve_report,
     "drift": cmd_drift,
-    "perf-bench": cmd_perf_bench,
     "recall-bench": cmd_recall_bench,
     "adapt-bench": cmd_adapt_bench,
     "cluster-bench": cmd_cluster_bench,

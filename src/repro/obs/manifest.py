@@ -31,14 +31,15 @@ from typing import Iterable
 from .schema import validate_manifest
 
 
-def _git_revision() -> str | None:
-    """Current git commit, or None outside a repo / without git."""
+def git_revision(*, short: bool = False) -> str | None:
+    """Git commit of the checkout this package runs from (abbreviated
+    when ``short``), or None outside a repo / without git."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "rev-parse", *(["--short"] if short else []), "HEAD"],
             capture_output=True,
             text=True,
-            timeout=5,
+            timeout=10,
             cwd=Path(__file__).resolve().parent,
         )
     except (OSError, subprocess.TimeoutExpired):
@@ -58,7 +59,7 @@ def versions() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
     }
-    rev = _git_revision()
+    rev = git_revision()
     if rev is not None:
         info["git"] = rev
     return info
