@@ -39,7 +39,7 @@ def run_sweep():
     ]
     for label, data, k in workloads:
         for alpha in ALPHAS:
-            r = topk(data, k, algo="air_topk", alpha=alpha)
+            r = topk(data, k, algo="air_topk", params={"alpha": alpha})
             rows.append(
                 (
                     label,

@@ -32,7 +32,7 @@ def run_sweep():
     for dist in ("uniform", "adversarial"):
         data = generate(dist, N, seed=6)[0]
         for bits in WIDTHS:
-            r = topk(data, 2048, algo="air_topk", digit_bits=bits)
+            r = topk(data, 2048, algo="air_topk", params={"digit_bits": bits})
             rows.append(
                 (
                     dist,

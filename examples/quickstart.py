@@ -48,7 +48,8 @@ def main() -> None:
     print(f"\nall algorithms on n=2^20, k={k} (simulated A100):")
     for info in available_algorithms():
         r = topk(data, k, algo=info.name, device="A100")
-        check_topk(data, r.values, r.indices)
+        if r.exact:  # approximate methods promise recall_bound, not exactness
+            check_topk(data, r.values, r.indices)
         batched = "batched" if info.batched_execution else "per-problem"
         print(f"  {info.name:15s} {r.time * 1e6:9.1f} us  [{info.library}, {batched}]")
 

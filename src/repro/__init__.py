@@ -43,17 +43,16 @@ from .algos import (
     available_algorithms,
     get_algorithm,
 )
-from .api import select_k, topk
+from .api import topk
 from .approx import QualityPlan, choose_plan, expected_recall, recall_floor
 from .core import AIRTopK, GridSelect, GridSelectStream
 from .device import A10, A100, H100, Device, GPUSpec, get_spec
 from .verify import check_topk, oracle_topk_values
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "topk",
-    "select_k",
     "QualityPlan",
     "choose_plan",
     "expected_recall",

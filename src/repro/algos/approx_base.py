@@ -10,12 +10,12 @@ is planned (and therefore where they sit on the recall/time Pareto
 front), so the execution, the fused batching, and the recall annotation
 live here.
 
-Fused across the batch dimension like the PR 5 hot paths: one stage-1
-launch streams the concatenated rows, one stage-2 launch merges every
-row's survivors (``fused=False`` replays the identical math row by row
-as the per-launch reference).  A single read of the input is the whole
-point — the exact baselines are ≥2-pass — and is what the recall-bench
-Pareto sweep measures.
+A batch runs fused: one stage-1 launch streams the concatenated rows and
+one stage-2 launch merges every row's survivors.  The scatter depends only
+on ``(n, parts, seed)``, so each row of a batch selects exactly as a
+single-shot run of that row would.  A single read of the input is the
+whole point — the exact baselines are ≥2-pass — and is what the
+recall-bench Pareto sweep measures.
 
 The recall annotation is the hypergeometric occupancy model of
 :mod:`repro.approx.recall`; results carry ``exact=False``, the
@@ -53,9 +53,6 @@ class PartitionApproxTopK(TopKAlgorithm):
     #: kernel names charged for the two stages (per-method narrative)
     kernel_stage1 = "ApproxPartitionTopK"
     kernel_stage2 = "ApproxMerge"
-
-    def __init__(self, *, fused: bool = True) -> None:
-        self.fused = fused
 
     # ------------------------------------------------------------------ #
     # planning and recall
@@ -100,22 +97,8 @@ class PartitionApproxTopK(TopKAlgorithm):
     # ------------------------------------------------------------------ #
     def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
         parts, keep = self.plan(ctx.n, ctx.k)
-        if self.fused or ctx.batch == 1:
-            return self._select_rows(ctx, ctx.keys, parts, keep)
-        # per-row reference: identical math, one launch set per row
-        outs = [
-            self._select_rows(ctx, ctx.keys[r : r + 1], parts, keep)
-            for r in range(ctx.batch)
-        ]
-        return (
-            np.concatenate([k2 for k2, _ in outs], axis=0),
-            np.concatenate([i2 for _, i2 in outs], axis=0),
-        )
-
-    def _select_rows(
-        self, ctx: RunContext, keys2d: np.ndarray, parts: int, keep: int
-    ) -> tuple[np.ndarray, np.ndarray]:
         device = ctx.device
+        keys2d = ctx.keys
         batch, n = keys2d.shape
         total = batch * n
         # the scatter depends only on (n, parts, seed): batched and

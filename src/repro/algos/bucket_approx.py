@@ -29,8 +29,7 @@ class BucketApproxTopK(PartitionApproxTopK):
     kernel_stage1 = "ApproxBucketTopK"
     kernel_stage2 = "ApproxBucketMerge"
 
-    def __init__(self, *, buckets: int | None = None, fused: bool = True) -> None:
-        super().__init__(fused=fused)
+    def __init__(self, *, buckets: int | None = None) -> None:
         if buckets is not None and int(buckets) < 1:
             raise ValueError(f"buckets must be >= 1, got {buckets}")
         self.buckets = None if buckets is None else int(buckets)

@@ -7,15 +7,15 @@ are derived from data statistics (unlike RadixSelect's data-independent
 digits, Sec. 2.2), which costs an extra reduction kernel and PCIe round
 trip per iteration.
 
-Batched execution is *fused* by default: every iteration runs one launch
-set (MinMaxReduce, BucketHistogram, ScanBucketOffsets, BucketFilter) over
-the flat concatenation of all still-active rows' candidates, pays one
+A batch runs fused: every iteration runs one launch set (MinMaxReduce,
+BucketHistogram, ScanBucketOffsets, BucketFilter) over the flat
+concatenation of all still-active rows' candidates, pays one
 synchronisation and one (batch-sized) PCIe round trip per step instead of
 one per row, and a single terminal sort covers every row that drops to the
 terminal regime — the RadiK-style batched scheduling the paper's related
-work describes.  ``fused=False`` keeps the per-row reference loop (the
-original host-serialised GpuSelection shape); at ``batch=1`` the two are
-identical in both results and accounting.
+work describes.  At ``batch=1`` this is the host-serialised GpuSelection
+schedule; above it, the reference code's per-row launches, syncs and PCIe
+round trips are not charged.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from ..perf import calibration as cal
 from ..primitives import (
     batched_digit_histogram,
     comparator_count_sort,
-    digit_histogram,
     find_target_bucket,
     flat_histogram,
     head_mask,
     inclusive_scan,
-    partition_three_way,
     segment_min_max,
     segment_offsets,
 )
@@ -52,32 +50,13 @@ class BucketSelect(TopKAlgorithm):
     terminal_size = 1024
     max_iterations = 64
 
-    def __init__(self, *, fused: bool = True) -> None:
-        """``fused=False`` restores the per-row reference loop, whose
-        launches, synchronisations and PCIe round trips replay once per
-        row; the capability flag follows the execution mode."""
-        self.fused = fused
-        self.batched_execution = bool(fused)
-
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        if self.fused:
-            return self._run_fused(ctx)
-        batch, n = ctx.keys.shape
-        out_keys = np.empty((batch, ctx.k), dtype=ctx.keys.dtype)
-        out_idx = np.empty((batch, ctx.k), dtype=np.int64)
-        for row in range(batch):
-            rk, ri = self._select_row(ctx, ctx.keys[row])
-            out_keys[row] = rk
-            out_idx[row] = ri
-        return out_keys, out_idx
-
     def _bucket_of(
         self, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ) -> np.ndarray:
         """Linear bucket index of each key within [lo, hi], in [0, 256).
 
-        ``lo``/``hi`` may be scalars (one row) or per-row columns
-        broadcasting against 2-d ``keys``.  Computed in float64 — the
+        ``lo``/``hi`` are per-key bounds, or per-row columns broadcasting
+        against 2-d ``keys``.  Computed in float64 — the
         multiply by ``num_buckets / span`` is monotone non-decreasing and
         truncation keeps it so, which is all a splitting rule needs (the
         GPU reference uses the same float bucket function); integer
@@ -101,7 +80,7 @@ class BucketSelect(TopKAlgorithm):
     # ------------------------------------------------------------------ #
     # fused batched execution: one launch set per iteration, all rows
     # ------------------------------------------------------------------ #
-    def _run_fused(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
         device = ctx.device
         batch, n = ctx.keys.shape
         nb = self.num_buckets
@@ -416,107 +395,3 @@ class BucketSelect(TopKAlgorithm):
             np.concatenate(out_keys)[order].reshape(batch, ctx.k),
             np.concatenate(out_idx)[order].reshape(batch, ctx.k),
         )
-
-    # ------------------------------------------------------------------ #
-    # per-row reference loop (the pre-fusion execution)
-    # ------------------------------------------------------------------ #
-    def _select_row(
-        self, ctx: RunContext, row_keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        device = ctx.device
-        cand_keys = row_keys
-        cand_idx = np.arange(row_keys.shape[0], dtype=np.int64)
-        k_rem = ctx.k
-        won_keys: list[np.ndarray] = []
-        won_idx: list[np.ndarray] = []
-
-        for _ in range(self.max_iterations):
-            count = cand_keys.shape[0]
-            if k_rem == 0 or count <= max(self.terminal_size, k_rem):
-                break
-            grid = streaming_grid(
-                device.spec,
-                max(1, int(count * device.scale)),
-                items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
-            )
-            # min/max reduction to fix the bucket boundaries
-            lo = np.uint64(cand_keys.min())
-            hi = np.uint64(cand_keys.max())
-            device.launch_kernel(
-                "MinMaxReduce",
-                grid_blocks=grid,
-                block_threads=256,
-                bytes_read=4.0 * count,
-                bytes_written=8.0,
-                flops=2.0 * count,
-            )
-            device.synchronize("sync_minmax")
-            device.memcpy_d2h("MemcpyDtoH(minmax)", 8.0)
-            if lo == hi:
-                break  # all candidates equal: any k_rem of them are results
-
-            buckets = self._bucket_of(cand_keys, lo, hi)
-            hist = digit_histogram(buckets, self.num_buckets)
-            device.launch_kernel(
-                "BucketHistogram",
-                grid_blocks=grid,
-                block_threads=256,
-                bytes_read=4.0 * count,
-                bytes_written=self.num_buckets * 4.0,
-                flops=cal.HISTOGRAM_OPS_PER_ELEM * count,
-            )
-            device.synchronize("sync_hist")
-            device.memcpy_d2h("MemcpyDtoH(hist)", self.num_buckets * 4.0)
-            device.host_compute("host_scan", cal.HOST_SCAN_SECONDS)
-            # bucket offsets are scanned on the device before scattering
-            device.launch_kernel(
-                "ScanBucketOffsets",
-                grid_blocks=1,
-                block_threads=256,
-                bytes_read=self.num_buckets * 4.0,
-                bytes_written=self.num_buckets * 4.0,
-                flops=float(self.num_buckets * 8),
-                scalable=False,
-            )
-            device.synchronize("sync_scan")
-            psum = inclusive_scan(hist)
-            target = int(find_target_bucket(psum, k_rem))
-
-            winners, survivors = partition_three_way(
-                cand_keys, cand_idx, buckets, target
-            )
-            device.launch_kernel(
-                "BucketFilter",
-                grid_blocks=grid,
-                block_threads=256,
-                bytes_read=8.0 * count,
-                # the reference implementation scatters the whole candidate
-                # array into grouped buckets, not only the surviving one
-                bytes_written=cal.SCATTER_WRITE_PENALTY * 8.0 * count,
-                flops=cal.FILTER_OPS_PER_ELEM * count,
-            )
-            device.synchronize("sync_filter")
-            won_keys.append(winners.keys)
-            won_idx.append(winners.indices)
-            k_rem -= winners.count
-            cand_keys = survivors.keys
-            cand_idx = survivors.indices
-
-        if k_rem > 0:
-            count = cand_keys.shape[0]
-            order = np.argsort(cand_keys, kind="stable")[:k_rem]
-            won_keys.append(cand_keys[order])
-            won_idx.append(cand_idx[order])
-            device.launch_kernel(
-                "BucketTerminalSort",
-                grid_blocks=1,
-                block_threads=256,
-                bytes_read=8.0 * count,
-                bytes_written=8.0 * k_rem,
-                flops=cal.OPS_PER_COMPARATOR
-                * comparator_count_sort(next_pow2(max(2, count))),
-            )
-            device.synchronize("sync_final")
-        keys = np.concatenate(won_keys)
-        idx = np.concatenate(won_idx)
-        return keys[: ctx.k], idx[: ctx.k]

@@ -7,17 +7,16 @@ methods) and stops when the candidate set fits a single-block terminal sort.
 Worst-case O(N^2) if pivots are unlucky (Sec. 2.2); median-of-3 sampling
 makes that astronomically unlikely on the benchmark's distributions.
 
-Batched execution is *fused* by default: every recursion level runs one
-launch set (QuickSelectCount, QuickSelectScatter) over the flat
-concatenation of all still-active rows' candidates, pays one
-synchronisation and one (batch-sized) PCIe round trip per level instead of
-one per row, and a single terminal sort covers every row that drops to the
-terminal regime.  Pivots stay per-row: each row owns an identically-seeded
-generator whose draw sequence matches the per-row reference loop exactly,
-so the fused run replays every row byte-identically to a single-shot run.
-``fused=False`` keeps the per-row reference loop (the original
-host-serialised GpuSelection shape); at ``batch=1`` the two are identical
-in both results and accounting.
+A batch runs fused: every recursion level runs one launch set
+(QuickSelectCount, QuickSelectScatter) over the flat concatenation of all
+still-active rows' candidates, pays one synchronisation and one
+(batch-sized) PCIe round trip per level instead of one per row, and a
+single terminal sort covers every row that drops to the terminal regime —
+the RadiK-style batched scheduling.  Pivots stay per-row: each row owns an
+identically-seeded generator, so every row of a batch selects exactly as a
+single-shot run of that row would.  At ``batch=1`` this is the
+host-serialised GpuSelection schedule; above it, the reference code's
+per-row launches, syncs and PCIe round trips are not charged.
 """
 
 from __future__ import annotations
@@ -44,37 +43,10 @@ class QuickSelect(TopKAlgorithm):
     #: hard iteration cap (pathological pivot sequences)
     max_iterations = 128
 
-    def __init__(self, *, fused: bool = True) -> None:
-        """``fused=False`` restores the per-row reference loop, whose
-        launches, synchronisations and PCIe round trips replay once per
-        row; the capability flag follows the execution mode."""
-        self.fused = fused
-        self.batched_execution = bool(fused)
-
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        if self.fused:
-            return self._run_fused(ctx)
-        batch, n = ctx.keys.shape
-        out_keys = np.empty((batch, ctx.k), dtype=np.uint32)
-        out_idx = np.empty((batch, ctx.k), dtype=np.int64)
-        for row in range(batch):
-            # fresh identically-seeded pivot stream per row: the batched
-            # run replays each row exactly as a single-shot run would
-            ctx.rng = np.random.default_rng(ctx.seed)
-            rk, ri = self._select_row(ctx, ctx.keys[row])
-            out_keys[row] = rk
-            out_idx[row] = ri
-        return out_keys, out_idx
-
-    def _pivot(self, ctx: RunContext, cand: np.ndarray) -> np.uint32:
-        """Median of three random candidates (computed host-side)."""
-        picks = cand[ctx.rng.integers(0, cand.shape[0], size=3)]
-        return np.uint32(np.sort(picks)[1])
-
     # ------------------------------------------------------------------ #
     # fused batched execution: one launch set per recursion level
     # ------------------------------------------------------------------ #
-    def _run_fused(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
         device = ctx.device
         batch, n = ctx.keys.shape
         keys2d = ctx.keys
@@ -101,8 +73,8 @@ class QuickSelect(TopKAlgorithm):
         k_rem = np.full(batch, ctx.k, dtype=np.int64)
         count = np.full(batch, n, dtype=np.int64)
         active = np.ones(batch, dtype=bool)
-        # one identically-seeded pivot stream per row, consumed exactly as
-        # the per-row reference loop consumes it
+        # one identically-seeded pivot stream per row, so each row draws
+        # the pivots a single-shot run of it would draw
         rngs = [np.random.default_rng(ctx.seed) for _ in range(batch)]
 
         # flat row-major candidate state with per-row counts; built lazily
@@ -180,8 +152,7 @@ class QuickSelect(TopKAlgorithm):
             case_b = ~case_a & (kr <= n_lt + n_eq)  # pivot ties finish it
             case_c = ~case_a & ~case_b  # recurse into the > side
             # winners: the < side of B/C rows, then the tie elements each
-            # row still needs (all of them for C, the first take for B) —
-            # the same chunk order the per-row loop appends
+            # row still needs (all of them for C, the first take for B)
             win_lt2 = lt2 & (case_b | case_c)[:, None]
             if win_lt2.any():
                 wr, wc = np.nonzero(win_lt2)
@@ -241,8 +212,8 @@ class QuickSelect(TopKAlgorithm):
                 break
             seg_counts = count[rows]
             total = int(seg_counts.sum())
-            # per-row median-of-3 pivots, each drawn from its row's own
-            # stream (host-side, like the reference loop)
+            # per-row median-of-3 pivots, each drawn host-side from its
+            # row's own stream
             offsets = segment_offsets(seg_counts)
             pivots = np.empty(rows.size, dtype=np.uint32)
             for i, r in enumerate(rows):
@@ -346,95 +317,3 @@ class QuickSelect(TopKAlgorithm):
             np.concatenate(out_keys)[order].reshape(batch, ctx.k),
             np.concatenate(out_idx)[order].reshape(batch, ctx.k),
         )
-
-    # ------------------------------------------------------------------ #
-    # per-row reference loop (the pre-fusion execution)
-    # ------------------------------------------------------------------ #
-    def _select_row(
-        self, ctx: RunContext, row_keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        device = ctx.device
-        cand_keys = row_keys
-        cand_idx = np.arange(row_keys.shape[0], dtype=np.int64)
-        k_rem = ctx.k
-        won_keys: list[np.ndarray] = []
-        won_idx: list[np.ndarray] = []
-
-        for _ in range(self.max_iterations):
-            count = cand_keys.shape[0]
-            if k_rem == 0 or count <= max(self.terminal_size, k_rem):
-                break
-            pivot = self._pivot(ctx, cand_keys)
-            lt = cand_keys < pivot
-            eq = cand_keys == pivot
-            n_lt = int(lt.sum())
-            n_eq = int(eq.sum())
-
-            grid = streaming_grid(
-                device.spec,
-                max(1, int(count * device.scale)),
-                items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
-            )
-            # the reference code runs a counting pass, fetches the counts,
-            # then launches the scatter pass
-            device.launch_kernel(
-                "QuickSelectCount",
-                grid_blocks=grid,
-                block_threads=256,
-                bytes_read=4.0 * count,
-                bytes_written=8.0,
-                flops=2.0 * count,
-            )
-            device.synchronize("sync_count")
-            device.launch_kernel(
-                "QuickSelectScatter",
-                grid_blocks=grid,
-                block_threads=256,
-                bytes_read=8.0 * count,
-                bytes_written=cal.SCATTER_WRITE_PENALTY * 8.0 * count,
-                flops=cal.PARTITION_OPS_PER_ELEM * count,
-            )
-            device.synchronize("sync_partition")
-            device.memcpy_d2h("MemcpyDtoH(counts)", 8.0)
-            device.host_compute("host_pivot", cal.HOST_PIVOT_SECONDS)
-
-            if k_rem <= n_lt:
-                cand_idx = cand_idx[lt]
-                cand_keys = cand_keys[lt]
-            elif k_rem <= n_lt + n_eq:
-                won_keys.append(cand_keys[lt])
-                won_idx.append(cand_idx[lt])
-                take = k_rem - n_lt
-                won_keys.append(cand_keys[eq][:take])
-                won_idx.append(cand_idx[eq][:take])
-                k_rem = 0
-                break
-            else:
-                won_keys.append(cand_keys[lt])
-                won_idx.append(cand_idx[lt])
-                won_keys.append(cand_keys[eq])
-                won_idx.append(cand_idx[eq])
-                k_rem -= n_lt + n_eq
-                gt = ~(lt | eq)
-                cand_idx = cand_idx[gt]
-                cand_keys = cand_keys[gt]
-
-        if k_rem > 0:
-            # terminal single-block sort of the remaining candidates
-            count = cand_keys.shape[0]
-            order = np.argsort(cand_keys, kind="stable")[:k_rem]
-            won_keys.append(cand_keys[order])
-            won_idx.append(cand_idx[order])
-            device.launch_kernel(
-                "QuickSelectTerminalSort",
-                grid_blocks=1,
-                block_threads=256,
-                bytes_read=8.0 * count,
-                bytes_written=8.0 * k_rem,
-                flops=cal.OPS_PER_COMPARATOR
-                * comparator_count_sort(next_pow2(max(2, count))),
-            )
-            device.synchronize("sync_final")
-        keys = np.concatenate(won_keys)
-        idx = np.concatenate(won_idx)
-        return keys[: ctx.k], idx[: ctx.k]

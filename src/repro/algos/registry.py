@@ -15,6 +15,7 @@ than bare names (use :func:`algorithm_names` for those).
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 
@@ -85,6 +86,7 @@ def _register(factory) -> None:
     _FACTORIES[name] = factory
 
 
+@functools.cache
 def _tunables(factory) -> tuple[str, ...]:
     """Keyword parameters of the factory's constructor, by inspection."""
     target = factory.__init__ if isinstance(factory, type) else factory
@@ -133,27 +135,31 @@ def algorithm_names() -> list[str]:
     return sorted(_FACTORIES)
 
 
-def get_algorithm(
-    name: str, *, params: dict | None = None, **kwargs
-) -> TopKAlgorithm:
+def get_algorithm(name: str, *, params: dict | None = None) -> TopKAlgorithm:
     """Instantiate an algorithm by registry name, with uniform tuning.
 
     Algorithm-specific tuning goes through the single ``params`` dict
     (``get_algorithm("air_topk", params={"adaptive": False})`` for the
     Fig. 9 ablation); valid keys are the ``tunables`` of the method's
-    :class:`AlgorithmInfo`.  Plain keyword arguments are still accepted
-    and merged (``params`` wins on conflict) so existing internal call
-    sites keep working.
+    :class:`AlgorithmInfo`.  An unknown key raises :class:`ValueError`
+    naming the algorithm and its tunables.
     """
     _ensure_core()
     if name not in _FACTORIES:
         raise KeyError(
             f"unknown algorithm {name!r}; available: {algorithm_names()}"
         )
-    merged = dict(kwargs)
-    if params:
-        merged.update(params)
-    return _FACTORIES[name](**merged)
+    factory = _FACTORIES[name]
+    if not params:
+        return factory()
+    tunables = _tunables(factory)
+    unknown = sorted(set(params) - set(tunables))
+    if unknown:
+        raise ValueError(
+            f"{name} has no tunable {', '.join(map(repr, unknown))}; "
+            f"valid params: {list(tunables)}"
+        )
+    return factory(**params)
 
 
 def _ensure_core() -> None:

@@ -6,17 +6,17 @@ by binary-searching the splitters, and recurses into the bucket containing
 the k-th element.  Sampling buys well-balanced buckets at the price of the
 extra sample-sort kernel and the per-element binary search (Sec. 2.2).
 
-Batched execution is *fused* by default: every iteration runs one launch
-set (SampleGatherSort, SplitterHistogram, ScanBucketOffsets, SampleFilter)
-over the flat concatenation of all still-active rows' candidates, pays one
+A batch runs fused: every iteration runs one launch set
+(SampleGatherSort, SplitterHistogram, ScanBucketOffsets, SampleFilter) over
+the flat concatenation of all still-active rows' candidates, pays one
 synchronisation and one (batch-sized) PCIe round trip per step instead of
 one per row, and a single terminal sort covers every row that drops to the
-terminal regime.  Splitters stay per-row: each row owns an
-identically-seeded generator whose draw sequence matches the per-row
-reference loop exactly, so the fused run replays every row byte-identically
-to a single-shot run.  ``fused=False`` keeps the per-row reference loop
-(the original host-serialised GpuSelection shape); at ``batch=1`` the two
-are identical in both results and accounting.
+terminal regime — the RadiK-style batched scheduling.  Splitters stay
+per-row: each row owns an identically-seeded generator, so every row of a
+batch selects exactly as a single-shot run of that row would.  At
+``batch=1`` this is the host-serialised GpuSelection schedule; above it,
+the reference code's per-row launches, syncs and PCIe round trips are not
+charged.
 """
 
 from __future__ import annotations
@@ -29,12 +29,10 @@ from ..perf import calibration as cal
 from ..primitives import (
     batched_digit_histogram,
     comparator_count_sort,
-    digit_histogram,
     find_target_bucket,
     flat_histogram,
     head_mask,
     inclusive_scan,
-    partition_three_way,
     segment_offsets,
 )
 
@@ -53,41 +51,12 @@ class SampleSelect(TopKAlgorithm):
     terminal_size = 1024
     max_iterations = 64
 
-    def __init__(self, *, fused: bool = True) -> None:
-        """``fused=False`` restores the per-row reference loop, whose
-        launches, synchronisations and PCIe round trips replay once per
-        row; the capability flag follows the execution mode."""
-        self.fused = fused
-        self.batched_execution = bool(fused)
-
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        if self.fused:
-            return self._run_fused(ctx)
-        batch, n = ctx.keys.shape
-        out_keys = np.empty((batch, ctx.k), dtype=np.uint32)
-        out_idx = np.empty((batch, ctx.k), dtype=np.int64)
-        for row in range(batch):
-            # fresh identically-seeded splitter stream per row: the batched
-            # run replays each row exactly as a single-shot run would
-            ctx.rng = np.random.default_rng(ctx.seed)
-            rk, ri = self._select_row(ctx, ctx.keys[row])
-            out_keys[row] = rk
-            out_idx[row] = ri
-        return out_keys, out_idx
-
-    def _splitters(self, ctx: RunContext, cand: np.ndarray) -> np.ndarray:
-        """Evenly spaced splitters from a sorted random sample."""
-        s = min(self.sample_size, cand.shape[0])
-        sample = np.sort(cand[ctx.rng.integers(0, cand.shape[0], size=s)])
-        # num_buckets - 1 interior splitters
-        picks = np.linspace(0, s - 1, self.num_buckets + 1)[1:-1]
-        return sample[picks.astype(np.int64)]
-
     def _row_splitters(
         self, rng: np.random.Generator, cand: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        """Per-row splitters for the fused path, consuming ``rng`` exactly
-        as :meth:`_splitters` consumes the per-row reference stream."""
+        """Evenly spaced splitters from a sorted random sample of one row's
+        candidates, drawn from that row's own ``rng``; also returns the
+        sample size."""
         s = min(self.sample_size, cand.shape[0])
         sample = np.sort(cand[rng.integers(0, cand.shape[0], size=s)])
         picks = np.linspace(0, s - 1, self.num_buckets + 1)[1:-1]
@@ -96,7 +65,7 @@ class SampleSelect(TopKAlgorithm):
     # ------------------------------------------------------------------ #
     # fused batched execution: one launch set per iteration, all rows
     # ------------------------------------------------------------------ #
-    def _run_fused(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
         device = ctx.device
         batch, n = ctx.keys.shape
         nb = self.num_buckets
@@ -124,8 +93,8 @@ class SampleSelect(TopKAlgorithm):
         k_rem = np.full(batch, ctx.k, dtype=np.int64)
         count = np.full(batch, n, dtype=np.int64)
         active = np.ones(batch, dtype=bool)
-        # one identically-seeded splitter stream per row, consumed exactly
-        # as the per-row reference loop consumes it
+        # one identically-seeded splitter stream per row, so each row draws
+        # the splitters a single-shot run of it would draw
         rngs = [np.random.default_rng(ctx.seed) for _ in range(batch)]
 
         # flat row-major candidate state with per-row counts; built lazily
@@ -266,8 +235,8 @@ class SampleSelect(TopKAlgorithm):
             )
             active[rows_mask] = False
 
-        # all candidates identical: splitters cannot split them — the
-        # per-row loop breaks to its terminal sort here
+        # all candidates identical: splitters cannot split them, so the
+        # row retires to the terminal sort
         if stuck0.any():
             retire(stuck0.copy())
 
@@ -337,8 +306,8 @@ class SampleSelect(TopKAlgorithm):
                 cand_idx[keep],
             )
             new_count = np.take_along_axis(hist, target[:, None], axis=1)[:, 0]
-            # all candidates identical: splitters cannot split them — the
-            # per-row loop breaks to its terminal sort here
+            # all candidates identical: splitters cannot split them, so the
+            # row retires to the terminal sort
             stuck = new_count == seg_counts
             count[rows] = new_count
             if stuck.any():
@@ -389,108 +358,3 @@ class SampleSelect(TopKAlgorithm):
             np.concatenate(out_keys)[order].reshape(batch, ctx.k),
             np.concatenate(out_idx)[order].reshape(batch, ctx.k),
         )
-
-    # ------------------------------------------------------------------ #
-    # per-row reference loop (the pre-fusion execution)
-    # ------------------------------------------------------------------ #
-    def _select_row(
-        self, ctx: RunContext, row_keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        device = ctx.device
-        cand_keys = row_keys
-        cand_idx = np.arange(row_keys.shape[0], dtype=np.int64)
-        k_rem = ctx.k
-        won_keys: list[np.ndarray] = []
-        won_idx: list[np.ndarray] = []
-
-        for _ in range(self.max_iterations):
-            count = cand_keys.shape[0]
-            if k_rem == 0 or count <= max(self.terminal_size, k_rem):
-                break
-            grid = streaming_grid(
-                device.spec,
-                max(1, int(count * device.scale)),
-                items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
-            )
-            splitters = self._splitters(ctx, cand_keys)
-            s = min(self.sample_size, count)
-            device.launch_kernel(
-                "SampleGatherSort",
-                grid_blocks=1,
-                block_threads=256,
-                bytes_read=4.0 * s,
-                bytes_written=4.0 * (self.num_buckets - 1),
-                flops=cal.OPS_PER_COMPARATOR
-                * comparator_count_sort(next_pow2(max(2, s))),
-                scalable=False,  # the sample size is fixed, not O(N)
-            )
-            buckets = np.searchsorted(splitters, cand_keys, side="right").astype(
-                np.uint32
-            )
-            hist = digit_histogram(buckets, self.num_buckets)
-            device.launch_kernel(
-                "SplitterHistogram",
-                grid_blocks=grid,
-                block_threads=256,
-                bytes_read=4.0 * count,
-                bytes_written=self.num_buckets * 4.0,
-                flops=cal.SPLITTER_SEARCH_OPS_PER_ELEM * count,
-            )
-            device.synchronize("sync_hist")
-            device.memcpy_d2h("MemcpyDtoH(hist)", self.num_buckets * 4.0)
-            device.host_compute("host_scan", cal.HOST_SCAN_SECONDS)
-            # bucket offsets are scanned on the device before scattering
-            device.launch_kernel(
-                "ScanBucketOffsets",
-                grid_blocks=1,
-                block_threads=256,
-                bytes_read=self.num_buckets * 4.0,
-                bytes_written=self.num_buckets * 4.0,
-                flops=float(self.num_buckets * 8),
-                scalable=False,
-            )
-            device.synchronize("sync_scan")
-            psum = inclusive_scan(hist)
-            target = int(find_target_bucket(psum, k_rem))
-
-            winners, survivors = partition_three_way(
-                cand_keys, cand_idx, buckets, target
-            )
-            device.launch_kernel(
-                "SampleFilter",
-                grid_blocks=grid,
-                block_threads=256,
-                bytes_read=8.0 * count,
-                # the reference implementation scatters the whole candidate
-                # array into grouped buckets, not only the surviving one
-                bytes_written=cal.SCATTER_WRITE_PENALTY * 8.0 * count,
-                flops=cal.FILTER_OPS_PER_ELEM * count,
-            )
-            device.synchronize("sync_filter")
-            won_keys.append(winners.keys)
-            won_idx.append(winners.indices)
-            k_rem -= winners.count
-            prev = count
-            cand_keys = survivors.keys
-            cand_idx = survivors.indices
-            if cand_keys.shape[0] == prev:
-                break  # all candidates identical: splitters cannot split them
-
-        if k_rem > 0:
-            count = cand_keys.shape[0]
-            order = np.argsort(cand_keys, kind="stable")[:k_rem]
-            won_keys.append(cand_keys[order])
-            won_idx.append(cand_idx[order])
-            device.launch_kernel(
-                "SampleTerminalSort",
-                grid_blocks=1,
-                block_threads=256,
-                bytes_read=8.0 * count,
-                bytes_written=8.0 * k_rem,
-                flops=cal.OPS_PER_COMPARATOR
-                * comparator_count_sort(next_pow2(max(2, count))),
-            )
-            device.synchronize("sync_final")
-        keys = np.concatenate(won_keys)
-        idx = np.concatenate(won_idx)
-        return keys[: ctx.k], idx[: ctx.k]

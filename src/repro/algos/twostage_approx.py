@@ -37,9 +37,7 @@ class TwoStageApproxTopK(PartitionApproxTopK):
         *,
         partitions: int | None = None,
         stage_k: int | None = DEFAULT_STAGE_K,
-        fused: bool = True,
     ) -> None:
-        super().__init__(fused=fused)
         if partitions is not None and int(partitions) < 1:
             raise ValueError(f"partitions must be >= 1, got {partitions}")
         if stage_k is not None and int(stage_k) < 1:

@@ -1,9 +1,7 @@
-"""The v2 public facade: one keyword-only ``topk`` entry point.
+"""The public facade: one keyword-only ``topk`` entry point.
 
 Everything user-facing — the CLI, :mod:`repro.serve`, the examples —
-funnels through :func:`topk`.  It replaces the v1 pair of ``topk``
-(algorithm-first, ``spec=``/``device=`` split, ``**algo_kwargs``) and
-``select_k`` (RAFT-style tuple wrapper) with a single signature::
+funnels through :func:`topk`, with a single signature::
 
     repro.topk(data, k, *, algo="auto", device=A100, largest=False,
                batch=None, seed=0, params=None,
@@ -24,24 +22,18 @@ funnels through :func:`topk`.  It replaces the v1 pair of ``topk``
 * ``batch`` reshapes a flat buffer into ``(batch, n)`` rows, the layout
   a serving tier hands over;
 * ``params`` is the single dict of algorithm-specific tuning, matching
-  the ``tunables`` of the registry's :class:`~repro.algos.AlgorithmInfo`.
-
-The v1 spellings still work as thin shims — ``select_k(...)``, the
-``spec=`` keyword and loose ``**algo_kwargs`` each emit a
-:class:`DeprecationWarning` and delegate here with identical results
-(pinned by tests/test_api.py).
+  the ``tunables`` of the registry's :class:`~repro.algos.AlgorithmInfo`;
+  an unknown key raises :class:`ValueError`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from .algos import TopKResult, get_algorithm
 from .device import A100, Device, GPUSpec, get_spec
 
-__all__ = ["topk", "select_k", "resolve_device"]
+__all__ = ["topk", "resolve_device"]
 
 
 def resolve_device(
@@ -78,8 +70,6 @@ def topk(
     params: dict | None = None,
     mode: str = "auto",
     min_recall: float | None = None,
-    spec: GPUSpec | None = None,
-    **legacy_kwargs,
 ) -> TopKResult:
     """Find the k smallest (or largest) elements of each problem row.
 
@@ -133,25 +123,6 @@ def topk(
     per-method ``meta``.  The result still unpacks as a
     ``(values, indices)`` 2-tuple.
     """
-    if spec is not None:
-        warnings.warn(
-            "topk(spec=...) is deprecated; pass device=<spec|name|Device> instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if device is None:
-            device = spec
-    if legacy_kwargs:
-        warnings.warn(
-            f"passing algorithm tuning as loose keyword arguments "
-            f"({sorted(legacy_kwargs)}) is deprecated; use params={{...}}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        merged = dict(legacy_kwargs)
-        merged.update(params or {})
-        params = merged
-
     data = np.asarray(data)
     if batch is not None:
         if batch < 1:
@@ -262,29 +233,3 @@ def _plan_quality(
             )
     return algo, params, None
 
-
-def select_k(
-    data: np.ndarray,
-    k: int,
-    *,
-    select_min: bool = True,
-    algo: str = "air_topk",
-    **kwargs,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deprecated RAFT-style wrapper: ``(values, indices)`` best-first.
-
-    Use :func:`topk` — this shim emits a :class:`DeprecationWarning` and
-    returns ``(result.values, result.indices)`` unchanged from the v1
-    behaviour (same default algorithm, same direction flag semantics).
-    """
-    warnings.warn(
-        "select_k() is deprecated; use repro.topk(data, k, largest=not "
-        "select_min).values/.indices instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    with warnings.catch_warnings():
-        # don't double-warn when legacy kwargs ride along
-        warnings.simplefilter("ignore", DeprecationWarning)
-        result = topk(data, k, algo=algo, largest=not select_min, **kwargs)
-    return result.values, result.indices

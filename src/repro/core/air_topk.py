@@ -42,6 +42,10 @@ production RAFT kernel compares the full processed-bit prefix against the
 accumulated target prefix (``kth_value_bits``); we implement the RAFT
 semantics, which is the correct one when an early digit repeats later in
 the key.
+
+A batch shares every launch: each pass advances the rows one after
+another on the host and charges a single launch, whose traffic is the sum
+over the rows, so ``batched_execution`` holds.
 """
 
 from __future__ import annotations
@@ -56,13 +60,10 @@ from ..obs.metrics import get_metrics, metrics_enabled
 from ..obs.spans import tracing_enabled
 from ..perf import calibration as cal
 from ..primitives import (
-    batched_digit_histogram,
     block_scan_ops,
     digit_histogram,
     digit_layout,
     find_target_bucket,
-    flat_histogram,
-    head_mask,
     inclusive_scan,
 )
 
@@ -139,7 +140,6 @@ class AIRTopK(TopKAlgorithm):
         early_stop: bool = True,
         digit_bits: int = 11,
         fuse_last_filter: bool = False,
-        fused: bool = True,
     ) -> None:
         """``adaptive=False`` and ``early_stop=False`` are the ablations of
         the paper's Fig. 9 and Fig. 10.  ``alpha`` is the buffering
@@ -151,14 +151,7 @@ class AIRTopK(TopKAlgorithm):
         in-kernel filter phase (after a device-wide sync) needs the final
         candidate list materialised, which forces the buffer write the
         adaptive strategy would skip under adversarial distributions.  The
-        paper's adopted configuration is False.
-
-        ``fused=True`` (the default) executes the whole batch through
-        vectorised multi-row passes — the emulation analogue of the fused
-        launches the simulated device already charges for.  ``fused=False``
-        keeps the per-row reference loop; both produce byte-identical
-        outputs, traces and device accounting (pinned by the batched
-        differential suite), differing only in host wall-clock."""
+        paper's adopted configuration is False."""
         if alpha < 4:
             raise ValueError(
                 f"alpha below 4 makes buffering strictly unprofitable "
@@ -168,7 +161,6 @@ class AIRTopK(TopKAlgorithm):
         self.adaptive = adaptive
         self.early_stop = early_stop
         self.fuse_last_filter = fuse_last_filter
-        self.fused = fused
         self.digit_bits = digit_bits
         # 32-bit keys are the paper's configuration; wider keys get the
         # same digit width over proportionally more passes (see passes_for)
@@ -217,8 +209,7 @@ class AIRTopK(TopKAlgorithm):
         return digit_layout(key_width, self.digit_bits)
 
     # ------------------------------------------------------------------ #
-    # launch emission — shared by the fused and per-row execution paths so
-    # both charge byte-identical launch parameters
+    # launch emission: one launch per pass for the whole batch
     # ------------------------------------------------------------------ #
     def _launch_pass(
         self, device, grid: int, batch: int, num_buckets: int,
@@ -271,12 +262,6 @@ class AIRTopK(TopKAlgorithm):
     def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
         self.passes = self.passes_for(ctx.keys.dtype)
         self.last_trace = []
-        if self.fused:
-            return self._run_fused(ctx)
-        return self._run_rows(ctx)
-
-    def _run_rows(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row reference execution (the pre-fusion loop)."""
         batch, n = ctx.keys.shape
         device = ctx.device
         states = [_RowState(k_cand=ctx.k, count=n) for _ in range(batch)]
@@ -318,309 +303,6 @@ class AIRTopK(TopKAlgorithm):
         bound = max(1.0, n / self.alpha) if self.adaptive else float(n)
         device.allocate_workspace(batch * 2 * 8.0 * bound)
         return out_keys, out_idx
-
-    # ------------------------------------------------------------------ #
-    # fused multi-row execution: the whole batch advances through each
-    # pass in vectorised slab/flat operations instead of a per-row loop
-    # ------------------------------------------------------------------ #
-    def _run_fused(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised batched execution, byte-identical to `_run_rows`.
-
-        Per-row state becomes state *vectors*; the candidate sets of all
-        buffered rows live in one flat row-major array (``buf_rows`` /
-        ``buf_keys`` / ``buf_idx``), and rescanning rows are processed as a
-        2-d slab of the input.  Every traffic term is an integer-valued
-        float, so the fused sums equal the per-row sums exactly and the
-        simulated launch costs — and therefore times — are bit-identical.
-        """
-        batch, n = ctx.keys.shape
-        device = ctx.device
-        keys2d = ctx.keys
-        kt = keys2d.dtype.type
-        num_buckets = self.passes[0].num_buckets
-        num_passes = len(self.passes)
-
-        # per-row state vectors (device-resident in the modelled kernels)
-        k_cand = np.full(batch, ctx.k, dtype=np.int64)
-        count = np.full(batch, n, dtype=np.int64)
-        prefix = np.zeros(batch, dtype=np.uint64)
-        prev_target = np.zeros(batch, dtype=np.int64)
-        is_buffered = np.zeros(batch, dtype=bool)
-        done = np.zeros(batch, dtype=bool)
-        gathered = np.zeros(batch, dtype=bool)
-        # flat row-major candidate buffer of the buffered rows
-        buf_rows = np.empty(0, dtype=np.int64)
-        buf_keys = np.empty(0, dtype=keys2d.dtype)
-        buf_idx = np.empty(0, dtype=np.int64)
-        # output chunks, chronological; each chunk is row-major internally,
-        # so one stable sort at the end restores every row's append order
-        out_rows: list[np.ndarray] = []
-        out_keys_parts: list[np.ndarray] = []
-        out_idx_parts: list[np.ndarray] = []
-
-        def load_and_filter(
-            pass_index: int, traffic: _KernelTraffic
-        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Vectorised lagged filter over every not-yet-gathered row.
-
-            Returns the row-major flat survivors through boundary
-            ``pass_index - 1`` after appending that boundary's winners to
-            the output chunks (exactly `_load_and_filter`, all rows at
-            once).
-            """
-            nonlocal buf_rows, buf_keys, buf_idx
-            prev = self.passes[pass_index - 1]
-            parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-            n_win = 0
-            if buf_rows.size:
-                traffic.bytes_read += 8.0 * buf_rows.size
-                traffic.elements += buf_rows.size
-                traffic.flops += cal.FILTER_OPS_PER_ELEM * buf_rows.size
-                prev_digits = prev.extract(buf_keys)
-                target_b = prev_target[buf_rows].astype(prev_digits.dtype)
-                win = prev_digits < target_b
-                keep = prev_digits == target_b
-                if win.any():
-                    out_rows.append(buf_rows[win])
-                    out_keys_parts.append(buf_keys[win])
-                    out_idx_parts.append(buf_idx[win])
-                    n_win += int(win.sum())
-                parts.append((buf_rows[keep], buf_keys[keep], buf_idx[keep]))
-            rescan = np.flatnonzero(~gathered & ~is_buffered)
-            if rescan.size:
-                # every row rescanning (the common pass-1 state) needs no
-                # row-subset copy of the input slab
-                slab = keys2d if rescan.size == batch else keys2d[rescan]
-                traffic.bytes_read += 4.0 * n * rescan.size
-                traffic.elements += n * rescan.size
-                # every loaded element pays the fused filter's prefix test
-                traffic.flops += cal.FUSED_KERNEL_OPS_PER_ELEM * n * rescan.size
-                # full-prefix candidacy (RAFT kth_value_bits semantics)
-                shifted = slab >> kt(prev.shift)
-                pfx = prefix[rescan].astype(keys2d.dtype)[:, None]
-                keep2 = shifted == pfx
-                if pass_index == 1:
-                    win2 = shifted < pfx
-                else:
-                    prev2 = self.passes[pass_index - 2]
-                    pfx2 = (prefix[rescan] >> np.uint64(prev.width)).astype(
-                        keys2d.dtype
-                    )[:, None]
-                    match2 = (slab >> kt(prev2.shift)) == pfx2
-                    win2 = match2 & (shifted < pfx)
-                win_r, win_c = np.nonzero(win2)
-                if win_r.size:
-                    out_rows.append(rescan[win_r])
-                    out_keys_parts.append(slab[win_r, win_c])
-                    out_idx_parts.append(win_c.astype(np.int64))
-                    n_win += win_r.size
-                keep_r, keep_c = np.nonzero(keep2)
-                parts.append(
-                    (rescan[keep_r], slab[keep_r, keep_c], keep_c.astype(np.int64))
-                )
-            traffic.bytes_written += cal.SCATTER_WRITE_PENALTY * 8.0 * n_win
-            if not parts:
-                return (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=keys2d.dtype),
-                    np.empty(0, dtype=np.int64),
-                )
-            s_rows = np.concatenate([p[0] for p in parts])
-            s_keys = np.concatenate([p[1] for p in parts])
-            s_idx = np.concatenate([p[2] for p in parts])
-            if len(parts) > 1:
-                # each row lives in exactly one part, so a stable sort by
-                # row id restores global row-major order without touching
-                # any row's internal candidate order
-                order = np.argsort(s_rows, kind="stable")
-                s_rows, s_keys, s_idx = s_rows[order], s_keys[order], s_idx[order]
-            return s_rows, s_keys, s_idx
-
-        def gather_pending(
-            s_rows: np.ndarray,
-            s_keys: np.ndarray,
-            s_idx: np.ndarray,
-            traffic: _KernelTraffic,
-        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Early-stopped rows: the kernel degenerates to one gather."""
-            pend = np.flatnonzero(done & ~gathered)
-            if not pend.size:
-                return s_rows, s_keys, s_idx
-            seg = np.bincount(s_rows, minlength=batch)
-            mismatched = np.flatnonzero(seg[pend] != k_cand[pend])
-            if mismatched.size:
-                row = int(pend[mismatched[0]])
-                raise AssertionError(
-                    f"early stop expected {int(k_cand[row])} survivors, "
-                    f"got {int(seg[row])}"
-                )
-            sel = (done & ~gathered)[s_rows]
-            if sel.any():
-                out_rows.append(s_rows[sel])
-                out_keys_parts.append(s_keys[sel])
-                out_idx_parts.append(s_idx[sel])
-                traffic.bytes_written += 8.0 * int(sel.sum())
-            gathered[pend] = True
-            return s_rows[~sel], s_keys[~sel], s_idx[~sel]
-
-        def fused_pass(dpass, traffic: _KernelTraffic) -> None:
-            nonlocal buf_rows, buf_keys, buf_idx
-            p = dpass.index
-            if p == 0:
-                # first pass: every row's candidate set is its whole input
-                active = np.arange(batch, dtype=np.int64)
-                traffic.bytes_read += 4.0 * n * batch
-                traffic.elements += n * batch
-                traffic.flops += cal.FUSED_KERNEL_OPS_PER_ELEM * n * batch
-                digits2 = dpass.extract(keys2d)
-                hist2 = batched_digit_histogram(digits2, dpass.num_buckets)
-            else:
-                s_rows, s_keys, s_idx = load_and_filter(p, traffic)
-                s_rows, s_keys, s_idx = gather_pending(
-                    s_rows, s_keys, s_idx, traffic
-                )
-                active = np.flatnonzero(~done)
-                if not active.size:
-                    # every row is done (and now gathered): drop the buffer
-                    # so later passes read nothing, like the per-row loop
-                    buf_rows = np.empty(0, dtype=np.int64)
-                    buf_keys = np.empty(0, dtype=keys2d.dtype)
-                    buf_idx = np.empty(0, dtype=np.int64)
-                    is_buffered[:] = False
-                    return
-                seg = np.bincount(s_rows, minlength=batch)
-                drifted = np.flatnonzero(seg[active] != count[active])
-                if drifted.size:
-                    row = int(active[drifted[0]])
-                    raise AssertionError(
-                        f"candidate bookkeeping drifted: have {int(seg[row])}, "
-                        f"histogram said {int(count[row])}"
-                    )
-                local = np.searchsorted(active, s_rows)
-                digits = dpass.extract(s_keys)
-                traffic.flops += cal.FUSED_KERNEL_OPS_PER_ELEM * s_keys.size
-                hist2 = flat_histogram(
-                    local, digits, active.size, dpass.num_buckets
-                )
-            psum2 = inclusive_scan(hist2, axis=1)
-            target = np.asarray(
-                find_target_bucket(psum2, k_cand[active]), dtype=np.int64
-            )
-            below = np.where(
-                target > 0,
-                np.take_along_axis(
-                    psum2, np.maximum(target - 1, 0)[:, None], axis=1
-                )[:, 0],
-                0,
-            )
-            cand_in = count[active].copy()
-
-            # adaptive buffering, vectorised over the active rows; pass 0
-            # never buffers (its candidate set is the whole input)
-            final_pass = p == num_passes - 1
-            if p == 0:
-                use_buffer = np.zeros(batch, dtype=bool)
-            else:
-                if not self.adaptive:
-                    ub = np.ones(active.size, dtype=bool)
-                else:
-                    ub = count[active] < n / self.alpha
-                    if self.fuse_last_filter and final_pass:
-                        # the fused final filter reads the candidate list
-                        # after its internal sync; it must exist
-                        ub[:] = True
-                use_buffer = np.zeros(batch, dtype=bool)
-                use_buffer[active] = ub
-                traffic.bytes_written += cal.ATOMIC_SCATTER_PENALTY * 8.0 * float(
-                    count[active][ub].sum()
-                )
-                bsel = use_buffer[s_rows]
-                buf_rows = s_rows[bsel]
-                buf_keys = s_keys[bsel]
-                buf_idx = s_idx[bsel]
-            is_buffered[:] = use_buffer
-
-            prev_target[active] = target
-            prefix[active] = (prefix[active] << np.uint64(dpass.width)) | target.astype(
-                np.uint64
-            )
-            k_cand[active] -= below
-            new_count = np.take_along_axis(hist2, target[:, None], axis=1)[:, 0]
-            count[active] = new_count
-            stopped = np.zeros(active.size, dtype=bool)
-            if self.early_stop:
-                stopped = k_cand[active] == new_count
-                done[active[stopped]] = True
-            buffered_now = use_buffer[active]
-            for i in range(active.size):
-                self.last_trace.append(
-                    PassRecord(
-                        row=int(active[i]),
-                        pass_index=p,
-                        candidates_in=int(cand_in[i]),
-                        target_digit=int(target[i]),
-                        candidates_out=int(new_count[i]),
-                        k_remaining=int(k_cand[active[i]]),
-                        buffered=bool(buffered_now[i]),
-                        early_stopped=bool(stopped[i]),
-                    )
-                )
-
-        def last_filter_fused(traffic: _KernelTraffic) -> None:
-            """Final filtering kernel (line 5 of Algorithm 1), all rows."""
-            s_rows, s_keys, s_idx = load_and_filter(num_passes, traffic)
-            s_rows, s_keys, s_idx = gather_pending(s_rows, s_keys, s_idx, traffic)
-            live = np.flatnonzero(~done)
-            if not live.size:
-                return
-            # after the final pass every survivor shares the complete key:
-            # they are exact ties, any k_cand of them are valid results
-            seg = np.bincount(s_rows, minlength=batch)
-            mask = head_mask(seg, np.minimum(k_cand, seg))
-            out_rows.append(s_rows[mask])
-            out_keys_parts.append(s_keys[mask])
-            out_idx_parts.append(s_idx[mask])
-            traffic.bytes_written += 8.0 * float(k_cand[live].sum())
-            traffic.flops += cal.FILTER_OPS_PER_ELEM * s_keys.size
-
-        grid = streaming_grid(
-            device.spec,
-            ctx.nominal_n * batch,
-            items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
-        )
-        pending: _KernelTraffic | None = None
-        for dpass in self.passes:
-            traffic = _KernelTraffic()
-            fused_pass(dpass, traffic)
-            if self.fuse_last_filter and dpass.index == num_passes - 1:
-                pending = traffic  # launched below, merged with the filter
-                continue
-            self._launch_pass(
-                device, grid, batch, num_buckets, dpass.index, traffic
-            )
-
-        traffic = _KernelTraffic()
-        last_filter_fused(traffic)
-        self._launch_final(device, grid, batch, num_buckets, traffic, pending)
-
-        all_rows = (
-            np.concatenate(out_rows) if out_rows else np.empty(0, dtype=np.int64)
-        )
-        totals = np.bincount(all_rows, minlength=batch)
-        short = np.flatnonzero(totals != ctx.k)
-        if short.size:
-            raise AssertionError(
-                f"AIR Top-K produced {int(totals[short[0]])} results, "
-                f"expected {ctx.k}"
-            )
-        order = np.argsort(all_rows, kind="stable")
-        out_k = np.concatenate(out_keys_parts)[order].reshape(batch, ctx.k)
-        out_i = np.concatenate(out_idx_parts)[order].reshape(batch, ctx.k)
-        # two candidate buffers (double buffering), each bounded by N/alpha
-        # when the adaptive strategy is on (Sec. 3.2), by N otherwise
-        bound = max(1.0, n / self.alpha) if self.adaptive else float(n)
-        device.allocate_workspace(batch * 2 * 8.0 * bound)
-        return out_k, out_i
 
     # ------------------------------------------------------------------ #
     # loading: candidates through boundary (passes_done - 2), winners split
@@ -754,20 +436,13 @@ class AIRTopK(TopKAlgorithm):
         )
 
     # ------------------------------------------------------------------ #
-    def _survivors(
-        self, state: _RowState, row_keys: np.ndarray, traffic: _KernelTraffic
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Current candidates (through boundary ``passes_done - 1``)."""
-        cand_keys, cand_idx = self._load_and_filter(state, row_keys, traffic)
-        return cand_keys, cand_idx
-
     def _gather_if_pending(
         self, state: _RowState, row_keys: np.ndarray, traffic: _KernelTraffic
     ) -> None:
         """Early-stopped row: the next kernel degenerates to one gather."""
         if state.gathered:
             return
-        cand_keys, cand_idx = self._survivors(state, row_keys, traffic)
+        cand_keys, cand_idx = self._load_and_filter(state, row_keys, traffic)
         if cand_keys.shape[0] != state.k_cand:
             raise AssertionError(
                 f"early stop expected {state.k_cand} survivors, "
@@ -789,7 +464,7 @@ class AIRTopK(TopKAlgorithm):
         if state.done:
             self._gather_if_pending(state, row_keys, traffic)
         else:
-            cand_keys, cand_idx = self._survivors(state, row_keys, traffic)
+            cand_keys, cand_idx = self._load_and_filter(state, row_keys, traffic)
             # after the final pass every survivor shares the complete key:
             # they are exact ties, any k_cand of them are valid results
             state.out_keys.append(cand_keys[: state.k_cand])

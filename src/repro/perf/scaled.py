@@ -110,7 +110,7 @@ def simulate_topk(
     cannot handle the *nominal* (n, k) — mirroring the gaps in the paper's
     figures.
     """
-    algorithm = get_algorithm(algo, **algo_kwargs)
+    algorithm = get_algorithm(algo, params=algo_kwargs)
     if data is not None:
         data = np.asarray(data, dtype=np.float32)
         if data.ndim == 1:

@@ -1,10 +1,10 @@
 """Flat (segment-encoded) multi-row helpers for fused batched execution.
 
-The fused batched paths (AIR Top-K, BucketSelect) keep every row's
-surviving candidates in one flat row-major array plus a parallel array of
-row ids — mirroring how a fused GPU kernel keeps the whole batch resident
-in a single launch instead of replaying per-row kernels.  These helpers
-are the segment algebra those paths share:
+The fused batched paths (BucketSelect, QuickSelect, SampleSelect) keep
+every row's surviving candidates in one flat row-major array plus a
+parallel array of row ids — mirroring how a fused GPU kernel keeps the
+whole batch resident in a single launch instead of replaying per-row
+kernels.  These helpers are the segment algebra those paths share:
 
 * :func:`segment_offsets` — CSR-style offsets from per-segment counts;
 * :func:`flat_histogram` — per-segment digit histograms of a flat array
@@ -19,7 +19,7 @@ are the segment algebra those paths share:
   selection over a whole batch in one vectorised pass.
 
 All helpers are exact (integer arithmetic only); the fused paths that use
-them are pinned byte-identical to the per-row reference execution by
+them are pinned byte-identical to stacked single-row runs by
 ``tests/test_differential.py::TestBatchedDifferential``.
 """
 

@@ -239,9 +239,7 @@ def sharded_topk(
     # pass) or replayed per-row — callers budgeting coordinator work need
     # to know which launch-cost regime the shards were in
     meta: dict = {
-        "batched_execution": bool(
-            getattr(get_algorithm(algo, params=params), "batched_execution", False)
-        ),
+        "batched_execution": get_algorithm(algo).batched_execution,
         # per-surviving-shard effective times (post retry/straggler/hedge)
         # keyed by shard id, plus the merge-tree tail — the trace lanes
         # reconstruct the fan-out/fan-in shape from these

@@ -1,13 +1,16 @@
-"""The v2 facade: one keyword-only topk(), deprecation shims, devices."""
+"""The facade: one keyword-only topk(), removed v1 spellings, devices."""
 
 from __future__ import annotations
 
-import warnings
+import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import A100, H100, Device, check_topk, get_spec, select_k, topk
+import repro
+from repro import A100, H100, Device, check_topk, get_spec, topk
 from repro.api import resolve_device
 
 
@@ -85,44 +88,27 @@ class TestDeviceResolution:
         assert r.device.spec is get_spec("H100")
 
 
-class TestDeprecationShims:
-    """Old v1 signatures keep working, warn, and return identical results."""
-
-    def test_select_k_warns_and_matches(self, rng):
-        data = rng.standard_normal((3, 2000)).astype(np.float32)
-        with pytest.warns(DeprecationWarning, match="select_k"):
-            values, indices = select_k(data, 16)
-        modern = topk(data, 16, algo="air_topk")
-        assert np.array_equal(values, modern.values)
-        assert np.array_equal(indices, modern.indices)
-
-    def test_select_k_select_min_false(self, rng):
+class TestRemovedSpellings:
+    def test_v1_spellings_fail(self, rng):
+        """3.0 removed the v1 shims; each old spelling now fails loudly."""
         data = rng.standard_normal(2000).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            values, indices = select_k(data, 8, select_min=False)
-        modern = topk(data, 8, algo="air_topk", largest=True)
-        assert np.array_equal(values, modern.values)
-        assert np.array_equal(indices, modern.indices)
+        assert not hasattr(repro, "select_k")
+        with pytest.raises(TypeError, match="spec"):
+            topk(data, 8, algo="sort", spec=H100)
+        with pytest.raises(TypeError, match="alpha"):
+            topk(data, 8, algo="air_topk", alpha=64.0)
+        with pytest.raises(TypeError, match="alpha"):
+            repro.get_algorithm("air_topk", alpha=64.0)
+        assert list(inspect.signature(topk).parameters) == [
+            "data", "k", "algo", "device", "largest", "batch", "seed",
+            "params", "mode", "min_recall",
+        ]
 
-    def test_spec_kwarg_warns_and_matches(self, rng):
-        data = rng.standard_normal(2000).astype(np.float32)
-        with pytest.warns(DeprecationWarning, match="spec="):
-            old = topk(data, 8, algo="sort", spec=H100)
-        new = topk(data, 8, algo="sort", device=H100)
-        assert old.device.spec is H100
-        assert np.array_equal(old.values, new.values)
-        assert np.array_equal(old.indices, new.indices)
 
-    def test_loose_tuning_kwargs_warn_and_match(self, rng):
-        data = rng.standard_normal(1 << 14).astype(np.float32)
-        with pytest.warns(DeprecationWarning, match="params"):
-            old = topk(data, 64, algo="air_topk", early_stop=False)
-        new = topk(data, 64, algo="air_topk", params={"early_stop": False})
-        assert np.array_equal(old.values, new.values)
-        assert np.array_equal(old.indices, new.indices)
-
-    def test_modern_calls_do_not_warn(self, rng):
-        data = rng.standard_normal(2000).astype(np.float32)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            topk(data, 8, algo="air_topk", device="A100", params={"alpha": 64.0})
+class TestVersion:
+    def test_pyproject_matches_package(self):
+        """One version: pyproject.toml's must equal ``repro.__version__``."""
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+        assert match is not None
+        assert match.group(1) == repro.__version__

@@ -60,8 +60,30 @@ class TestRegistry:
         assert "candidates" in by_name["auto"].tunables
 
     def test_kwargs_forwarded(self):
-        air = get_algorithm("air_topk", alpha=64.0, adaptive=False)
+        air = get_algorithm("air_topk", params={"alpha": 64.0, "adaptive": False})
         assert air.alpha == 64.0 and air.adaptive is False
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "air_topk",
+            "bucket_select",
+            "quick_select",
+            "sample_select",
+            "bucket_approx",
+            "twostage_approx",
+        ],
+    )
+    def test_removed_fused_param_is_a_value_error(self, name):
+        info = {i.name: i for i in available_algorithms()}[name]
+        with pytest.raises(ValueError, match=name) as err:
+            get_algorithm(name, params={"fused": False})
+        assert "'fused'" in str(err.value)
+        assert str(list(info.tunables)) in str(err.value)
+
+    def test_typo_param_is_a_value_error(self):
+        with pytest.raises(ValueError, match="air_topk has no tunable 'alhpa'"):
+            get_algorithm("air_topk", params={"alhpa": 64.0})
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):

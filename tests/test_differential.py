@@ -118,8 +118,8 @@ class TestDifferential:
 class TestBatchedDifferential:
     """Batched execution is a pure layout change: a (batch, n) call must be
     byte-identical — values, indices, dtypes — to stacking the single-shot
-    result of each row.  This pins the fused batched hot paths (AIR,
-    BucketSelect, the queue family) to their per-row reference semantics
+    result of each row.  This pins the batched paths (AIR, BucketSelect,
+    QuickSelect, SampleSelect, the queue family) to single-shot semantics
     across dtypes, directions, ties and float specials.
 
     ``auto`` is deliberately absent: its dispatch decision depends on the
@@ -191,7 +191,7 @@ class TestStochasticPartitionLargeN:
     its terminal sort fast path; n=8192 forces real recursion/iteration
     levels, so the fused loop itself (count passes, scatter compaction,
     splitter histograms, per-row survivor masks) is differentially pinned
-    to the per-row reference byte-for-byte."""
+    to stacked single-shot runs byte-for-byte."""
 
     N_LARGE = 8192
 

@@ -37,13 +37,28 @@ GOLDEN_GRID = dict(
     batches=(1,),
     seed=0,
 )
-GOLDEN = "tests/data/golden_sweep.csv"
+#: batch > 1 pins every method with a batched schedule, above batch 1
+GOLDEN_BATCHED_GRID = dict(
+    algos=(
+        "air_topk",
+        "bucket_select",
+        "quick_select",
+        "sample_select",
+        "bucket_approx",
+        "twostage_approx",
+    ),
+    distributions=("uniform", "adversarial"),
+    ns=(4096, 16384),
+    ks=(16, 512),
+    batches=(8, 100),
+    seed=0,
+)
 
 
-def golden_bytes() -> bytes:
+def golden_bytes(name: str = "golden_sweep.csv") -> bytes:
     from pathlib import Path
 
-    return (Path(__file__).parent / "data" / "golden_sweep.csv").read_bytes()
+    return (Path(__file__).parent / "data" / name).read_bytes()
 
 
 class TestGoldenRegression:
@@ -54,6 +69,14 @@ class TestGoldenRegression:
         res = sweep(workers=workers, **GOLDEN_GRID)
         path = write_csv(res.points, tmp_path / "sweep.csv")
         assert path.read_bytes() == golden_bytes()
+
+    @pytest.mark.parametrize("workers", (1, 4))
+    def test_batched_csv_matches_golden(self, workers, tmp_path):
+        """Simulated times at batch 8 and 100 match the committed CSV
+        byte for byte, serial and at 4 workers."""
+        res = sweep(workers=workers, **GOLDEN_BATCHED_GRID)
+        path = write_csv(res.points, tmp_path / "sweep.csv")
+        assert path.read_bytes() == golden_bytes("golden_sweep_batched.csv")
 
     def test_row_classes_present(self):
         """The golden grid covers every row class the engine can emit."""

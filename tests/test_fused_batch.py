@@ -30,8 +30,8 @@ from repro.device import Device, get_spec
 from repro.perf import calibration as cal
 from repro.serve import sharded_topk
 
-settings.register_profile("fused", deadline=None, max_examples=25)
-settings.load_profile("fused")
+settings.register_profile("batched", deadline=None, max_examples=25)
+settings.load_profile("batched")
 
 SPEC = get_spec("A100")
 
@@ -133,16 +133,6 @@ class TestBatchedFlagIsTruthful:
                 f"{batched['kernel_launches']} kernels for batch="
                 f"{self.BATCH} vs {single['kernel_launches']} for batch=1"
             )
-
-    @pytest.mark.parametrize(
-        "algo", ["bucket_select", "quick_select", "sample_select"]
-    )
-    def test_flag_follows_fusion(self, algo):
-        assert get_algorithm(algo).batched_execution is True
-        assert (
-            get_algorithm(algo, params={"fused": False}).batched_execution
-            is False
-        )
 
 
 class TestSharderFusedBatchCosts:

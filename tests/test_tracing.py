@@ -1,4 +1,4 @@
-"""Tests for the chrome-trace exporter and the select_k wrapper."""
+"""Tests for the chrome-trace exporter."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro import select_k, topk
+from repro import topk
 from repro.device import STREAMS, chrome_trace, write_chrome_trace
-from repro.verify import oracle_topk_values
 
 
 class TestChromeTrace:
@@ -60,25 +59,3 @@ class TestChromeTrace:
         assert tids["gpu"] != tids["cpu"]
         assert len(set(tids.values())) == len(tids)
 
-
-class TestSelectK:
-    """select_k() is a deprecated v1 shim; every call must warn."""
-
-    def test_matches_topk(self, rng):
-        data = rng.standard_normal((3, 2000)).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            values, indices = select_k(data, 16)
-        assert np.array_equal(values, oracle_topk_values(data, 16))
-        assert np.array_equal(np.take_along_axis(data, indices, axis=1), values)
-
-    def test_select_min_false(self, rng):
-        data = rng.standard_normal(1000).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            values, _ = select_k(data, 4, select_min=False)
-        assert np.array_equal(values, oracle_topk_values(data, 4, largest=True))
-
-    def test_algo_and_kwargs_forwarded(self, rng):
-        data = rng.standard_normal(5000).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            values, _ = select_k(data, 8, algo="grid_select", seed=5)
-        assert np.array_equal(values, oracle_topk_values(data, 8))
