@@ -24,6 +24,7 @@ from .placement import (
     LocalityAwarePlacement,
     PlacementPolicy,
     make_placement,
+    payload_key,
 )
 from .router import (
     MERGE_PER_CANDIDATE_S,
@@ -48,4 +49,5 @@ __all__ = [
     "build_nodes",
     "make_placement",
     "node_fault_plan",
+    "payload_key",
 ]

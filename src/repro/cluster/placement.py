@@ -30,9 +30,30 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 
 #: policy names accepted by :func:`make_placement` and the CLI
 PLACEMENTS = ("consistent-hash", "least-loaded", "locality-aware")
+
+
+def payload_key(data: np.ndarray) -> str:
+    """The placement key of a payload: blake2b-16 over ``str(dtype)``,
+    ``str(shape)`` and the bytes, as 32 hex characters.
+
+    Frozen on purpose.  Every hashing policy derives replica sets from
+    this key, so changing one bit of it moves every payload to other
+    nodes: node caches go cold, and under a fault plan the failover and
+    hedge counts of a replay change.  It is separate from the result
+    cache's :func:`repro.serve.cache.fingerprint`, which may change
+    freely because its keys never leave one service.
+    """
+    arr = np.ascontiguousarray(data)
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(str(arr.dtype).encode())
+    digest.update(str(arr.shape).encode())
+    digest.update(arr)
+    return digest.hexdigest()
 
 
 def _hash64(text: str) -> int:

@@ -8,10 +8,11 @@ single :class:`~repro.serve.TopKService`, but across N replicas:
    partitioning an approx plan would stack two loss models) or split
    into P contiguous partitions via the sharder's
    :func:`~repro.serve.sharder.shard_bounds`.  A placement policy maps
-   (payload fingerprint, partition) to a preference-ordered replica set;
-   the router dispatches to the first ``dispatch_replicas`` reachable
-   entries, paying ``failover_detect_s`` of virtual time for every
-   crashed or partitioned replica it walks past.
+   (:func:`~repro.cluster.placement.payload_key`, partition) to a
+   preference-ordered replica set; the router dispatches to the first
+   ``dispatch_replicas`` reachable entries, paying ``failover_detect_s``
+   of virtual time for every crashed or partitioned replica it walks
+   past.
 2. **Execute** (phase 2): every node serves its dispatched sub-trace
    through a full, independent ``TopKService`` — micro-batching, caches,
    sharded execution and fault seams included.  Nodes share no state, so
@@ -42,14 +43,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..faults import FaultPlan, HedgePolicy, recall_bound
-from ..serve import Outcome, Request, ServeConfig, ServeStats
-from ..serve.cache import fingerprint
+from ..serve import Outcome, Request, ServeConfig, ServeStats, admission_failure
 from ..serve.merge import hierarchical_merge
 from ..serve.sharder import shard_bounds
 from ..exec.engine import fanout
 from ..obs.serve import ServeTelemetry
 from .node import ClusterNode, build_nodes
-from .placement import PLACEMENTS, make_placement
+from .placement import PLACEMENTS, make_placement, payload_key
 
 #: simulated one-way router<->node network hop, seconds (paid once at
 #: dispatch and once on the merged reply)
@@ -236,7 +236,9 @@ class ClusterRouter:
             nodes=cfg.nodes, latency_hist=self.telemetry.latency_hist
         )
         self.outcomes: list[Outcome] = []
-        self._routes: list[tuple[Request, list[_Partition], int]] = []
+        #: per request: its partitions, or the failed outcome of a
+        #: malformed request that was never routed
+        self._routes: list[tuple[Request, list[_Partition], Outcome | None]] = []
 
     # -- phase 1: routing ------------------------------------------------ #
     def _node_down(self, kind: str, node_id: int, t_s: float) -> bool:
@@ -269,7 +271,7 @@ class ClusterRouter:
         cfg = self.config
         count = self._partition_count(request)
         bounds = shard_bounds(request.n, count) if count > 1 else [(0, request.n)]
-        key = fingerprint(request.data)
+        key = payload_key(request.data)
         parts: list[_Partition] = []
         for p, (start, end) in enumerate(bounds):
             part = _Partition(index=p, start=start, end=end)
@@ -342,10 +344,9 @@ class ClusterRouter:
             ),
         )
 
-    def _merge_request(
-        self, request: Request, parts: list[_Partition], count: int
-    ) -> Outcome:
+    def _merge_request(self, request: Request, parts: list[_Partition]) -> Outcome:
         cfg = self.config
+        count = len(parts)
         arrival = request.arrival_s
         candidates: list[tuple[_Partition, Outcome]] = []
         sub_statuses: list[str] = []
@@ -529,15 +530,16 @@ class ClusterRouter:
         single-node service contract.
         """
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
-        self._routes = [
-            (request, self._route(request), self._partition_count(request))
-            for request in ordered
-        ]
+        self._routes = []
+        for request in ordered:
+            rejected = admission_failure(request)
+            parts = self._route(request) if rejected is None else []
+            self._routes.append((request, parts, rejected))
         fanout(
             lambda node: node.run(), self.nodes, workers=self.config.workers
         )
-        for request, parts, count in self._routes:
-            self._finish(request, self._merge_request(request, parts, count))
+        for request, parts, rejected in self._routes:
+            self._finish(request, rejected or self._merge_request(request, parts))
         self._aggregate_nodes()
         return self.stats
 

@@ -44,7 +44,7 @@ from .loadgen import (
     uniform_arrivals,
 )
 from .merge import hierarchical_merge, merge_pair
-from .request import OUTCOMES, Outcome, Request
+from .request import OUTCOMES, Outcome, Request, admission_failure
 from .service import BatchRecord, ServeConfig, ServeStats, TopKService
 from .sharder import AllShardsLost, shard_bounds, sharded_topk
 
@@ -65,6 +65,7 @@ __all__ = [
     "ServeConfig",
     "ServeStats",
     "TopKService",
+    "admission_failure",
     "build_requests",
     "fingerprint",
     "hierarchical_merge",

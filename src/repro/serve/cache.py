@@ -10,7 +10,8 @@ Two things are worth remembering between requests:
   bucketing keeps the table small under jittery occupancy).
 * **Results** — identical payloads recur in real serving traffic (hot
   queries, retries).  Served (values, indices) are keyed on a
-  content fingerprint of the payload plus (n, k, dtype, largest) — the
+  content fingerprint of the payload (a 128-bit SHA-256 prefix, see
+  :func:`fingerprint`) plus (n, k, dtype, largest) — the
   distribution hints that change the answer — plus the request's
   *quality class*: an approximate-tier answer and the exact answer for
   the same payload are different results and must never alias (an exact
@@ -36,13 +37,20 @@ import numpy as np
 
 
 def fingerprint(data: np.ndarray) -> str:
-    """Stable content hash of an array's bytes (blake2b, 16-byte digest)."""
+    """Content hash of an array: the first 16 bytes of SHA-256, as 32 hex
+    characters, over its dtype (byte order included), shape and bytes.
+
+    SHA-256 because every admitted payload is hashed once, and on CPUs
+    with SHA instructions (x86 SHA extensions, ARMv8 crypto) OpenSSL's
+    SHA-256 is the fastest 128-bit-strong hash in :mod:`hashlib`.  The
+    key never leaves the process, so the hash can change without moving
+    any answer.  Cluster placement does not use it: replica sets hang off
+    the frozen :func:`repro.cluster.placement.payload_key`.
+    """
     arr = np.ascontiguousarray(data)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(str(arr.dtype).encode())
-    digest.update(str(arr.shape).encode())
+    digest = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
     digest.update(arr)  # reads the buffer in place: no copy of the payload
-    return digest.hexdigest()
+    return digest.hexdigest()[:32]
 
 
 class LRUCache:

@@ -3,8 +3,9 @@
 A :class:`Request` is one caller's top-k query with its virtual-time
 arrival and deadline; an :class:`Outcome` is what the service reports
 back — served with results and latency (full-fidelity or *degraded*, see
-docs/faults.md), shed at admission, timed out, or failed after the
-execution retries were exhausted.
+docs/faults.md), shed at admission, timed out, or failed — either after
+the execution retries were exhausted or, for a malformed request, at
+admission (:func:`admission_failure`).
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..algos.registry import SUPPORTED_DTYPES
+
+#: every payload dtype the service takes, in either byte order (a
+#: non-native payload is served like its native copy)
+_DTYPES = frozenset(
+    np.dtype(name).newbyteorder(order) for name in SUPPORTED_DTYPES for order in "<>"
+)
 
 #: every status an Outcome can carry.  "served" is full fidelity;
 #: "degraded" carries results that satisfy only the reported
@@ -71,7 +80,8 @@ class Outcome:
     #: one of :data:`OUTCOMES`: "served", "degraded" (lossy but bounded —
     #: see ``recall_bound``), "shed" (rejected at admission, queue full),
     #: "timeout" (deadline passed while queued or before the batch
-    #: completed) or "failed" (execution retries exhausted)
+    #: completed) or "failed" (execution retries exhausted, or a
+    #: malformed request rejected at admission)
     status: str
     #: virtual completion time (served), or the time the verdict was made
     finish_s: float
@@ -98,7 +108,8 @@ class Outcome:
     #: for approximate-tier and degraded results (which also carry
     #: ``recall_bound``)
     exact: bool = True
-    #: why a failed outcome failed (exception text), empty otherwise
+    #: why a failed outcome failed (exception text, or the
+    #: :func:`admission_failure` message), empty otherwise
     error: str = ""
 
     @property
@@ -109,3 +120,35 @@ class Outcome:
     def __post_init__(self) -> None:
         if self.status not in OUTCOMES:
             raise ValueError(f"status must be one of {OUTCOMES}, got {self.status!r}")
+
+
+def admission_failure(request: Request) -> Outcome | None:
+    """The immediate ``failed`` outcome of a malformed request, or None.
+
+    A servable request has a 1-d, non-empty numpy payload of a supported
+    dtype and ``1 <= k <= n``.  The service and the cluster router both
+    call this at admission, before the payload is hashed, batched or
+    routed; a malformed request fails on the spot with ``error`` naming
+    the problem, and no other request's outcome changes.  Messages are
+    only formatted on failure.
+    """
+    data, k = request.data, request.k
+    if not isinstance(data, np.ndarray):
+        error = f"data must be a numpy array, got {type(data).__name__}"
+    elif data.ndim != 1:
+        error = f"data must be 1-d (n,), got shape {data.shape}"
+    elif data.shape[0] == 0:
+        error = "cannot select from an empty list"
+    elif data.dtype not in _DTYPES:
+        error = f"unsupported radix key dtype {data.dtype}"
+    elif not 1 <= k <= data.shape[0]:
+        error = f"k must be in [1, n={data.shape[0]}], got k={k}"
+    else:
+        return None
+    return Outcome(
+        rid=request.rid,
+        status="failed",
+        finish_s=request.arrival_s,
+        arrival_s=request.arrival_s,
+        error=error,
+    )

@@ -43,7 +43,7 @@ from ..obs import get_metrics, tracing_enabled
 from ..obs.serve import ServeTelemetry
 from .batcher import GroupKey, MicroBatcher, quality_class
 from .cache import ServeCache
-from .request import Outcome, Request
+from .request import Outcome, Request, admission_failure
 from .sharder import AllShardsLost, sharded_topk
 
 #: histogram bounds for serve.latency (simulated seconds)
@@ -519,11 +519,18 @@ class TopKService:
     def submit(self, request: Request) -> Outcome | None:
         """Admit one request at its virtual arrival time.
 
-        Returns an :class:`Outcome` immediately for a shed request or a
-        result-cache hit; returns None when the request was queued.
+        Returns an :class:`Outcome` immediately for a malformed request
+        (failed, see :func:`~repro.serve.request.admission_failure`), a shed
+        request or a result-cache hit; returns None when the request was
+        queued.
         """
         cfg = self.config
         self._now_s = request.arrival_s
+        rejected = admission_failure(request)
+        if rejected is not None:
+            request.digest = None
+            self._admission_span(request, "failed")
+            return self._finish(rejected)
         if (
             request.deadline_s is None
             and request.slo is not None

@@ -24,6 +24,7 @@ from repro.cluster import (
     LeastLoadedPlacement,
     LocalityAwarePlacement,
     make_placement,
+    payload_key,
 )
 from repro.serve import Request, ServeConfig
 
@@ -131,6 +132,72 @@ class TestPlacement:
             make_placement("least-loaded", nodes=2, replication=3, seed=0)
         with pytest.raises(ValueError):
             make_placement("round-robin", nodes=2, replication=1, seed=0)
+
+
+#: fixed payloads whose placement is pinned below
+GOLDEN_PAYLOADS = {
+    "float32-4096": lambda: np.arange(4096, dtype=np.float32) * np.float32(0.5),
+    "int64-1000": lambda: (np.arange(1000, dtype=np.int64) * 7919) % 1009,
+    "float64-16384": lambda: np.linspace(-1.0, 1.0, 1 << 14),
+}
+
+#: payload_key of each golden payload, and its replica sets for
+#: partitions 0..3 on 4 nodes with 3 replicas (seed 0), recorded from the
+#: placement key the router has always used
+GOLDEN_PLACEMENT = {
+    "float32-4096": (
+        "68be03acd5fa254e685b4695daa4c5c8",
+        {
+            "consistent-hash": [(0, 1, 2), (0, 1, 2), (0, 1, 3), (3, 0, 1)],
+            "locality-aware": [(1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 1, 2)],
+        },
+    ),
+    "int64-1000": (
+        "02f20d54ccf17b415c670689c4daf5ce",
+        {
+            "consistent-hash": [(1, 0, 2), (0, 2, 3), (0, 1, 2), (3, 0, 1)],
+            "locality-aware": [(1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 1, 2)],
+        },
+    ),
+    "float64-16384": (
+        "53cf7f5ef22e7b762a27d04cdd06554e",
+        {
+            "consistent-hash": [(2, 1, 0), (3, 2, 1), (3, 0, 1), (3, 2, 0)],
+            "locality-aware": [(2, 3, 0), (3, 0, 1), (0, 1, 2), (1, 2, 3)],
+        },
+    ),
+}
+
+
+class TestPlacementGolden:
+    """Placement is frozen: a new hash under ``payload_key`` (for example
+    the result cache's fingerprint) would move every replica set."""
+
+    @pytest.mark.parametrize("payload", sorted(GOLDEN_PLACEMENT))
+    def test_payload_key_is_frozen(self, payload):
+        key, _ = GOLDEN_PLACEMENT[payload]
+        assert payload_key(GOLDEN_PAYLOADS[payload]()) == key
+
+    @pytest.mark.parametrize("placement", ["consistent-hash", "locality-aware"])
+    @pytest.mark.parametrize("payload", sorted(GOLDEN_PLACEMENT))
+    def test_router_dispatches_to_the_pinned_replicas(self, payload, placement):
+        key, replica_sets = GOLDEN_PLACEMENT[payload]
+        expected = replica_sets[placement]
+        policy = make_placement(placement, nodes=4, replication=3, seed=0)
+        assert [policy.replica_set(key, p) for p in range(4)] == expected
+        # every replica is dispatched, in preference order, on a healthy
+        # cluster: the router's routes are the replica sets themselves
+        router = make_router(
+            replication=3, placement=placement, partitions=4,
+            partition_min_n=1, dispatch_replicas=3,
+        )
+        request = Request(rid=0, data=GOLDEN_PAYLOADS[payload](), k=8,
+                          largest=True, arrival_s=0.0)
+        routed = [
+            tuple(ref.node_id for ref in part.refs)
+            for part in router._route(request)
+        ]
+        assert routed == expected
 
 
 # --------------------------------------------------------------------------- #

@@ -9,6 +9,7 @@ occupancy >= 8 under the default 200-QPS load.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -380,6 +381,16 @@ class TestLRUCache:
         assert fingerprint(a) == fingerprint(a.copy())
         assert fingerprint(a) != fingerprint(b)
         assert fingerprint(a) != fingerprint(a.astype(np.float64))
+        # the same bytes under another shape or byte order are another key
+        flat = np.arange(8, dtype=np.float32)
+        assert fingerprint(flat) != fingerprint(flat.reshape(2, 4))
+        assert fingerprint(flat) != fingerprint(flat.astype(">f4"))
+        # a strided view hashes its values, not its memory layout
+        view = a[::2]
+        assert not view.flags.c_contiguous
+        assert fingerprint(view) == fingerprint(view.copy())
+        key = fingerprint(a)
+        assert len(key) == 32 and int(key, 16) >= 0
 
     def test_serve_cache_result_round_trip(self, rng):
         cache = ServeCache()
@@ -410,20 +421,24 @@ class TestLRUCache:
 
 @pytest.fixture
 def fingerprint_calls(monkeypatch):
-    """Count every payload hash: the cache module's ``fingerprint`` and
-    the router's own import of it."""
+    """Count every payload hash by function: the result cache's
+    ``fingerprint`` and the router's placement ``payload_key``."""
     import repro.cluster.router as router_module
     import repro.serve.cache as cache_module
 
-    calls = []
-    original = cache_module.fingerprint
+    calls = Counter()
 
-    def counting(data):
-        calls.append(data.shape)
-        return original(data)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(cache_module, "fingerprint", counting)
-    monkeypatch.setattr(router_module, "fingerprint", counting)
+        def counted(data):
+            calls[name] += 1
+            return original(data)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(cache_module, "fingerprint")
+    counting(router_module, "payload_key")
     return calls
 
 
@@ -449,10 +464,10 @@ class TestFingerprintCounts:
         stats = service.run(requests)
         assert stats.served == len(requests)
         assert stats.cache["result_hits"] > 0
-        assert len(fingerprint_calls) == len(requests)
+        assert fingerprint_calls["fingerprint"] == len(requests)
         # a replay re-hashes: no digest carries over between runs
         TopKService(ServeConfig(**self.CONFIG)).run(requests)
-        assert len(fingerprint_calls) == 2 * len(requests)
+        assert fingerprint_calls["fingerprint"] == 2 * len(requests)
 
     def test_one_per_admission_under_cache_corruption(self, fingerprint_calls):
         from repro.faults import FaultPlan, FaultRule
@@ -464,14 +479,14 @@ class TestFingerprintCounts:
         service = TopKService(ServeConfig(**self.CONFIG, faults=plan))
         stats = service.run(requests)
         assert stats.faults.get("cache_corruption", 0) >= 1
-        assert len(fingerprint_calls) == len(requests)
+        assert fingerprint_calls["fingerprint"] == len(requests)
 
     def test_none_with_the_result_cache_off(self, fingerprint_calls):
         requests = repeated_payload_requests()
         service = TopKService(ServeConfig(**self.CONFIG, result_cache=0))
         stats = service.run(requests)
         assert stats.served == len(requests)
-        assert fingerprint_calls == []
+        assert not fingerprint_calls
         assert all(r.digest is None for r in requests)
         assert len(service.cache.results) == 0
 
@@ -494,7 +509,10 @@ class TestFingerprintCounts:
         assert stats.answered == len(requests)
         sub_dispatches = sum(len(node.requests) for node in router.nodes)
         assert sub_dispatches == 3 * len(requests)
-        assert len(fingerprint_calls) <= len(requests) + sub_dispatches
+        # placement hashes once per cluster request, each node's result
+        # cache at most once per sub-dispatch
+        assert fingerprint_calls["payload_key"] == len(requests)
+        assert fingerprint_calls["fingerprint"] <= sub_dispatches
 
     def test_stale_preset_digest_is_rehashed(self, fingerprint_calls):
         a = unique_data(256, "float32", seed=1)
@@ -506,13 +524,98 @@ class TestFingerprintCounts:
         second.digest = fingerprint(a)
         fingerprint_calls.clear()
         service.run([first, second])
-        assert len(fingerprint_calls) == 2
+        assert fingerprint_calls["fingerprint"] == 2
         assert second.digest == fingerprint(b)
         outcome = service.outcomes[-1]
         assert outcome.rid == 1 and not outcome.cache_hit
         expected = topk(b, 8, algo="sort")
         assert np.array_equal(outcome.values, expected.values)
         assert np.array_equal(outcome.indices, expected.indices)
+
+
+#: malformed requests next to valid 64-element ones: (payload from a valid
+#: float32 payload, k, a fragment of the admission error)
+BAD_REQUESTS = {
+    "k_above_n": (lambda p: p, 65, "k must be in [1, n=64], got k=65"),
+    "k_zero": (lambda p: p, 0, "got k=0"),
+    "k_negative": (lambda p: p, -3, "got k=-3"),
+    "empty": (lambda p: p[:0], 4, "cannot select from an empty list"),
+    "two_d": (lambda p: np.stack([p, p]), 4, "must be 1-d (n,), got shape (2, 64)"),
+    "scalar": (lambda p: np.asarray(p[0]), 1, "must be 1-d (n,), got shape ()"),
+    "object_dtype": (lambda p: p.astype(object), 4, "key dtype object"),
+    "list": (lambda p: p.tolist(), 4, "must be a numpy array, got list"),
+}
+
+
+class TestAdmissionValidation:
+    """A malformed request fails at admission with its reason, is never
+    hashed, batched or routed, and leaves every other outcome as it was."""
+
+    def serve(self, kind, requests):
+        node = ServeConfig(algo="sort", max_batch=4, max_delay_s=0.01)
+        if kind == "service":
+            server = TopKService(node)
+        else:
+            from repro.cluster import ClusterConfig, ClusterRouter
+
+            server = ClusterRouter(
+                ClusterConfig(nodes=3, replication=2, partition_min_n=32,
+                              node_config=node)
+            )
+        server.run(requests)
+        return {o.rid: o for o in server.outcomes}, server
+
+    @staticmethod
+    def mates():
+        return [
+            Request(rid=rid, data=unique_data(64, "float32", seed=rid), k=4,
+                    largest=False, arrival_s=rid * 0.001)
+            for rid in (0, 2, 3)
+        ]
+
+    @pytest.mark.parametrize("kind", ["service", "cluster"])
+    @pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+    def test_fails_at_admission(self, kind, case, fingerprint_calls):
+        build, k, message = BAD_REQUESTS[case]
+        clean, clean_server = self.serve(kind, self.mates())
+        bad = Request(rid=1, data=build(unique_data(64, "float32", seed=1)),
+                      k=k, largest=False, arrival_s=0.001)
+        fingerprint_calls.clear()
+        mixed, server = self.serve(kind, self.mates() + [bad])
+
+        failed = mixed.pop(1)
+        assert failed.status == "failed" and message in failed.error
+        assert failed.finish_s == failed.arrival_s == bad.arrival_s
+        assert failed.values is None and bad.digest is None
+        assert server.stats.failed == 1
+        if kind == "service":
+            assert fingerprint_calls["fingerprint"] == len(clean)
+            assert server.stats.batches == clean_server.stats.batches
+        else:
+            assert fingerprint_calls["payload_key"] == len(clean)
+            routed = [len(node.requests) for node in server.nodes]
+            assert routed == [len(node.requests) for node in clean_server.nodes]
+        assert mixed.keys() == clean.keys()
+        for rid, want in clean.items():
+            got = mixed[rid]
+            assert got.status == want.status == "served"
+            assert (got.finish_s, got.latency_s, got.batch_size, got.algo) == (
+                want.finish_s, want.latency_s, want.batch_size, want.algo
+            )
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.indices, want.indices)
+
+    @pytest.mark.parametrize("kind", ["service", "cluster"])
+    def test_non_native_byte_order_is_served(self, kind):
+        clean, _ = self.serve(kind, self.mates())
+        swapped = self.mates()
+        for request in swapped:
+            request.data = request.data.astype(">f4")
+        outcomes, _ = self.serve(kind, swapped)
+        for rid, want in clean.items():
+            assert outcomes[rid].status == "served"
+            assert np.array_equal(outcomes[rid].values, want.values)
+            assert np.array_equal(outcomes[rid].indices, want.indices)
 
 
 # --------------------------------------------------------------------------- #
