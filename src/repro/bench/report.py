@@ -246,39 +246,3 @@ def format_status_summary(points: Iterable[BenchPoint]) -> str:
     """One-line status tally, e.g. ``"12 ok, 3 unsupported"``."""
     counts = status_counts(points)
     return ", ".join(f"{v} {s}" for s, v in sorted(counts.items()))
-
-
-def format_percentile_table(
-    samples: dict[str, Sequence[float]],
-    *,
-    qs: Sequence[float] = REPORT_QUANTILES,
-    unit: str = "time",
-) -> str:
-    """Percentile summary table: one row per labelled sample set.
-
-    Used by the sweep summary (per-algorithm simulated times) and by the
-    serving layer's latency report (per-outcome request latencies).
-    """
-    headers = ["series", "count"] + [f"p{q:g}" for q in qs] + [f"max {unit}"]
-    rows = []
-    for label, values in samples.items():
-        vals = sorted(values)
-        if not vals:
-            rows.append([label, 0] + ["-"] * (len(qs) + 1))
-            continue
-        row = [label, len(vals)]
-        row += [format_time(percentile(vals, q)) for q in qs]
-        row.append(format_time(vals[-1]))
-        rows.append(row)
-    return format_table(headers, rows)
-
-
-def sweep_time_summary(points: Iterable[BenchPoint]) -> str:
-    """Per-algorithm percentile summary of a sweep's measured times."""
-    by_algo: dict[str, list[float]] = {}
-    for p in points:
-        if p.time is not None:
-            by_algo.setdefault(p.algo, []).append(p.time)
-    if not by_algo:
-        return "(no measured points)"
-    return format_percentile_table(dict(sorted(by_algo.items())))

@@ -43,7 +43,7 @@ from .loadgen import (
     sequential_baseline,
     uniform_arrivals,
 )
-from .merge import hierarchical_merge, merge_pair
+from .merge import hierarchical_merge
 from .request import OUTCOMES, Outcome, Request, admission_failure
 from .service import BatchRecord, ServeConfig, ServeStats, TopKService
 from .sharder import AllShardsLost, shard_bounds, sharded_topk
@@ -69,7 +69,6 @@ __all__ = [
     "build_requests",
     "fingerprint",
     "hierarchical_merge",
-    "merge_pair",
     "poisson_arrivals",
     "quality_class",
     "run_serve_bench",

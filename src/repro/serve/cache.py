@@ -11,16 +11,31 @@ Two things are worth remembering between requests:
 * **Results** — identical payloads recur in real serving traffic (hot
   queries, retries).  Served (values, indices) are keyed on a
   content fingerprint of the payload (a 128-bit SHA-256 prefix, see
-  :func:`fingerprint`) plus (n, k, dtype, largest) — the
-  distribution hints that change the answer — plus the request's
-  *quality class*: an approximate-tier answer and the exact answer for
-  the same payload are different results and must never alias (an exact
-  caller getting a cached approximate answer would be a silent
-  correctness bug).  The service hashes each payload once per admission
-  (:meth:`ServeCache.digest`) and passes that digest to every lookup,
-  corruption check and insert for the request.  Entries carry a
-  ``meta`` dict (``exact``, ``recall_bound``, ``algo``) so a cache hit
-  reproduces the original outcome's quality annotations.
+  :func:`fingerprint`) plus (n, k, largest) — the hints that change the
+  answer — plus the request's *quality class*: an approximate-tier
+  answer and the exact answer for the same payload are different results
+  and must never alias (an exact caller getting a cached approximate
+  answer would be a silent correctness bug).  Entries carry a ``meta``
+  dict (``exact``, ``recall_bound``, ``algo``) so a cache hit reproduces
+  the original outcome's quality annotations.
+
+Hashing a large payload costs far more than comparing it, so a lookup
+does not start from the fingerprint.  A side index maps a cheap *probe*
+— dtype (byte order included), shape, 64 evenly strided payload elements
+and (k, largest, quality) — to the live entries under it:
+
+* no entry under the probe: a miss, and nothing is hashed;
+* an entry whose *pinned* payload copy is bitwise equal to the request's
+  payload: a hit, and nothing is hashed;
+* otherwise the payload is fingerprinted and looked up as usual, and a
+  hit pins a private, read-only copy of the payload to its entry (so
+  does an insert under a key that is already live).
+
+So a payload is hashed when it is inserted and on its first hit, and
+every later hit costs one comparison.  Copies are pinned only for
+payloads that repeat; a pin lives and dies with its entry, so the extra
+memory is at most capacity × payload bytes.  Every hit hands out its own
+copy of the stored values, indices and meta.
 
 Both sit behind :class:`ServeCache`, a pair of bounded
 :class:`LRUCache` maps with hit/miss counters the service exports as
@@ -36,16 +51,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+#: payload elements in a result probe, evenly strided over the payload
+PROBE_SAMPLE = 64
+
+
 def fingerprint(data: np.ndarray) -> str:
     """Content hash of an array: the first 16 bytes of SHA-256, as 32 hex
     characters, over its dtype (byte order included), shape and bytes.
 
-    SHA-256 because every admitted payload is hashed once, and on CPUs
-    with SHA instructions (x86 SHA extensions, ARMv8 crypto) OpenSSL's
-    SHA-256 is the fastest 128-bit-strong hash in :mod:`hashlib`.  The
-    key never leaves the process, so the hash can change without moving
-    any answer.  Cluster placement does not use it: replica sets hang off
-    the frozen :func:`repro.cluster.placement.payload_key`.
+    The result cache calls it on every insert and on an entry's first
+    hit.  SHA-256 because on CPUs with SHA instructions (x86 SHA
+    extensions, ARMv8 crypto) OpenSSL's SHA-256 is the fastest
+    128-bit-strong hash in :mod:`hashlib`.  The key never leaves the
+    process, so the hash can change without moving any answer.  Cluster
+    placement does not use it: replica sets hang off the frozen
+    :func:`repro.cluster.placement.payload_key`.
     """
     arr = np.ascontiguousarray(data)
     digest = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
@@ -53,12 +73,26 @@ def fingerprint(data: np.ndarray) -> str:
     return digest.hexdigest()[:32]
 
 
+def _bits(data: np.ndarray) -> np.ndarray:
+    """``data`` viewed as unsigned integers of its item size, so ``==`` is
+    bitwise: a NaN equals itself and -0.0 differs from +0.0."""
+    return data.view(f"u{data.dtype.itemsize}")
+
+
+def _pin(data: np.ndarray) -> np.ndarray:
+    """A private, read-only copy of ``data``'s bits."""
+    pinned = _bits(np.array(data, copy=True))
+    pinned.flags.writeable = False
+    return pinned
+
+
 class LRUCache:
     """A bounded mapping with least-recently-used eviction.
 
     ``get`` refreshes recency and counts hits/misses; ``put`` evicts the
-    stalest entry once ``capacity`` is exceeded.  ``capacity <= 0``
-    disables the cache (every get is a miss, puts are dropped).
+    stalest entries once ``capacity`` is exceeded and returns them as
+    ``(key, value)`` pairs.  ``capacity <= 0`` disables the cache (every
+    get is a miss, puts are dropped).
     """
 
     def __init__(self, capacity: int) -> None:
@@ -82,15 +116,17 @@ class LRUCache:
         self.misses += 1
         return default
 
-    def put(self, key, value) -> None:
+    def put(self, key, value) -> list[tuple]:
         if self.capacity <= 0:
-            return
+            return []
         if key in self._data:
             self._data.move_to_end(key)
         self._data[key] = value
+        evicted = []
         while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
+            evicted.append(self._data.popitem(last=False))
             self.evictions += 1
+        return evicted
 
 
 @dataclass(frozen=True)
@@ -126,6 +162,9 @@ class ServeCache:
     def __init__(self, *, result_capacity: int = 256, plan_capacity: int = 64):
         self.results = LRUCache(result_capacity)
         self.plans = LRUCache(plan_capacity)
+        #: probe -> {result key: pinned payload bits, or None until the
+        #: entry's first verified hit}, over live result entries only
+        self._probes: dict[tuple, dict[tuple, np.ndarray | None]] = {}
         #: optional :class:`repro.perf.adaptive.CorrectionStore`; when set,
         #: plan keys carry the regime's correction epoch, so a folded-in
         #: correction invalidates exactly the plans whose cost-model
@@ -265,40 +304,66 @@ class ServeCache:
         return plan, False
 
     # -- results -------------------------------------------------------- #
-    def digest(self, data: np.ndarray) -> str | None:
-        """The payload fingerprint the result keys are built from, or None
-        while the result cache is disabled (nothing is looked up or
-        stored, so nothing needs hashing)."""
-        if self.results.capacity <= 0:
-            return None
-        return fingerprint(data)
-
-    def result_key(
-        self,
-        data: np.ndarray,
-        k: int,
-        largest: bool,
-        quality: float | None = None,
-        *,
-        digest: str | None = None,
+    @staticmethod
+    def _probe(
+        data: np.ndarray, k: int, largest: bool, quality: float | None
     ) -> tuple:
-        """Cache key of one (payload, k, largest, quality-class) result.
+        """Side-index key of one lookup: dtype, shape, a fixed strided
+        sample of the payload's bytes and (k, largest, quality class).
 
         ``quality`` is the request's quantised recall-target class
         (:func:`repro.serve.batcher.quality_class`); None for exact
-        traffic.  Keeping it in the key is what guarantees an exact
-        request can never be served a cached approximate answer for the
-        same payload, and vice versa.  ``digest`` is ``data``'s
-        :func:`fingerprint` when the caller already has it; without it the
-        payload is hashed here.
+        traffic.  It is in every key, so an exact request can never be
+        served a cached approximate answer for the same payload, and vice
+        versa.
         """
+        step = data.size // PROBE_SAMPLE or 1
         return (
-            digest if digest is not None else fingerprint(data),
-            int(data.shape[-1]),
+            data.dtype,  # compares byte order too: '<f4' != '>f4'
+            data.shape,
+            data.reshape(-1)[: PROBE_SAMPLE * step : step].tobytes(),
             int(k),
             bool(largest),
             quality,
         )
+
+    @staticmethod
+    def _result_key(digest: str, probe: tuple) -> tuple:
+        """The LRU key: (fingerprint, n, k, largest, quality class)."""
+        return (digest, probe[1][-1], *probe[3:])
+
+    def _find(
+        self, data: np.ndarray, k: int, largest: bool, quality: float | None
+    ) -> tuple | None:
+        """Key of the live entry for this payload, or None.
+
+        Nothing is hashed when no live entry shares the payload's probe,
+        or when one's pinned payload copy is bitwise equal to ``data``.
+        Otherwise ``data`` is fingerprinted, and an entry found that way
+        (its first verified hit) pins a copy of it.
+        """
+        probe = self._probe(data, k, largest, quality)
+        live = self._probes.get(probe)
+        if not live:
+            return None
+        bits = _bits(data)
+        for key, pinned in live.items():
+            # same shape: the probe holds it
+            if pinned is not None and (pinned == bits).all():
+                return key
+        key = self._result_key(fingerprint(data), probe)
+        if key not in live:
+            return None
+        live[key] = _pin(data)
+        return key
+
+    def _unindex(self, key: tuple, entry: tuple) -> None:
+        """Drop an evicted or repaired entry from the side index."""
+        probe = entry[-1]
+        live = self._probes[probe]
+        del live[key]
+        if not live:
+            del self._probes[probe]
 
     @staticmethod
     def _checksum(values: np.ndarray, indices: np.ndarray) -> str:
@@ -314,31 +379,36 @@ class ServeCache:
         largest: bool,
         quality: float | None = None,
         *,
-        digest: str | None = None,
+        corrupt=None,
     ):
         """The cached ``(values, indices, meta)``, or None on miss *or*
         when the stored entry fails its integrity checksum.
 
         ``meta`` reproduces the quality annotations of the originally
-        served outcome (``exact``, ``recall_bound``, ``algo``).  A
-        corrupt entry (bit-rot, or an injected ``cache_corruption`` fault
-        — see :meth:`corrupt_result`) is counted, evicted (the *repair*
-        half of the circuit-breaker policy) and reported as a miss, never
-        served.
+        served outcome (``exact``, ``recall_bound``, ``algo``).  The
+        caller gets its own copies: changing them cannot touch the entry.
+        ``corrupt()``, when given, is asked once whether to flip a byte of
+        a live entry before it is read (the ``cache_corruption`` fault
+        seam, see :meth:`corrupt_result`).  A corrupt entry (bit-rot or an
+        injected fault) is counted, evicted (the *repair* half of the
+        circuit-breaker policy) and reported as a miss, never served.
         """
-        key = self.result_key(data, k, largest, quality, digest=digest)
-        entry = self.results.get(key)
-        if entry is None:
+        key = self._find(data, k, largest, quality)
+        if key is None:
+            self.results.misses += 1
             self._fire("result_miss")
             return None
-        values, indices, checksum, meta = entry
+        if corrupt is not None and corrupt():
+            self._corrupt(key)
+        values, indices, checksum, meta, _ = self.results.get(key)
         if self._checksum(values, indices) != checksum:
             self.corruptions += 1
-            self.results._data.pop(key, None)  # repair: drop the bad entry
+            # repair: drop the bad entry
+            self._unindex(key, self.results._data.pop(key))
             self._fire("result_corrupt")
             return None
         self._fire("result_hit")
-        return values, indices, meta
+        return values.copy(), indices.copy(), dict(meta)
 
     def put_result(
         self,
@@ -349,15 +419,32 @@ class ServeCache:
         indices: np.ndarray,
         quality: float | None = None,
         meta: dict | None = None,
-        *,
-        digest: str | None = None,
     ) -> None:
+        if self.results.capacity <= 0:
+            return
+        # hash first: it streams the payload through the CPU cache, so the
+        # probe's strided reads that follow are cache hits
+        digest = fingerprint(data)
+        probe = self._probe(data, k, largest, quality)
+        key = self._result_key(digest, probe)
+        live = self._probes.setdefault(probe, {})
+        # a re-insert proves the payload repeats: pin it, as a first hit would
+        live[key] = _pin(data) if key in live else None
         values = np.array(values, copy=True)
         indices = np.array(indices, copy=True)
-        self.results.put(
-            self.result_key(data, k, largest, quality, digest=digest),
-            (values, indices, self._checksum(values, indices), dict(meta or {})),
+        evicted = self.results.put(
+            key,
+            (values, indices, self._checksum(values, indices),
+             dict(meta or {}), probe),
         )
+        for old_key, old_entry in evicted:
+            self._unindex(old_key, old_entry)
+
+    def _corrupt(self, key: tuple) -> None:
+        values, *rest = self.results._data[key]
+        corrupted = np.array(values, copy=True)
+        corrupted.view(np.uint8).reshape(-1)[0] ^= 0xFF
+        self.results._data[key] = (corrupted, *rest)
 
     def corrupt_result(
         self,
@@ -365,23 +452,15 @@ class ServeCache:
         k: int,
         largest: bool,
         quality: float | None = None,
-        *,
-        digest: str | None = None,
     ) -> bool:
-        """Flip one byte of the cached values for this key (the
-        ``cache_corruption`` fault seam); returns True when an entry was
-        there to corrupt.  The stored checksum is left intact, so the
-        next :meth:`get_result` detects and repairs the damage."""
-        key = self.result_key(data, k, largest, quality, digest=digest)
-        entry = self.results._data.get(key)
-        if entry is None:
-            return False
-        values, indices, checksum, meta = entry
-        corrupted = np.array(values, copy=True)
-        raw = corrupted.view(np.uint8).reshape(-1)
-        raw[0] ^= 0xFF
-        self.results._data[key] = (corrupted, indices, checksum, meta)
-        return True
+        """Flip one byte of the cached values for this payload; returns
+        True when an entry was there to corrupt.  The stored checksum is
+        left intact, so the next :meth:`get_result` detects and repairs
+        the damage."""
+        key = self._find(data, k, largest, quality)
+        if key is not None:
+            self._corrupt(key)
+        return key is not None
 
     def stats(self) -> dict[str, int]:
         return {

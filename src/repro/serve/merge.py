@@ -52,22 +52,6 @@ def _order_candidates(
     )
 
 
-def merge_pair(
-    a: tuple[np.ndarray, np.ndarray],
-    b: tuple[np.ndarray, np.ndarray],
-    k: int,
-    *,
-    largest: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two (values, indices) candidate sets, keeping the best k.
-
-    Inputs are ``(batch, m)`` arrays (any m); the output is the best
-    ``min(k, m_a + m_b)`` columns, best first.
-    """
-    values, indices, _ = hierarchical_merge([a, b], k, largest=largest)
-    return values, indices
-
-
 def hierarchical_merge(
     partials: list[tuple[np.ndarray, np.ndarray]],
     k: int,

@@ -52,13 +52,8 @@ class Request:
     #: None; ``slo=None`` is a plain exact request.  Requests carrying a
     #: ``min_recall`` are eligible for the approximate tier and are
     #: batched/cached separately from exact traffic (see GroupKey and
-    #: ServeCache.result_key).
+    #: ServeCache).
     slo: tuple | None = None
-    #: payload fingerprint for the result cache, set by the service on
-    #: every admission (a value left by an earlier run is overwritten,
-    #: never trusted) and reused for every cache call of this request;
-    #: None while the result cache is disabled.  Not a constructor input.
-    digest: str | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:

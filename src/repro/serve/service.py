@@ -34,6 +34,7 @@ outcome (pinned by tests/test_faults.py).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -475,20 +476,15 @@ class TopKService:
                 ts_s=now_s,
             )
             return None
-        digest = request.digest
-        if self.injector is not None and self.cache.result_key(
-            request.data, request.k, request.largest, quality, digest=digest
-        ) in self.cache.results:
-            if self.injector.decide(
-                "cache_corruption", "serve.cache", f"rid={request.rid}"
-            ):
-                self.cache.corrupt_result(
-                    request.data, request.k, request.largest, quality,
-                    digest=digest,
-                )
+        corrupt = None
+        if self.injector is not None:
+            corrupt = partial(
+                self.injector.decide,
+                "cache_corruption", "serve.cache", f"rid={request.rid}",
+            )
         before = self.cache.corruptions
         cached = self.cache.get_result(
-            request.data, request.k, request.largest, quality, digest=digest
+            request.data, request.k, request.largest, quality, corrupt=corrupt
         )
         if self.cache.corruptions > before:
             # checksum caught a corrupt entry: repaired (evicted) above,
@@ -528,7 +524,6 @@ class TopKService:
         self._now_s = request.arrival_s
         rejected = admission_failure(request)
         if rejected is not None:
-            request.digest = None
             self._admission_span(request, "failed")
             return self._finish(rejected)
         if (
@@ -539,9 +534,6 @@ class TopKService:
             request.deadline_s = request.arrival_s + float(request.slo[0])
         if request.deadline_s is None and cfg.default_deadline_s is not None:
             request.deadline_s = request.arrival_s + cfg.default_deadline_s
-        # one hash per admission, reused by every result-cache call; a
-        # digest left by an earlier run or set by the caller is not trusted
-        request.digest = self.cache.digest(request.data)
         cached = self._cached_result(request)
         if cached is not None:
             values, indices, meta = cached
@@ -946,7 +938,6 @@ class TopKService:
                     indices,
                     quality,
                     meta,
-                    digest=request.digest,
                 )
             self._finish(
                 Outcome(

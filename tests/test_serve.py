@@ -30,7 +30,6 @@ from repro.serve import (
     build_requests,
     fingerprint,
     hierarchical_merge,
-    merge_pair,
     poisson_arrivals,
     run_serve_bench,
     shard_bounds,
@@ -77,6 +76,12 @@ class TestShardBounds:
             shard_bounds(4, 0)
         with pytest.raises(ValueError):
             shard_bounds(4, 5)
+
+
+def merge_pair(a, b, k, *, largest):
+    """Two candidate sets merged to the best k (values, indices)."""
+    values, indices, _ = hierarchical_merge([a, b], k, largest=largest)
+    return values, indices
 
 
 class TestMerge:
@@ -422,7 +427,8 @@ class TestLRUCache:
 @pytest.fixture
 def fingerprint_calls(monkeypatch):
     """Count every payload hash by function: the result cache's
-    ``fingerprint`` and the router's placement ``payload_key``."""
+    ``fingerprint`` and the router's placement ``payload_key``; and the
+    result-cache inserts (``insert``)."""
     import repro.cluster.router as router_module
     import repro.serve.cache as cache_module
 
@@ -439,6 +445,13 @@ def fingerprint_calls(monkeypatch):
 
     counting(cache_module, "fingerprint")
     counting(router_module, "payload_key")
+    put_result = ServeCache.put_result
+
+    def counted_put(self, *args, **kwargs):
+        calls["insert"] += 1
+        return put_result(self, *args, **kwargs)
+
+    monkeypatch.setattr(ServeCache, "put_result", counted_put)
     return calls
 
 
@@ -453,23 +466,54 @@ def repeated_payload_requests(count=8, pool=3, n=256):
 
 
 class TestFingerprintCounts:
-    """Each admitted request is hashed once, however many cache calls
-    (lookup, corruption check, insert) it makes."""
+    """A payload is hashed when its entry is inserted and on the entry's
+    first hit; every later hit is checked against the entry's pinned copy
+    of the payload, with no hash."""
 
     CONFIG = dict(algo="sort", max_batch=4, max_delay_s=0.0)
 
-    def test_one_per_admission(self, fingerprint_calls):
+    def test_one_per_insert_and_first_hit(self, fingerprint_calls):
+        # 8 requests over 3 payloads, each served before the next arrives:
+        # 3 misses that insert, 3 first hits, 2 repeat hits
         requests = repeated_payload_requests()
         service = TopKService(ServeConfig(**self.CONFIG))
         stats = service.run(requests)
         assert stats.served == len(requests)
-        assert stats.cache["result_hits"] > 0
-        assert fingerprint_calls["fingerprint"] == len(requests)
-        # a replay re-hashes: no digest carries over between runs
+        assert stats.cache["result_hits"] == 5
+        assert fingerprint_calls["insert"] == 3
+        assert fingerprint_calls["fingerprint"] == 3 + 3
+        # a replay starts from an empty cache: nothing carries over
         TopKService(ServeConfig(**self.CONFIG)).run(requests)
-        assert fingerprint_calls["fingerprint"] == 2 * len(requests)
+        assert fingerprint_calls["fingerprint"] == 2 * (3 + 3)
 
-    def test_one_per_admission_under_cache_corruption(self, fingerprint_calls):
+    def test_none_per_repeat_hit(self, fingerprint_calls):
+        cache = ServeCache()
+        data = unique_data(1 << 12, "float32")
+        assert cache.get_result(data, 8, False) is None
+        assert not fingerprint_calls["fingerprint"]  # a miss, no hash
+        cache.put_result(data, 8, False, data[:8], np.arange(8))
+        cache.get_result(data, 8, False)  # first hit: verified and pinned
+        assert fingerprint_calls["fingerprint"] == 2
+        for _ in range(5):
+            values, _, _ = cache.get_result(data.copy(), 8, False)
+            assert np.array_equal(values, data[:8])
+        assert fingerprint_calls["fingerprint"] == 2
+        assert cache.results.hits == 6 and cache.results.misses == 1
+
+    def test_reinsert_pins(self, fingerprint_calls):
+        # a payload inserted again while its entry is live (duplicates in
+        # one batch) is pinned then, so its first hit needs no hash
+        cache = ServeCache()
+        data = unique_data(1 << 12, "float32")
+        for _ in range(2):
+            cache.put_result(data, 8, False, data[:8], np.arange(8))
+        assert cache.get_result(data.copy(), 8, False) is not None
+        assert fingerprint_calls["fingerprint"] == 2
+        assert len(cache.results) == 1
+
+    def test_one_per_insert_and_verified_lookup_under_cache_corruption(
+        self, fingerprint_calls
+    ):
         from repro.faults import FaultPlan, FaultRule
 
         plan = FaultPlan(
@@ -479,7 +523,13 @@ class TestFingerprintCounts:
         service = TopKService(ServeConfig(**self.CONFIG, faults=plan))
         stats = service.run(requests)
         assert stats.faults.get("cache_corruption", 0) >= 1
-        assert fingerprint_calls["fingerprint"] == len(requests)
+        # every entry found is corrupted before its first hit is served:
+        # it is hashed to verify it, then evicted (and, until the breaker
+        # opens, recomputed and inserted again)
+        assert service.cache.corruptions >= 1
+        assert fingerprint_calls["fingerprint"] == (
+            fingerprint_calls["insert"] + service.cache.corruptions
+        )
 
     def test_none_with_the_result_cache_off(self, fingerprint_calls):
         requests = repeated_payload_requests()
@@ -487,7 +537,6 @@ class TestFingerprintCounts:
         stats = service.run(requests)
         assert stats.served == len(requests)
         assert not fingerprint_calls
-        assert all(r.digest is None for r in requests)
         assert len(service.cache.results) == 0
 
     def test_cluster_hashes_once_per_request_and_sub_dispatch(
@@ -514,23 +563,153 @@ class TestFingerprintCounts:
         assert fingerprint_calls["payload_key"] == len(requests)
         assert fingerprint_calls["fingerprint"] <= sub_dispatches
 
-    def test_stale_preset_digest_is_rehashed(self, fingerprint_calls):
-        a = unique_data(256, "float32", seed=1)
-        b = unique_data(256, "float32", seed=2)
-        service = TopKService(ServeConfig(**self.CONFIG))
-        first = Request(rid=0, data=a, k=8, largest=False, arrival_s=0.0)
-        second = Request(rid=1, data=b, k=8, largest=False, arrival_s=0.01)
-        # b's request claims a's digest: trusted, it would hit a's answer
-        second.digest = fingerprint(a)
-        fingerprint_calls.clear()
-        service.run([first, second])
+
+def probe_twins(n=256):
+    """Two payloads equal in every probe-sampled element that differ in
+    one unsampled element."""
+    a = unique_data(n, "float32")
+    b = a.copy()
+    b[1] = -1.0
+    assert ServeCache._probe(a, 8, False, None) == ServeCache._probe(b, 8, False, None)
+    return a, b
+
+
+class TestResultVerification:
+    """Repeat hits are verified bitwise against the pinned payload copy:
+    the probe only narrows the search, it never decides a hit."""
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_probe_twins_never_cross_hit(self, capacity):
+        a, b = probe_twins()
+        cache = ServeCache(result_capacity=capacity)
+        reference = LRUCache(capacity)
+        for data in (a, b, a, b, a, a, b, b, a):
+            key = (fingerprint(data), data.size, 8, False, None)
+            want = reference.get(key)
+            got = cache.get_result(data, 8, False)
+            assert (got is None) == (want is None)
+            if got is None:
+                reference.put(key, data[:8])
+                cache.put_result(data, 8, False, data[:8], np.arange(8))
+            else:
+                assert np.array_equal(got[0], want)
+                assert np.array_equal(got[0], data[:8])
+        for counter in ("hits", "misses", "evictions"):
+            assert getattr(cache.results, counter) == getattr(reference, counter)
+        assert cache.results.hits > 0
+
+    def test_in_place_mutation_misses(self):
+        data = unique_data(256, "float32")
+        cache = ServeCache()
+        cache.put_result(data, 8, False, data[:8], np.arange(8))
+        data[1] += 1000.0  # after the insert, outside the probe sample
+        assert cache.get_result(data, 8, False) is None
+        cache.put_result(data, 8, False, data[:8], np.arange(8))
+        assert cache.get_result(data, 8, False) is not None  # pins
+        assert cache.get_result(data, 8, False) is not None  # pinned hit
+        data[1] += 1000.0  # after the pin
+        assert cache.get_result(data, 8, False) is None
+        data[0] += 1000.0  # inside the probe sample
+        assert cache.get_result(data, 8, False) is None
+
+    def test_nan_payload_hits_itself(self, fingerprint_calls):
+        data = unique_data(256, "float32")
+        data[1::3] = np.nan
+        cache = ServeCache()
+        cache.put_result(data, 8, False, data[:8], np.arange(8))
+        for _ in range(3):
+            assert cache.get_result(data.copy(), 8, False) is not None
+        assert cache.results.hits == 3
+        # the repeat hits matched the pinned copy: NaN compares as bytes
         assert fingerprint_calls["fingerprint"] == 2
-        assert second.digest == fingerprint(b)
-        outcome = service.outcomes[-1]
-        assert outcome.rid == 1 and not outcome.cache_hit
-        expected = topk(b, 8, algo="sort")
-        assert np.array_equal(outcome.values, expected.values)
-        assert np.array_equal(outcome.indices, expected.indices)
+
+    @pytest.mark.parametrize(
+        "stored,probed",
+        [
+            pytest.param(
+                np.zeros(256, np.float32), -np.zeros(256, np.float32),
+                id="signed-zero-everywhere",
+            ),
+            pytest.param(
+                np.zeros(256, np.float32),
+                np.where(np.arange(256) == 1, -0.0, 0.0).astype(np.float32),
+                id="signed-zero-unsampled",
+            ),
+            pytest.param(
+                np.arange(8, dtype="<f4"), np.arange(8, dtype=">f4"),
+                id="byte-order",
+            ),
+            pytest.param(
+                np.arange(8, dtype=np.float32),
+                np.arange(8, dtype=np.float32).reshape(2, 4),
+                id="shape",
+            ),
+        ],
+    )
+    def test_never_alias(self, stored, probed):
+        cache = ServeCache()
+        cache.put_result(stored, 2, False, stored.reshape(-1)[:2], np.arange(2))
+        assert cache.get_result(stored, 2, False) is not None  # pins
+        assert cache.get_result(stored, 2, False) is not None  # pinned hit
+        assert cache.get_result(probed, 2, False) is None
+        assert cache.results.hits == 2 and cache.results.misses == 1
+
+    def test_strided_view_hits_contiguous_entry(self):
+        base = unique_data(1024, "float32")
+        view = base[::2]
+        assert not view.flags.c_contiguous
+        cache = ServeCache()
+        cache.put_result(view.copy(), 8, False, view[:8], np.arange(8))
+        assert cache.get_result(view, 8, False) is not None  # hashed, pins
+        assert cache.get_result(view, 8, False) is not None  # pinned hit
+        assert cache.results.hits == 2
+
+    def test_corrupt_pinned_entry_is_detected_and_repaired(self):
+        data = unique_data(256, "float32")
+        cache = ServeCache()
+        cache.put_result(data, 8, False, data[:8], np.arange(8))
+        assert cache.get_result(data, 8, False) is not None  # pins
+        assert cache.corrupt_result(data, 8, False)
+        assert cache.get_result(data, 8, False) is None  # detected, evicted
+        assert cache.corruptions == 1
+        assert len(cache.results) == 0 and not cache._probes
+        cache.put_result(data, 8, False, data[:8], np.arange(8))
+        values, _, _ = cache.get_result(data, 8, False)
+        assert np.array_equal(values, data[:8])
+
+    def test_evicted_entries_leave_the_index(self):
+        cache = ServeCache(result_capacity=2)
+        payloads = [unique_data(256, "float32", seed=s) for s in range(5)]
+        for data in payloads:
+            cache.put_result(data, 8, False, data[:8], np.arange(8))
+            cache.get_result(data, 8, False)
+        assert cache.results.evictions == 3
+        live = [key for slot in cache._probes.values() for key in slot]
+        assert sorted(live) == sorted(cache.results._data)
+
+    def test_hits_hand_out_private_copies(self):
+        data = unique_data(256, "float32")
+        service = TopKService(ServeConfig(algo="sort", max_batch=4,
+                                          max_delay_s=0.0))
+        service.run([
+            Request(rid=i, data=data, k=8, largest=False, arrival_s=0.5 * i)
+            for i in range(3)
+        ])
+        first, second = (o for o in service.outcomes if o.cache_hit)
+        assert first.values is not second.values
+        assert first.indices is not second.indices
+        # a caller scribbling on its answer must not corrupt the entry
+        first.values[0] = -1
+        first.indices[0] = -1
+        service.run([
+            Request(rid=3, data=data, k=8, largest=False, arrival_s=1.5)
+        ])
+        last = service.outcomes[-1]
+        assert last.cache_hit and service.cache.corruptions == 0
+        expected = topk(data, 8, algo="sort")
+        assert np.array_equal(last.values, expected.values)
+        assert np.array_equal(last.indices, expected.indices)
+        assert np.array_equal(second.values, expected.values)
 
 
 #: malformed requests next to valid 64-element ones: (payload from a valid
@@ -586,10 +765,11 @@ class TestAdmissionValidation:
         failed = mixed.pop(1)
         assert failed.status == "failed" and message in failed.error
         assert failed.finish_s == failed.arrival_s == bad.arrival_s
-        assert failed.values is None and bad.digest is None
+        assert failed.values is None
         assert server.stats.failed == 1
         if kind == "service":
-            assert fingerprint_calls["fingerprint"] == len(clean)
+            assert fingerprint_calls["insert"] == len(clean)
+            assert fingerprint_calls["fingerprint"] == fingerprint_calls["insert"]
             assert server.stats.batches == clean_server.stats.batches
         else:
             assert fingerprint_calls["payload_key"] == len(clean)
