@@ -38,7 +38,7 @@ router fails over regardless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from ..serve import Outcome, Request, ServeConfig, ServeStats, admission_failure
 from ..serve.merge import hierarchical_merge
 from ..serve.sharder import shard_bounds
 from ..exec.engine import fanout
-from ..obs.serve import ServeTelemetry
+from ..obs.serve import ServeLedger, ServeTelemetry
 from .node import ClusterNode, build_nodes
 from .placement import PLACEMENTS, make_placement, payload_key
 
@@ -235,6 +235,7 @@ class ClusterRouter:
         self.stats = ClusterStats(
             nodes=cfg.nodes, latency_hist=self.telemetry.latency_hist
         )
+        self.ledger = ServeLedger(self.stats, self.telemetry, cfg.latency_sample_cap)
         self.outcomes: list[Outcome] = []
         #: per request: its partitions, or the failed outcome of a
         #: malformed request that was never routed
@@ -250,7 +251,7 @@ class ClusterRouter:
             kind, "cluster.node", f"node={node_id}", f"attempt=epoch:{epoch}"
         )
         if event is not None:
-            self.telemetry.on_fault(t_s, kind)
+            self.ledger.record(t_s, "faults", kind=kind)
             return True
         return False
 
@@ -313,9 +314,9 @@ class ClusterRouter:
                 )
                 part.refs.append(_SubRef(node_id=node_id, node_rid=rid))
                 self.placement.record(node_id, float(end - start))
-            if part.failovers:
-                self.stats.failovers += part.failovers
-                self.telemetry.on_retry(request.arrival_s, part.failovers)
+            self.ledger.record(
+                request.arrival_s, "retries", part.failovers, stat="failovers"
+            )
             parts.append(part)
         return parts
 
@@ -345,8 +346,8 @@ class ClusterRouter:
         )
 
     def _merge_request(self, request: Request, parts: list[_Partition]) -> Outcome:
-        cfg = self.config
-        count = len(parts)
+        """Collect one request's replies and answer it: the single reply
+        of a whole-routed request, or the quorum merge of its partitions."""
         arrival = request.arrival_s
         candidates: list[tuple[_Partition, Outcome]] = []
         sub_statuses: list[str] = []
@@ -364,36 +365,34 @@ class ClusterRouter:
             else:
                 sub_statuses.extend(o.status for o in replies)
                 self.stats.lost_partitions += 1
-
-        # fast path: whole-routed request, single surviving reply
-        if count == 1:
-            if not candidates:
-                return self._terminal_failure(request, parts, sub_statuses)
-            _, o = candidates[0]
-            finish = o.finish_s + NET_HOP_S
-            return Outcome(
+        need = max(1, len(parts) - self.config.quorum_f)
+        if len(candidates) < need:
+            return self._terminal_failure(request, parts, sub_statuses)
+        if len(parts) == 1:
+            # whole-routed: the node's answer, one network hop later
+            _, reply = candidates[0]
+            finish = reply.finish_s + NET_HOP_S
+            return replace(
+                reply,
                 rid=request.rid,
-                status=o.status,
                 finish_s=finish,
                 arrival_s=arrival,
                 latency_s=finish - arrival,
-                batch_size=o.batch_size,
-                algo=o.algo,
-                cache_hit=o.cache_hit,
-                values=o.values,
-                indices=o.indices,
-                recall_bound=o.recall_bound,
-                exact=o.exact,
             )
+        return self._fold(request, parts, self._quorum(arrival, candidates, need))
 
-        need = max(1, count - cfg.quorum_f)
-        if len(candidates) < need:
-            return self._terminal_failure(request, parts, sub_statuses)
+    def _quorum(self, arrival: float, candidates: list, need: int) -> list:
+        """The ``(partition, reply, effective duration)`` triples that
+        make the merge, after hedging stragglers and the quorum cut.
 
-        # hedging: a partition slower than the HedgePolicy threshold of
-        # its siblings races a clean duplicate dispatched at the
-        # threshold; the duplicate's cost estimate is the sibling
-        # quantile itself (threshold / factor).  No-op on healthy runs.
+        A partition slower than the HedgePolicy threshold of its siblings
+        races a clean duplicate dispatched at the threshold, whose cost
+        estimate is the sibling quantile itself (threshold / factor) —
+        a no-op on healthy runs.  With ``quorum_f > 0``, every reply in
+        by the time the ``need``-th partition replied makes the merge;
+        later replies are dropped and charged against recall.
+        """
+        cfg = self.config
         durations = [o.finish_s - arrival for _, o in candidates]
         effective = list(durations)
         if self.injector is not None:
@@ -402,27 +401,19 @@ class ClusterRouter:
                 if d > threshold:
                     hedged = min(d, threshold + threshold / cfg.hedge_factor)
                     if hedged < d:
-                        self.stats.hedges += 1
-                        self.telemetry.on_hedge(arrival + threshold, 1)
+                        self.ledger.record(arrival + threshold, "hedges", stat="hedges")
                         effective[i] = hedged
-
-        # quorum cut: everything that finished by the time the
-        # (count - f)-th partition replied makes the merge; later
-        # replies are dropped and charged against recall
+        merged = [(part, o, eff) for (part, o), eff in zip(candidates, effective)]
         if cfg.quorum_f > 0 and len(candidates) > need:
             t_quorum = sorted(effective)[need - 1]
-            merged = [
-                (part, o, eff)
-                for (part, o), eff in zip(candidates, effective)
-                if eff <= t_quorum
-            ]
+            merged = [m for m in merged if m[2] <= t_quorum]
             self.stats.dropped_partitions += len(candidates) - len(merged)
-        else:
-            merged = [
-                (part, o, eff)
-                for (part, o), eff in zip(candidates, effective)
-            ]
+        return merged
 
+    def _fold(self, request: Request, parts: list[_Partition], merged: list) -> Outcome:
+        """Fold the merged partitions' replies into one answer, degraded
+        with a composed recall bound when partitions or shards were lost."""
+        arrival = request.arrival_s
         partials = [
             (o.values[None, :], o.indices[None, :] + part.start)
             for part, o, _ in merged
@@ -437,7 +428,6 @@ class ClusterRouter:
         merged_parts = {part.index for part, _, _ in merged}
         n_lost = sum(p.size for p in parts if p.index not in merged_parts)
         sub_degraded = any(o.status == "degraded" for _, o, _ in merged)
-        degraded = n_lost > 0 or sub_degraded
         exact = n_lost == 0 and all(o.exact for _, o, _ in merged)
 
         bound = None
@@ -455,7 +445,7 @@ class ClusterRouter:
 
         return Outcome(
             rid=request.rid,
-            status="degraded" if degraded else "served",
+            status="degraded" if n_lost > 0 or sub_degraded else "served",
             finish_s=finish,
             arrival_s=arrival,
             latency_s=finish - arrival,
@@ -468,66 +458,14 @@ class ClusterRouter:
             exact=exact,
         )
 
-    # -- cluster bookkeeping --------------------------------------------- #
-    def _finish(self, request: Request, outcome: Outcome) -> Outcome:
-        stats = self.stats
-        setattr(stats, outcome.status, getattr(stats, outcome.status) + 1)
-        stats.makespan_s = max(stats.makespan_s, outcome.finish_s)
-        recall_target = request.min_recall is not None
-        recall_met = True
-        if recall_target and outcome.ok and outcome.recall_bound is not None:
-            recall_met = outcome.recall_bound >= request.min_recall
-        if recall_target and not recall_met:
-            stats.recall_violations += 1
-        if outcome.ok and not outcome.exact and outcome.status == "served":
-            stats.approx_served += 1
-        if outcome.ok and outcome.cache_hit:
-            stats.cache_served += 1
-        self.telemetry.on_outcome(
-            outcome.status,
-            outcome.finish_s,
-            outcome.latency_s,
-            exact=outcome.exact,
-            recall_target=recall_target,
-            recall_met=recall_met,
-        )
-        if outcome.latency_s is not None:
-            cap = self.config.latency_sample_cap
-            if cap is None or len(stats.latencies_s) < cap:
-                stats.latencies_s.append(outcome.latency_s)
-            else:
-                stats.latency_truncated = True
-        self.outcomes.append(outcome)
-        return outcome
-
-    def _aggregate_nodes(self) -> None:
-        stats = self.stats
-        for node in self.nodes:
-            ns = node.stats
-            stats.batches += ns.batches
-            stats.busy_s += ns.busy_s
-            stats.occupancies.extend(ns.occupancies)
-            stats.retries += ns.retries
-            stats.hedges += ns.hedges
-            stats.breaker_trips += ns.breaker_trips
-            stats.node_busy_s.append(ns.busy_s)
-            stats.node_answered.append(ns.answered)
-            stats.makespan_s = max(stats.makespan_s, ns.makespan_s)
-            for kind, count in ns.faults.items():
-                stats.faults[kind] = stats.faults.get(kind, 0) + count
-            for key, value in ns.cache.items():
-                stats.cache[key] = stats.cache.get(key, 0) + value
-        if self.injector is not None:
-            for kind, count in self.injector.fault_counts().items():
-                stats.faults[kind] = stats.faults.get(kind, 0) + count
-
     # -- public API ------------------------------------------------------ #
     def run(self, requests: list[Request]) -> ClusterStats:
         """Serve a full virtual-time trace across the cluster.
 
         Every request gets exactly one terminal :class:`Outcome`
         (collected in :attr:`outcomes`, submission order), mirroring the
-        single-node service contract.
+        single-node service contract, and is booked through the same
+        :class:`~repro.obs.serve.ServeLedger` rules as a node's.
         """
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
         self._routes = []
@@ -538,10 +476,20 @@ class ClusterRouter:
         fanout(
             lambda node: node.run(), self.nodes, workers=self.config.workers
         )
+        stats = self.stats
         for request, parts, rejected in self._routes:
-            self._finish(request, rejected or self._merge_request(request, parts))
-        self._aggregate_nodes()
-        return self.stats
+            outcome = rejected or self._merge_request(request, parts)
+            self.ledger.finish(outcome, request.min_recall)
+            if outcome.ok and outcome.cache_hit:
+                stats.cache_served += 1
+            self.outcomes.append(outcome)
+        for node in self.nodes:
+            self.ledger.absorb(node.stats)
+            stats.node_busy_s.append(node.stats.busy_s)
+            stats.node_answered.append(node.stats.answered)
+        if self.injector is not None:
+            self.ledger.absorb_faults(self.injector.fault_counts())
+        return stats
 
     def node_reports(self) -> list[dict]:
         """Per-node ``repro.obs.serve_report/v1`` payloads (node order)."""

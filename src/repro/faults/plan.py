@@ -145,11 +145,6 @@ class FaultPlan:
         """True when no rule can ever fire (rate-0 rules count as inert)."""
         return all(rule.rate <= 0.0 for rule in self.rules)
 
-    def rules_for(self, kind: str, site: str) -> tuple[FaultRule, ...]:
-        return tuple(
-            r for r in self.rules if r.kind == kind and r.matches(site)
-        )
-
     def injector(self):
         """A fresh :class:`~repro.faults.injector.FaultInjector` over this plan."""
         from .injector import FaultInjector

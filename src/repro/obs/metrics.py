@@ -238,6 +238,20 @@ def count(name: str, amount: float = 1.0, **labels) -> None:
         registry.counter(name, **labels).inc(amount)
 
 
+def observe(name: str, value: float, bounds: tuple[float, ...], **labels) -> None:
+    """Add one histogram observation on the active registry; no-op when disabled."""
+    registry = _ACTIVE
+    if registry is not None:
+        registry.histogram(name, bounds=bounds, **labels).observe(value)
+
+
+def gauge(name: str, value: float) -> None:
+    """Set a gauge on the active registry; no-op when disabled."""
+    registry = _ACTIVE
+    if registry is not None:
+        registry.gauge(name).set(value)
+
+
 @contextmanager
 def metrics_session():
     """Install a fresh registry for the ``with`` body; yields it."""

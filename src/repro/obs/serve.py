@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .metrics import Histogram
+from .metrics import Histogram, count
 from .schema import validate_serve_report, validate_slo_spec
 from .spans import SpanEvent
 
@@ -251,31 +251,16 @@ class ServeTelemetry:
         else:
             accum.cache_misses += 1
 
-    def on_fault(self, t_s: float, kind: str, count: int = 1) -> None:
-        self.window(t_s).faults += count
-        self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + count
-
-    def on_retry(self, t_s: float, count: int = 1) -> None:
-        self.window(t_s).retries += count
-
-    def on_hedge(self, t_s: float, count: int = 1) -> None:
-        self.window(t_s).hedges += count
-
-    def on_breaker(self, t_s: float, count: int = 1) -> None:
-        self.window(t_s).breaker += count
-
-    def on_adaptation(
-        self,
-        t_s: float,
-        *,
-        observations: int = 0,
-        folds: int = 0,
-        explored: int = 0,
+    def on_event(
+        self, t_s: float, tally: str, count: int = 1, kind: str | None = None
     ) -> None:
+        """Add ``count`` to one event tally of the window at ``t_s``:
+        ``faults`` (which also counts toward its fault ``kind``),
+        ``retries``, ``hedges``, ``breaker`` or an ``adapt_*`` tally."""
         accum = self.window(t_s)
-        accum.adapt_observations += observations
-        accum.adapt_folds += folds
-        accum.adapt_explored += explored
+        setattr(accum, tally, getattr(accum, tally) + count)
+        if kind is not None:
+            self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + count
 
     # -- virtual-time spans ---------------------------------------------- #
     @staticmethod
@@ -332,6 +317,146 @@ class ServeTelemetry:
             for name, _cat, _lane, _ts, _dur, args in self._spans
             if name == "request" and "rid" in args
         }
+
+
+# --------------------------------------------------------------------------- #
+# the run ledger
+# --------------------------------------------------------------------------- #
+def _add_counts(totals: dict, counts: dict) -> None:
+    for key, value in counts.items():
+        totals[key] = totals.get(key, 0) + value
+
+
+class ServeLedger:
+    """The bookkeeping of one serving run, shared by a node and a cluster.
+
+    A :class:`~repro.serve.service.TopKService` and a
+    :class:`~repro.cluster.ClusterRouter` each keep one over their own
+    ``ServeStats`` and :class:`ServeTelemetry`:
+
+    * :meth:`finish` books a terminal outcome: status counts, makespan,
+      approximate and recall tallies, the window feed and the capped
+      latency samples;
+    * :meth:`record` books one seam event (retry, hedge, fault, breaker,
+      adaptation step) into every sink at once;
+    * :meth:`absorb` folds a finished node's totals into a cluster's.
+    """
+
+    def __init__(
+        self, stats, telemetry: ServeTelemetry, sample_cap: int | None
+    ) -> None:
+        self.stats = stats
+        self.telemetry = telemetry
+        self.sample_cap = sample_cap
+
+    def finish(self, outcome, min_recall: float | None) -> None:
+        """Book one terminal outcome of a request with recall target
+        ``min_recall`` (None for exact-only traffic).
+
+        An answered outcome meets its target when it is exact, or when
+        its quality reaches it: the planner's ``expected_recall`` for the
+        approximate tier, the ``recall_bound`` for a degraded answer.
+        Unanswered outcomes carry no recall target.
+        """
+        stats = self.stats
+        status = outcome.status
+        setattr(stats, status, getattr(stats, status) + 1)
+        stats.makespan_s = max(stats.makespan_s, outcome.finish_s)
+        if status == "served" and not outcome.exact:
+            stats.approx_served += 1
+        recall_target = min_recall is not None and outcome.ok
+        recall_met = True
+        if recall_target and not outcome.exact:
+            quality = outcome.expected_recall
+            if quality is None:
+                quality = outcome.recall_bound or 0.0
+            recall_met = quality >= min_recall
+        if not recall_met:
+            stats.recall_violations += 1
+        self.telemetry.on_outcome(
+            status,
+            outcome.finish_s,
+            outcome.latency_s,
+            exact=outcome.exact,
+            recall_target=recall_target,
+            recall_met=recall_met,
+        )
+        if outcome.latency_s is not None:
+            cap = self.sample_cap
+            if cap is None or len(stats.latencies_s) < cap:
+                stats.latencies_s.append(outcome.latency_s)
+            else:
+                stats.latency_truncated = True
+
+    def record(
+        self,
+        t_s: float,
+        tally: str,
+        amount: int = 1,
+        *,
+        stat: str | None = None,
+        metric: str | None = None,
+        sites: dict | None = None,
+        span: str | None = None,
+        rid: int | None = None,
+        track: str = "device",
+        batch_id: int | None = None,
+        **labels,
+    ) -> None:
+        """Book ``amount`` events of one seam at virtual time ``t_s``.
+
+        The amount goes to the window ``tally``, to the stats counter
+        ``stat`` and to the ``metric`` counter with ``labels`` (each when
+        given); ``sites`` splits the metric by its ``site`` label.  Only
+        while tracing, a ``serve.fault`` span ``span`` (``fault:<kind>``
+        for a fault) goes on request ``rid``'s lane, or else on the node
+        lane ``track``; it carries the count and batch when ``batch_id``
+        is given.  A zero amount books nothing.
+        """
+        if not amount:
+            return
+        telemetry = self.telemetry
+        telemetry.on_event(t_s, tally, amount, labels.get("kind"))
+        if stat is not None:
+            setattr(self.stats, stat, getattr(self.stats, stat) + amount)
+        if metric is not None and sites is None:
+            count(metric, amount, **labels)
+        elif metric is not None:
+            for site, n in sites.items():
+                if n:
+                    count(metric, n, site=site, **labels)
+        if span is not None and telemetry.trace:
+            if "kind" in labels:
+                span = f"{span}:{labels['kind']}"
+            lane = (
+                telemetry.request_lane(rid)
+                if rid is not None
+                else telemetry.node_lane(track)
+            )
+            if batch_id is None:
+                telemetry.emit(span, cat="serve.fault", lane=lane, ts_s=t_s)
+            else:
+                telemetry.emit(
+                    span, cat="serve.fault", lane=lane, ts_s=t_s,
+                    count=amount, batch_id=batch_id,
+                )
+
+    def absorb(self, node) -> None:
+        """Fold one finished node's ``ServeStats`` into these totals."""
+        stats = self.stats
+        stats.batches += node.batches
+        stats.busy_s += node.busy_s
+        stats.occupancies.extend(node.occupancies)
+        stats.retries += node.retries
+        stats.hedges += node.hedges
+        stats.breaker_trips += node.breaker_trips
+        stats.makespan_s = max(stats.makespan_s, node.makespan_s)
+        _add_counts(stats.faults, node.faults)
+        _add_counts(stats.cache, node.cache)
+
+    def absorb_faults(self, counts: dict) -> None:
+        """Add fault counts fired outside every node (the router's seams)."""
+        _add_counts(self.stats.faults, counts)
 
 
 # --------------------------------------------------------------------------- #

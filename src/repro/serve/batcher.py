@@ -114,13 +114,6 @@ class MicroBatcher:
                 best = (deadline, key)
         return best
 
-    def due(self, now_s: float) -> GroupKey | None:
-        """A group whose delay deadline has passed at ``now_s``, if any."""
-        nxt = self.next_flush_time()
-        if nxt is not None and nxt[0] <= now_s:
-            return nxt[1]
-        return None
-
     def pop(self, key: GroupKey) -> list[Request]:
         """Remove and return up to ``max_batch`` requests of a group, in
         arrival order; the remainder (if any) stays queued."""

@@ -184,12 +184,6 @@ class ServeCache:
         if self.on_event is not None:
             self.on_event(event)
 
-    @property
-    def hit_rate(self) -> float | None:
-        """Result-cache hit fraction so far, or None before any lookup."""
-        lookups = self.results.hits + self.results.misses
-        return self.results.hits / lookups if lookups else None
-
     # -- dispatch plans ------------------------------------------------- #
     def plan_key(
         self,
@@ -255,16 +249,13 @@ class ServeCache:
             self._fire("plan_hit")
             return plan, True
         self._fire("plan_miss")
+        bucket = _batch_bucket(batch)
         if min_recall is not None:
             from ..approx import choose_plan
 
             chosen = choose_plan(
-                n=n,
-                k=k,
-                batch=_batch_bucket(batch),
-                spec=spec,
-                min_recall=min_recall,
-                calibration=calibration,
+                n=n, k=k, batch=bucket, spec=spec,
+                min_recall=min_recall, calibration=calibration,
             )
             plan = DispatchPlan(
                 algo=chosen.algo,
@@ -278,23 +269,14 @@ class ServeCache:
             from ..perf.costmodel import rank_algorithms
 
             ranking = rank_algorithms(
-                n=n,
-                k=k,
-                batch=_batch_bucket(batch),
-                spec=spec,
-                calibration=calibration,
+                n=n, k=k, batch=bucket, spec=spec, calibration=calibration
             )
             if self.corrections is not None:
                 from ..perf.adaptive import corrected_ranking
 
                 ranking = corrected_ranking(
-                    ranking,
-                    self.corrections,
-                    n=n,
-                    k=k,
-                    batch=_batch_bucket(batch),
-                    spec_name=spec.name,
-                    dtype=dtype,
+                    ranking, self.corrections, n=n, k=k, batch=bucket,
+                    spec_name=spec.name, dtype=dtype,
                 )
             plan = DispatchPlan(
                 algo=ranking[0].algo,

@@ -99,6 +99,10 @@ class Outcome:
     #: degraded sharded execution (docs/faults.md) and by the approximate
     #: tier (docs/approximate.md); None for exact full-fidelity outcomes
     recall_bound: float | None = None
+    #: the planner's expected recall of an approximate-tier answer — the
+    #: quality its ``min_recall`` target is graded against; None for exact
+    #: and degraded outcomes
+    expected_recall: float | None = None
     #: whether the results are guaranteed to equal the exact top-k; False
     #: for approximate-tier and degraded results (which also carry
     #: ``recall_bound``)

@@ -13,12 +13,24 @@ event sources in time order:
 3. **delay triggers** — a group whose oldest request has waited
    ``max_delay_s`` flushes even if under-full.
 
-A flushed batch starts when the device is free, runs for the simulated
-batched-selection time, and completes; per-request latency is
-``completion − arrival``.  Requests whose deadline passes before their
-batch can start are timed out without burning device time.  Everything
-is reported through ``serve.*`` metrics when a metrics session is
-active, and summarised in :class:`ServeStats`.
+A flush runs four stages over one per-batch record:
+
+1. **expire** — pop the group and time out every request whose deadline
+   passes before the device is free, without burning device time;
+2. **plan** — pick the algorithm (the configured one, the plan cache's
+   quality-aware choice, or the adaptive bandit's);
+3. **run** — execute through the fault seams (crash retries with
+   backoff, sharding, injected slowdowns) and book the batch's faults,
+   retries and hedges;
+4. **deliver** — advance the device cursor, book the batch, and finish
+   each request (served and cached, degraded, or timed out); per-request
+   latency is ``completion − arrival``.
+
+Every seam books through one :class:`~repro.obs.serve.ServeLedger`,
+shared with the cluster router: outcomes via ``finish`` and seam events
+via ``record``, which updates the :class:`ServeStats` counter, the
+``serve.*`` metric (when a metrics session is active), the telemetry
+window and, only while tracing, the span.
 
 Under faults (``ServeConfig.faults``, docs/faults.md) the loop degrades
 instead of breaking: a crashing batch is retried with capped exponential
@@ -41,7 +53,8 @@ import numpy as np
 from ..api import resolve_device, topk
 from ..faults import CircuitBreaker, FaultPlan, HedgePolicy, RetryPolicy
 from ..obs import get_metrics, tracing_enabled
-from ..obs.serve import ServeTelemetry
+from ..obs.metrics import count, gauge, observe
+from ..obs.serve import ServeLedger, ServeTelemetry
 from .batcher import GroupKey, MicroBatcher, quality_class
 from .cache import ServeCache
 from .request import Outcome, Request, admission_failure
@@ -251,6 +264,35 @@ class ServeStats:
         return percentiles(self.latencies_s, qs)
 
 
+@dataclass
+class _Batch:
+    """One flushed group on its way through plan → run → deliver."""
+
+    key: GroupKey
+    #: the group's requests still inside their deadlines
+    requests: list
+    #: virtual start time; ``run`` adds any retry backoff
+    start_s: float
+    batch_id: int = 0
+    algo: str = ""
+    #: tuning the quality planner chose; None keeps ``ServeConfig.params``
+    params: dict | None = None
+    #: False for approximate plans, which never shard
+    exact_plan: bool = True
+    plan_hit: bool = False
+    explored: bool = False
+    #: the TopKResult, or None once every attempt failed (see ``error``)
+    result: object = None
+    attempts: int = 1
+    error: str = ""
+    #: simulated device seconds, injected slowdown included
+    duration_s: float = 0.0
+
+    @property
+    def finish_s(self) -> float:
+        return self.start_s + self.duration_s
+
+
 class TopKService:
     """Discrete-event top-k serving node over the simulated device."""
 
@@ -316,6 +358,9 @@ class TopKService:
             window_s=self.config.window_s, trace=tracing_enabled()
         )
         self.stats = ServeStats(latency_hist=self.telemetry.latency_hist)
+        self.ledger = ServeLedger(
+            self.stats, self.telemetry, self.config.latency_sample_cap
+        )
         self._device_free_s = 0.0
         #: monotone batch sequence — namespaces fault draws per batch, so
         #: it must tick for failed batches too (they drew from the plan)
@@ -323,54 +368,41 @@ class TopKService:
         #: virtual "now" — the batcher/cache hooks carry no timestamp, so
         #: the event loop keeps this current for them
         self._now_s = 0.0
-        #: injector fault totals already folded into the windows
+        #: injector fault totals already booked
         self._faults_seen: dict[str, int] = {}
         self.batcher.observer = self._on_queue_event
         self.cache.on_event = self._on_cache_event
 
-    # -- metrics helpers ------------------------------------------------ #
-    def _count(self, name: str, amount: float = 1.0, **labels) -> None:
-        registry = get_metrics()
-        if registry is not None:
-            registry.counter(name, **labels).inc(amount)
-
-    def _observe(self, name: str, value: float, bounds, **labels) -> None:
-        registry = get_metrics()
-        if registry is not None:
-            registry.histogram(name, bounds=bounds, **labels).observe(value)
-
-    def _gauge(self, name: str, value: float) -> None:
-        registry = get_metrics()
-        if registry is not None:
-            registry.gauge(name).set(value)
-
     # -- telemetry hooks ------------------------------------------------- #
     def _on_queue_event(self, event: str, key, pending: int) -> None:
         """Batcher observer: queue depth at every admission and flush."""
-        self._gauge("serve.queue_depth", pending)
+        gauge("serve.queue_depth", pending)
         self.telemetry.on_queue_depth(self._now_s, pending)
 
     def _on_cache_event(self, event: str) -> None:
         """Cache hook: ``serve.cache`` metrics plus the windowed hit rate
         (a corrupt read counts as a miss — it was not served)."""
-        self._count("serve.cache", event=event)
+        count("serve.cache", event=event)
         if event in ("result_hit", "result_miss", "result_corrupt"):
             self.telemetry.on_cache_lookup(self._now_s, event == "result_hit")
 
-    def _drain_faults(self, t_s: float) -> dict[str, int]:
-        """New injector fault counts since the last drain, folded into
-        the telemetry windows; returns ``{kind: delta}`` so callers can
-        annotate the spans around the seam that just fired."""
+    def _drain_faults(
+        self, t_s: float, *, rid: int | None = None, batch_id: int | None = None
+    ) -> None:
+        """Book the injector's faults fired since the last drain, with a
+        span on request ``rid``'s lane or on the device lane of batch
+        ``batch_id`` (no span when neither is given)."""
         if self.injector is None:
-            return {}
-        delta: dict[str, int] = {}
-        for kind, count in self.injector.fault_counts().items():
-            seen = self._faults_seen.get(kind, 0)
-            if count > seen:
-                delta[kind] = count - seen
-                self._faults_seen[kind] = count
-                self.telemetry.on_fault(t_s, kind, count - seen)
-        return delta
+            return
+        span = None if rid is None and batch_id is None else "fault"
+        for kind, total in self.injector.fault_counts().items():
+            fired = total - self._faults_seen.get(kind, 0)
+            if fired > 0:
+                self._faults_seen[kind] = total
+                self.ledger.record(
+                    t_s, "faults", fired, metric="serve.faults", span=span,
+                    rid=rid, batch_id=batch_id, kind=kind,
+                )
 
     def telemetry_spans(self, base_us: float = 0.0):
         """The run's virtual-time request/node spans re-based onto the
@@ -379,101 +411,43 @@ class TopKService:
         return self.telemetry.spans(base_us)
 
     # -- outcome bookkeeping -------------------------------------------- #
-    def _finish(
-        self,
-        outcome: Outcome,
-        *,
-        recall_target: bool = False,
-        recall_met: bool = True,
-    ) -> Outcome:
+    def _finish(self, outcome: Outcome, min_recall: float | None = None) -> Outcome:
+        """Book one terminal outcome: the shared ledger, the node's
+        ``serve.*`` metrics and, while tracing, its request spans."""
         self.outcomes.append(outcome)
-        setattr(self.stats, outcome.status, getattr(self.stats, outcome.status) + 1)
-        self.stats.makespan_s = max(self.stats.makespan_s, outcome.finish_s)
+        self.ledger.finish(outcome, min_recall)
         if outcome.status == "served" and not outcome.exact:
-            self.stats.approx_served += 1
-            self._count("serve.approx")
-        if recall_target and not recall_met:
-            self.stats.recall_violations += 1
-        self._count("serve.requests", status=outcome.status)
-        self.telemetry.on_outcome(
-            outcome.status,
-            outcome.finish_s,
-            outcome.latency_s,
-            exact=outcome.exact,
-            recall_target=recall_target,
-            recall_met=recall_met,
-        )
+            count("serve.approx")
+        count("serve.requests", status=outcome.status)
         # the status-labelled latency series also charges non-served
         # verdicts with the time the caller actually waited
         wait_s = outcome.latency_s
         if wait_s is None and outcome.arrival_s is not None:
             wait_s = outcome.finish_s - outcome.arrival_s
         if wait_s is not None:
-            self._observe(
-                "serve.latency", wait_s, _LATENCY_BOUNDS, status=outcome.status
-            )
+            observe("serve.latency", wait_s, _LATENCY_BOUNDS, status=outcome.status)
         if outcome.latency_s is not None:
-            cap = self.config.latency_sample_cap
-            if cap is None or len(self.stats.latencies_s) < cap:
-                self.stats.latencies_s.append(outcome.latency_s)
-            else:
-                self.stats.latency_truncated = True
-            self._observe("serve.latency", outcome.latency_s, _LATENCY_BOUNDS)
+            observe("serve.latency", outcome.latency_s, _LATENCY_BOUNDS)
         if self.telemetry.trace:
-            lane = self.telemetry.request_lane(outcome.rid)
-            self.telemetry.emit(
-                "finish",
-                cat="serve.request",
-                lane=lane,
-                ts_s=outcome.finish_s,
-                status=outcome.status,
-            )
-            args: dict = {"rid": outcome.rid, "status": outcome.status}
-            if outcome.latency_s is not None:
-                args["latency_s"] = outcome.latency_s
-            if outcome.cache_hit:
-                args["cache_hit"] = True
-            if outcome.recall_bound is not None:
-                args["recall_bound"] = outcome.recall_bound
-            if outcome.error:
-                args["error"] = outcome.error
-            start_s = (
-                outcome.arrival_s
-                if outcome.arrival_s is not None
-                else outcome.finish_s
-            )
-            self.telemetry.emit(
-                "request",
-                cat="serve.request",
-                lane=lane,
-                ts_s=start_s,
-                dur_s=outcome.finish_s - start_s,
-                **args,
-            )
+            self._request_spans(outcome)
         return outcome
 
     # -- admission ------------------------------------------------------ #
-    def _cached_result(self, request: Request):
-        """Result-cache lookup through the corruption/breaker seams.
+    def _cache_hit(self, request: Request) -> Outcome | None:
+        """The served outcome of a result-cache hit, or None.
 
-        Returns the cached ``(values, indices)`` or None; detects
-        injected corruption by checksum, repairs (evicts) the entry, and
-        feeds the circuit breaker that bypasses the cache entirely while
-        open.
+        Looks up through the corruption/breaker seams: injected
+        corruption is detected by checksum, the entry repaired (evicted)
+        and reported as a miss, and each detection feeds the circuit
+        breaker that bypasses the cache entirely while open.
         """
-        cfg = self.config
-        if cfg.result_cache <= 0:
+        if self.config.result_cache <= 0:
             return None
         now_s = request.arrival_s
-        quality = quality_class(request.min_recall)
         if not self.breaker.allow(now_s):
-            self._count("serve.breaker", event="bypass")
-            self.telemetry.on_breaker(now_s)
-            self.telemetry.emit(
-                "breaker_bypass",
-                cat="serve.fault",
-                lane=self.telemetry.request_lane(request.rid),
-                ts_s=now_s,
+            self.ledger.record(
+                now_s, "breaker", metric="serve.breaker",
+                span="breaker_bypass", rid=request.rid, event="bypass",
             )
             return None
         corrupt = None
@@ -484,33 +458,41 @@ class TopKService:
             )
         before = self.cache.corruptions
         cached = self.cache.get_result(
-            request.data, request.k, request.largest, quality, corrupt=corrupt
+            request.data,
+            request.k,
+            request.largest,
+            quality_class(request.min_recall),
+            corrupt=corrupt,
         )
         if self.cache.corruptions > before:
-            # checksum caught a corrupt entry: repaired (evicted) above,
-            # count it toward the breaker and report a miss (the cache
-            # hook already counted the serve.cache result_corrupt event)
-            self._drain_faults(now_s)
-            self.telemetry.emit(
-                "fault:cache_corruption",
-                cat="serve.fault",
-                lane=self.telemetry.request_lane(request.rid),
-                ts_s=now_s,
-            )
+            # the cache hook already counted the result_corrupt event
+            self._drain_faults(now_s, rid=request.rid)
             if self.breaker.record_failure(now_s):
-                self.stats.breaker_trips = self.breaker.trips
-                self._count("serve.breaker", event="open")
-                self.telemetry.on_breaker(now_s)
-                self.telemetry.emit(
-                    "breaker_open",
-                    cat="serve.fault",
-                    lane=self.telemetry.node_lane("cache"),
-                    ts_s=now_s,
+                self.ledger.record(
+                    now_s, "breaker", metric="serve.breaker",
+                    span="breaker_open", track="cache", event="open",
                 )
             return None
-        if cached is not None:
-            self.breaker.record_success()
-        return cached
+        if cached is None:
+            return None
+        self.breaker.record_success()
+        values, indices, meta = cached
+        exact = bool(meta.get("exact", True))
+        return Outcome(
+            rid=request.rid,
+            status="served",
+            finish_s=now_s,
+            arrival_s=now_s,
+            latency_s=0.0,
+            batch_size=1,
+            algo="cache",
+            cache_hit=True,
+            values=values,
+            indices=indices,
+            exact=exact,
+            recall_bound=meta.get("recall_bound"),
+            expected_recall=None if exact else meta.get("expected_recall", 1.0),
+        )
 
     def submit(self, request: Request) -> Outcome | None:
         """Admit one request at its virtual arrival time.
@@ -534,40 +516,15 @@ class TopKService:
             request.deadline_s = request.arrival_s + float(request.slo[0])
         if request.deadline_s is None and cfg.default_deadline_s is not None:
             request.deadline_s = request.arrival_s + cfg.default_deadline_s
-        cached = self._cached_result(request)
-        if cached is not None:
-            values, indices, meta = cached
-            exact = bool(meta.get("exact", True))
-            min_recall = request.min_recall
+        hit = self._cache_hit(request)
+        if hit is not None:
             self._admission_span(request, "cache_hit")
-            return self._finish(
-                Outcome(
-                    rid=request.rid,
-                    status="served",
-                    finish_s=request.arrival_s,
-                    arrival_s=request.arrival_s,
-                    latency_s=0.0,
-                    batch_size=1,
-                    algo="cache",
-                    cache_hit=True,
-                    values=values,
-                    indices=indices,
-                    exact=exact,
-                    recall_bound=meta.get("recall_bound"),
-                ),
-                recall_target=min_recall is not None,
-                recall_met=(
-                    min_recall is None
-                    or exact
-                    or meta.get("expected_recall", 1.0) >= min_recall
-                ),
-            )
+            return self._finish(hit, request.min_recall)
         if self.batcher.pending >= cfg.queue_limit:
             self._admission_span(request, "shed")
             # a shed admission leaves the queue untouched but is still a
             # depth observation (the queue *was* full when we looked)
-            self._gauge("serve.queue_depth", self.batcher.pending)
-            self.telemetry.on_queue_depth(request.arrival_s, self.batcher.pending)
+            self._on_queue_event("shed", None, self.batcher.pending)
             return self._finish(
                 Outcome(
                     rid=request.rid,
@@ -581,311 +538,26 @@ class TopKService:
         self.batcher.add(request)
         return None
 
-    def _admission_span(self, request: Request, verdict: str) -> None:
-        self.telemetry.emit(
-            "admission",
-            cat="serve.admission",
-            lane=self.telemetry.request_lane(request.rid),
-            ts_s=request.arrival_s,
-            verdict=verdict,
-        )
-
-    # -- execution ------------------------------------------------------ #
-    def _run_batch(
-        self,
-        data,
-        key: GroupKey,
-        algo: str,
-        batch_id: int,
-        *,
-        params: dict | None = None,
-        allow_shard: bool = True,
-    ):
-        """One batch execution through the fault seams.
-
-        Returns ``(result, start_delay_s, attempts, error)``: on success
-        ``result`` is the TopKResult (possibly degraded) and ``error`` is
-        empty; past the retry budget ``result`` is None and ``error``
-        records the last failure.  ``start_delay_s`` is the virtual-time
-        backoff paid before the successful (or final) attempt.
-
-        ``params`` overrides the service-level tuning when the quality
-        planner chose the plan; ``allow_shard=False`` keeps approximate
-        plans on a single device — sharded execution's merge/recall
-        contract assumes exact per-shard results, and stacking the two
-        loss models would invalidate both bounds.
-        """
-        cfg = self.config
-        run_params = params if params is not None else cfg.params
-        attempts = 1 + max(0, cfg.batch_retries)
-        delay_s = 0.0
-        last_error = ""
-        for attempt in range(attempts):
-            if attempt:
-                delay_s += self.retry.backoff(attempt - 1)
-                self.stats.retries += 1
-                self._count("serve.retries", site="serve.batch")
-            if self.injector is not None and self.injector.decide(
-                "worker_crash",
-                "serve.batch",
-                f"batch={batch_id}",
-                f"attempt={attempt}",
-            ):
-                last_error = "injected worker crash"
-                continue
-            try:
-                if allow_shard and cfg.shards > 1 and key.n >= cfg.shard_min_n:
-                    result = sharded_topk(
-                        data,
-                        key.k,
-                        shards=cfg.shards,
-                        algo=algo,
-                        device=self.spec,
-                        largest=key.largest,
-                        seed=cfg.seed,
-                        params=run_params,
-                        workers=cfg.workers,
-                        injector=self.injector,
-                        retry=self.retry,
-                        hedge=self.hedge,
-                        fault_scope=f"batch={batch_id}/try={attempt}",
-                    )
-                else:
-                    result = topk(
-                        data,
-                        key.k,
-                        algo=algo,
-                        device=self.spec,
-                        largest=key.largest,
-                        seed=cfg.seed,
-                        params=run_params,
-                    )
-            except AllShardsLost as exc:
-                last_error = str(exc)
-                continue
-            except Exception as exc:  # noqa: BLE001 — becomes failed outcomes
-                last_error = f"{type(exc).__name__}: {exc}"
-                continue
-            shard_retries = result.meta.get("retries", 0)
-            if shard_retries:
-                self.stats.retries += shard_retries
-                self._count(
-                    "serve.retries", amount=shard_retries, site="serve.shard"
-                )
-            hedges = result.meta.get("hedges", 0)
-            if hedges:
-                self.stats.hedges += hedges
-                self._count("serve.hedges", amount=hedges)
-            return result, delay_s, attempt + 1, ""
-        return None, delay_s, attempts, last_error
-
+    # -- the flush stages: expire → plan → run → deliver ------------------ #
     def _execute(self, key: GroupKey, trigger_s: float) -> None:
-        """Flush one group: drop expired requests, run the rest as a batch.
+        """Flush one group through the four stages."""
+        batch = self._expire(key, trigger_s)
+        if batch is not None:
+            self._plan(batch)
+            self._run(batch)
+            self._deliver(batch)
 
-        A batch whose execution keeps crashing past ``batch_retries``
-        finishes every surviving request as ``failed`` — outcomes are
-        never silently dropped (the PR-4 regression pin).
-        """
-        cfg = self.config
+    def _expire(self, key: GroupKey, trigger_s: float) -> _Batch | None:
+        """Pop one group and time out each request whose deadline passes
+        before the device is free; the rest form the batch (None if no
+        request is left)."""
         self._now_s = max(self._now_s, trigger_s)
-        batch = self.batcher.pop(key)
+        group = self.batcher.pop(key)
         start_s = max(trigger_s, self._device_free_s)
         alive = []
-        for request in batch:
+        for request in group:
             if request.deadline_s is not None and request.deadline_s < start_s:
-                finish_s = min(request.deadline_s, start_s)
-                self._queued_span(request, finish_s)
-                self._finish(
-                    Outcome(
-                        rid=request.rid,
-                        status="timeout",
-                        finish_s=finish_s,
-                        arrival_s=request.arrival_s,
-                    )
-                )
-            else:
-                alive.append(request)
-        if not alive:
-            return
-
-        data = np.stack([r.data for r in alive])
-        algo, plan_hit = cfg.algo, False
-        plan_params: dict | None = None
-        plan_exact = True
-        explored = False
-        if cfg.algo == "auto":
-            # the cache hook counts the serve.cache plan_hit/plan_miss;
-            # a group carrying a recall target (key.quality) goes through
-            # the quality-aware planner, which may pick an approximate
-            # plan — exact-only traffic never does
-            plan, plan_hit = self.cache.make_plan(
-                n=key.n,
-                k=key.k,
-                batch=len(alive),
-                spec=self.spec,
-                largest=key.largest,
-                min_recall=key.quality,
-                dtype=key.dtype,
-            )
-            algo = plan.algo
-            plan_exact = plan.exact
-            if plan.params:
-                plan_params = dict(plan.params)
-            if (
-                self.adaptation is not None
-                and get_metrics() is not None
-                and plan.exact
-                and key.quality is None
-                and len(plan.ranking) > 1
-            ):
-                # the bandit step over the plan's (already corrected)
-                # ranking: exploit the regime's observed winner, explore
-                # epsilon-greedily via pure seeded draws (workers=1 ==
-                # workers=N, byte-identical replays — docs/adaptive.md)
-                decision = self.adaptation.decide(
-                    plan.ranking,
-                    n=key.n,
-                    k=key.k,
-                    batch=len(alive),
-                    spec_name=self.spec.name,
-                    dtype=key.dtype,
-                    site="serve.dispatch",
-                )
-                algo = decision.algo
-                explored = decision.explored
-        batch_id = self._batch_seq
-        self._batch_seq += 1
-        result, delay_s, attempts, error = self._run_batch(
-            data,
-            key,
-            algo,
-            batch_id,
-            params=plan_params,
-            allow_shard=plan_exact,
-        )
-        start_s += delay_s
-        duration_s = 0.0
-        hedges = 0
-        if result is not None:
-            duration_s = result.time
-            if self.injector is not None:
-                slow = self.injector.decide(
-                    "timeout", "serve.batch", f"batch={batch_id}"
-                )
-                if slow is not None:
-                    duration_s = duration_s * slow.factor
-            hedges = result.meta.get("hedges", 0)
-        # fold this batch's recovery activity into the telemetry windows
-        # and annotate the trace around the seams that fired
-        faults = self._drain_faults(start_s)
-        retries_paid = (attempts - 1) + (
-            result.meta.get("retries", 0) if result is not None else 0
-        )
-        if retries_paid:
-            self.telemetry.on_retry(start_s, retries_paid)
-        if hedges:
-            self.telemetry.on_hedge(start_s, hedges)
-        if self.telemetry.trace:
-            node = self.telemetry.node_lane("device")
-            for kind, fired in sorted(faults.items()):
-                self.telemetry.emit(
-                    f"fault:{kind}",
-                    cat="serve.fault",
-                    lane=node,
-                    ts_s=start_s,
-                    count=fired,
-                    batch_id=batch_id,
-                )
-            if retries_paid:
-                self.telemetry.emit(
-                    "retry",
-                    cat="serve.fault",
-                    lane=node,
-                    ts_s=start_s,
-                    count=retries_paid,
-                    batch_id=batch_id,
-                )
-            if hedges:
-                self.telemetry.emit(
-                    "hedge",
-                    cat="serve.fault",
-                    lane=node,
-                    ts_s=start_s,
-                    count=hedges,
-                    batch_id=batch_id,
-                )
-        if result is None:
-            # retries exhausted: fail every surviving request explicitly
-            for request in alive:
-                self._queued_span(request, start_s)
-                self._finish(
-                    Outcome(
-                        rid=request.rid,
-                        status="failed",
-                        finish_s=start_s,
-                        arrival_s=request.arrival_s,
-                        batch_size=len(alive),
-                        error=error,
-                    )
-                )
-            return
-        finish_s = start_s + duration_s
-        self._device_free_s = finish_s
-        self._now_s = max(self._now_s, finish_s)
-        self.stats.batches += 1
-        self.stats.busy_s += duration_s
-        self.stats.occupancies.append(len(alive))
-        self.telemetry.on_batch(start_s, len(alive))
-        self._observe("serve.batch_occupancy", len(alive), _OCCUPANCY_BOUNDS)
-        if self.telemetry.trace:
-            self._batch_spans(
-                alive, result, batch_id, attempts, start_s, finish_s, duration_s
-            )
-        self.batch_records.append(
-            BatchRecord(
-                batch_id=len(self.batch_records),
-                algo=result.algo,
-                n=key.n,
-                k=key.k,
-                size=len(alive),
-                start_s=start_s,
-                finish_s=finish_s,
-                duration_s=duration_s,
-                largest=key.largest,
-                plan_hit=plan_hit,
-                attempts=attempts,
-                degraded=result.degraded,
-                exact=result.exact,
-            )
-        )
-        if (
-            self.adaptation is not None
-            and get_metrics() is not None
-            and cfg.algo == "auto"
-            and not result.degraded
-            and result.exact
-            and not result.meta.get("shard_times_s")
-        ):
-            # feed the measured wall time (including any injected slowdown
-            # — that *is* live drift) back into the learner; sharded and
-            # degraded results measure a different code path and are
-            # excluded so residuals stay attributable to one algorithm
-            self._adapt_feedback(
-                key, len(alive), result.algo, duration_s, start_s, explored
-            )
-        result_exact = bool(result.exact)
-        expected_recall = result.meta.get("expected_recall", 1.0)
-        for row, request in enumerate(alive):
-            values = np.array(result.values[row], copy=True)
-            indices = np.array(result.indices[row], copy=True)
-            min_recall = request.min_recall
-            recall_target = min_recall is not None
-            recall_met = (
-                min_recall is None
-                or result_exact
-                or expected_recall >= min_recall
-            )
-            if request.deadline_s is not None and request.deadline_s < finish_s:
+                self._queued_span(request, request.deadline_s)
                 self._finish(
                     Outcome(
                         rid=request.rid,
@@ -894,79 +566,260 @@ class TopKService:
                         arrival_s=request.arrival_s,
                     )
                 )
+            else:
+                alive.append(request)
+        return _Batch(key=key, requests=alive, start_s=start_s) if alive else None
+
+    def _plan(self, batch: _Batch) -> None:
+        """Pick the batch's algorithm: the configured one, or under
+        ``algo="auto"`` the plan cache's choice (quality-aware when the
+        group carries a recall target), which the adaptive bandit step
+        may override on exact traffic."""
+        cfg, key = self.config, batch.key
+        batch.algo = cfg.algo
+        if cfg.algo != "auto":
+            return
+        # the cache hook counts the serve.cache plan_hit/plan_miss
+        plan, batch.plan_hit = self.cache.make_plan(
+            n=key.n,
+            k=key.k,
+            batch=len(batch.requests),
+            spec=self.spec,
+            largest=key.largest,
+            min_recall=key.quality,
+            dtype=key.dtype,
+        )
+        batch.algo = plan.algo
+        batch.exact_plan = plan.exact
+        if plan.params:
+            batch.params = dict(plan.params)
+        if (
+            self.adaptation is not None
+            and get_metrics() is not None
+            and plan.exact
+            and key.quality is None
+            and len(plan.ranking) > 1
+        ):
+            # exploit the regime's observed winner over the plan's
+            # (already corrected) ranking, explore epsilon-greedily via
+            # pure seeded draws (workers=1 == workers=N, docs/adaptive.md)
+            decision = self.adaptation.decide(
+                plan.ranking,
+                n=key.n,
+                k=key.k,
+                batch=len(batch.requests),
+                spec_name=self.spec.name,
+                dtype=key.dtype,
+                site="serve.dispatch",
+            )
+            batch.algo = decision.algo
+            batch.explored = decision.explored
+
+    def _run(self, batch: _Batch) -> None:
+        """Execute the batch through the fault seams.
+
+        A crashing attempt is retried up to ``batch_retries`` times, each
+        after a capped-exponential backoff that delays the start; past the
+        budget ``result`` stays None and ``error`` keeps the last failure.
+        Approximate plans never shard: the sharder's merge and recall
+        contract assume exact per-shard results.  The batch's faults,
+        retries and hedges are booked at its start.
+        """
+        cfg, key = self.config, batch.key
+        batch.batch_id = bid = self._batch_seq
+        self._batch_seq += 1
+        data = np.stack([r.data for r in batch.requests])
+        params = batch.params if batch.params is not None else cfg.params
+        sharded = batch.exact_plan and cfg.shards > 1 and key.n >= cfg.shard_min_n
+        delay_s = 0.0
+        for attempt in range(1 + max(0, cfg.batch_retries)):
+            batch.attempts = attempt + 1
+            if attempt:
+                delay_s += self.retry.backoff(attempt - 1)
+            if self.injector is not None and self.injector.decide(
+                "worker_crash", "serve.batch", f"batch={bid}", f"attempt={attempt}"
+            ):
+                batch.error = "injected worker crash"
                 continue
-            if result.degraded:
-                # a lossy result must neither be cached nor reported as
-                # full fidelity: flag it and attach its recall contract
+            try:
+                if sharded:
+                    batch.result = sharded_topk(
+                        data, key.k, shards=cfg.shards, algo=batch.algo,
+                        device=self.spec, largest=key.largest, seed=cfg.seed,
+                        params=params, workers=cfg.workers,
+                        injector=self.injector, retry=self.retry,
+                        hedge=self.hedge, fault_scope=f"batch={bid}/try={attempt}",
+                    )
+                else:
+                    batch.result = topk(
+                        data, key.k, algo=batch.algo, device=self.spec,
+                        largest=key.largest, seed=cfg.seed, params=params,
+                    )
+                break
+            except AllShardsLost as exc:
+                batch.error = str(exc)
+            except Exception as exc:  # noqa: BLE001 — becomes failed outcomes
+                batch.error = f"{type(exc).__name__}: {exc}"
+        batch.start_s += delay_s
+        meta = batch.result.meta if batch.result is not None else {}
+        if batch.result is not None:
+            batch.duration_s = batch.result.time
+            if self.injector is not None:
+                slow = self.injector.decide("timeout", "serve.batch", f"batch={bid}")
+                if slow is not None:
+                    batch.duration_s = batch.duration_s * slow.factor
+        start_s = batch.start_s
+        self._drain_faults(start_s, batch_id=bid)
+        batch_retries, shard_retries = batch.attempts - 1, meta.get("retries", 0)
+        self.ledger.record(
+            start_s, "retries", batch_retries + shard_retries, stat="retries",
+            metric="serve.retries", span="retry", batch_id=bid,
+            sites={"serve.batch": batch_retries, "serve.shard": shard_retries},
+        )
+        self.ledger.record(
+            start_s, "hedges", meta.get("hedges", 0), stat="hedges",
+            metric="serve.hedges", span="hedge", batch_id=bid,
+        )
+
+    def _deliver(self, batch: _Batch) -> None:
+        """Finish every request of the run batch.
+
+        A batch whose every attempt failed finishes each request
+        ``failed`` — outcomes are never silently dropped.  Otherwise the
+        batch is booked and each request answered: timed out if its
+        deadline passed before the batch finished, ``degraded`` with the
+        recall bound if a shard was lost, else ``served`` and written to
+        the result cache.
+        """
+        if batch.result is None:
+            for request in batch.requests:
+                self._queued_span(request, batch.start_s)
                 self._finish(
                     Outcome(
                         rid=request.rid,
-                        status="degraded",
-                        finish_s=finish_s,
+                        status="failed",
+                        finish_s=batch.start_s,
                         arrival_s=request.arrival_s,
-                        latency_s=finish_s - request.arrival_s,
-                        batch_size=len(alive),
-                        algo=result.algo,
-                        values=values,
-                        indices=indices,
-                        recall_bound=result.recall_bound,
-                        exact=False,
-                    ),
-                    recall_target=recall_target,
-                    recall_met=not recall_target
-                    or (result.recall_bound or 0.0) >= min_recall,
+                        batch_size=len(batch.requests),
+                        error=batch.error,
+                    )
                 )
-                continue
-            if cfg.result_cache > 0 and self.breaker.allow(request.arrival_s):
-                # approximate results are cached under the request's
-                # quality class with their quality annotations, so an
-                # exact lookup for the same payload can never alias them
-                quality = quality_class(min_recall)
-                meta = None
-                if not result_exact:
-                    meta = {
-                        "exact": False,
-                        "recall_bound": result.recall_bound,
-                        "expected_recall": expected_recall,
-                        "algo": result.algo,
-                    }
-                self.cache.put_result(
-                    request.data,
-                    request.k,
-                    request.largest,
-                    values,
-                    indices,
-                    quality,
-                    meta,
-                )
+            return
+        self._book_batch(batch)
+        for row, request in enumerate(batch.requests):
+            self._answer(batch, row, request)
+
+    def _book_batch(self, batch: _Batch) -> None:
+        """Advance the device cursor and book one executed batch: stats,
+        windows, metrics, spans, its :class:`BatchRecord` and the
+        adaptive feedback."""
+        result, size = batch.result, len(batch.requests)
+        finish_s = batch.finish_s
+        self._device_free_s = finish_s
+        self._now_s = max(self._now_s, finish_s)
+        self.stats.batches += 1
+        self.stats.busy_s += batch.duration_s
+        self.stats.occupancies.append(size)
+        self.telemetry.on_batch(batch.start_s, size)
+        observe("serve.batch_occupancy", size, _OCCUPANCY_BOUNDS)
+        if self.telemetry.trace:
+            self._batch_spans(batch)
+        self.batch_records.append(
+            BatchRecord(
+                batch_id=len(self.batch_records),
+                algo=result.algo,
+                n=batch.key.n,
+                k=batch.key.k,
+                size=size,
+                start_s=batch.start_s,
+                finish_s=finish_s,
+                duration_s=batch.duration_s,
+                largest=batch.key.largest,
+                plan_hit=batch.plan_hit,
+                attempts=batch.attempts,
+                degraded=result.degraded,
+                exact=result.exact,
+            )
+        )
+        if (
+            self.adaptation is not None
+            and get_metrics() is not None
+            and self.config.algo == "auto"
+            and not result.degraded
+            and result.exact
+            and not result.meta.get("shard_times_s")
+        ):
+            # feed the measured wall time (including any injected slowdown
+            # — that *is* live drift) back into the learner; sharded and
+            # degraded results measure a different code path and are
+            # excluded so residuals stay attributable to one algorithm
+            self._adapt_feedback(batch)
+
+    def _answer(self, batch: _Batch, row: int, request: Request) -> None:
+        """Finish one request of an executed batch from result row ``row``."""
+        result, finish_s = batch.result, batch.finish_s
+        if request.deadline_s is not None and request.deadline_s < finish_s:
             self._finish(
                 Outcome(
                     rid=request.rid,
-                    status="served",
-                    finish_s=finish_s,
+                    status="timeout",
+                    finish_s=request.deadline_s,
                     arrival_s=request.arrival_s,
-                    latency_s=finish_s - request.arrival_s,
-                    batch_size=len(alive),
-                    algo=result.algo,
-                    values=values,
-                    indices=indices,
-                    exact=result_exact,
-                    recall_bound=None if result_exact else result.recall_bound,
-                ),
-                recall_target=recall_target,
-                recall_met=recall_met,
+                )
             )
+            return
+        # a lossy degraded result is neither cached nor reported as full
+        # fidelity: it is flagged and carries its recall contract
+        exact = bool(result.exact) and not result.degraded
+        approx = not exact and not result.degraded
+        expected_recall = result.meta.get("expected_recall", 1.0) if approx else None
+        values = np.array(result.values[row], copy=True)
+        indices = np.array(result.indices[row], copy=True)
+        if (
+            not result.degraded
+            and self.config.result_cache > 0
+            and self.breaker.allow(request.arrival_s)
+        ):
+            # approximate results are cached under the request's quality
+            # class with their quality annotations, so an exact lookup for
+            # the same payload can never alias them
+            meta = None
+            if approx:
+                meta = {
+                    "exact": False,
+                    "recall_bound": result.recall_bound,
+                    "expected_recall": expected_recall,
+                    "algo": result.algo,
+                }
+            self.cache.put_result(
+                request.data,
+                request.k,
+                request.largest,
+                values,
+                indices,
+                quality_class(request.min_recall),
+                meta,
+            )
+        self._finish(
+            Outcome(
+                rid=request.rid,
+                status="degraded" if result.degraded else "served",
+                finish_s=finish_s,
+                arrival_s=request.arrival_s,
+                latency_s=finish_s - request.arrival_s,
+                batch_size=len(batch.requests),
+                algo=result.algo,
+                values=values,
+                indices=indices,
+                exact=exact,
+                recall_bound=None if exact else result.recall_bound,
+                expected_recall=expected_recall,
+            ),
+            request.min_recall,
+        )
 
     # -- online adaptation feedback --------------------------------------- #
-    def _adapt_feedback(
-        self,
-        key: GroupKey,
-        size: int,
-        algo: str,
-        duration_s: float,
-        t_s: float,
-        explored: bool,
-    ) -> None:
+    def _adapt_feedback(self, batch: _Batch) -> None:
         """Fold one executed batch's measured time into the learner.
 
         Updates the per-regime EMA and (through the dispatcher's
@@ -975,80 +828,118 @@ class TopKService:
         drift histogram the offline sweep pipeline produces — so the
         serve loop and ``repro-topk drift`` read one stream.
         """
-        registry = get_metrics()
-        if registry is None or self.adaptation is None:
-            return
+        key, size, algo = batch.key, len(batch.requests), batch.result.algo
         folded = self.adaptation.observe(
             algo,
             n=key.n,
             k=key.k,
             batch=size,
-            measured_s=duration_s,
+            measured_s=batch.duration_s,
             spec=self.spec,
             dtype=key.dtype,
         )
-        self.stats.adapt_observations += 1
-        self._count("serve.adapt", event="observe")
-        if folded:
-            self.stats.adapt_folds += 1
-            self._count("serve.adapt", event="fold")
-        if explored:
-            self.stats.adapt_explored += 1
-            self._count("serve.adapt", event="explore")
-        self.telemetry.on_adaptation(
-            t_s,
-            observations=1,
-            folds=1 if folded else 0,
-            explored=1 if explored else 0,
-        )
+        for tally, event, fired in (
+            ("adapt_observations", "observe", True),
+            ("adapt_folds", "fold", folded),
+            ("adapt_explored", "explore", batch.explored),
+        ):
+            if fired:
+                self.ledger.record(
+                    batch.start_s, tally, stat=tally, metric="serve.adapt", event=event
+                )
         from types import SimpleNamespace
 
         from ..obs.drift import record_point_drift
 
         record_point_drift(
-            registry,
+            get_metrics(),
             SimpleNamespace(
                 algo=algo,
                 n=key.n,
                 k=key.k,
                 batch=size,
-                time=duration_s,
+                time=batch.duration_s,
                 status="ok",
                 detail="",
             ),
             spec=self.spec,
         )
 
-    # -- request-trace emission ------------------------------------------ #
+    # -- request-trace emission (no-ops unless tracing) ------------------ #
+    def _admission_span(self, request: Request, verdict: str) -> None:
+        if self.telemetry.trace:
+            self.telemetry.emit(
+                "admission",
+                cat="serve.admission",
+                lane=self.telemetry.request_lane(request.rid),
+                ts_s=request.arrival_s,
+                verdict=verdict,
+            )
+
     def _queued_span(self, request: Request, until_s: float) -> None:
         """The time one request sat in the micro-batcher's queue."""
-        self.telemetry.emit(
-            "queued",
-            cat="serve.queue",
-            lane=self.telemetry.request_lane(request.rid),
-            ts_s=request.arrival_s,
-            dur_s=max(0.0, until_s - request.arrival_s),
+        if self.telemetry.trace:
+            self.telemetry.emit(
+                "queued",
+                cat="serve.queue",
+                lane=self.telemetry.request_lane(request.rid),
+                ts_s=request.arrival_s,
+                dur_s=max(0.0, until_s - request.arrival_s),
+            )
+
+    def _request_spans(self, outcome: Outcome) -> None:
+        """The ``finish`` marker and the root ``request`` span of one
+        terminal outcome."""
+        telemetry = self.telemetry
+        lane = telemetry.request_lane(outcome.rid)
+        telemetry.emit(
+            "finish",
+            cat="serve.request",
+            lane=lane,
+            ts_s=outcome.finish_s,
+            status=outcome.status,
+        )
+        args: dict = {"rid": outcome.rid, "status": outcome.status}
+        if outcome.latency_s is not None:
+            args["latency_s"] = outcome.latency_s
+        if outcome.cache_hit:
+            args["cache_hit"] = True
+        if outcome.recall_bound is not None:
+            args["recall_bound"] = outcome.recall_bound
+        if outcome.error:
+            args["error"] = outcome.error
+        start_s = outcome.arrival_s
+        if start_s is None:
+            start_s = outcome.finish_s
+        telemetry.emit(
+            "request",
+            cat="serve.request",
+            lane=lane,
+            ts_s=start_s,
+            dur_s=outcome.finish_s - start_s,
+            **args,
         )
 
-    def _batch_spans(
-        self, alive, result, batch_id, attempts, start_s, finish_s, duration_s
-    ) -> None:
+    def _batch_spans(self, batch: _Batch) -> None:
         """Per-request batch/shard/merge spans plus the node-lane view of
-        one executed micro-batch (only called with tracing on)."""
-        telemetry = self.telemetry
+        one executed micro-batch."""
+        telemetry, result = self.telemetry, batch.result
+        start_s, finish_s, duration_s = batch.start_s, batch.finish_s, batch.duration_s
         shard_times = result.meta.get("shard_times_s") or {}
         slowest = max(shard_times.values()) if shard_times else 0.0
-        node = telemetry.node_lane("device")
+        batch_args = dict(
+            batch_id=batch.batch_id,
+            algo=result.algo,
+            size=len(batch.requests),
+            attempts=batch.attempts,
+        )
         telemetry.emit(
             "batch",
             cat="serve.batch",
-            lane=node,
+            lane=telemetry.node_lane("device"),
             ts_s=start_s,
             dur_s=duration_s,
-            batch_id=batch_id,
-            algo=result.algo,
-            size=len(alive),
-            attempts=attempts,
+            **batch_args,
         )
         for shard_id, shard_s in sorted(shard_times.items()):
             telemetry.emit(
@@ -1057,10 +948,10 @@ class TopKService:
                 lane=telemetry.node_lane(f"shard{shard_id}"),
                 ts_s=start_s,
                 dur_s=shard_s,
-                batch_id=batch_id,
+                batch_id=batch.batch_id,
                 shard=shard_id,
             )
-        for request in alive:
+        for request in batch.requests:
             lane = telemetry.request_lane(request.rid)
             self._queued_span(request, start_s)
             telemetry.emit(
@@ -1069,10 +960,7 @@ class TopKService:
                 lane=lane,
                 ts_s=start_s,
                 dur_s=duration_s,
-                batch_id=batch_id,
-                algo=result.algo,
-                size=len(alive),
-                attempts=attempts,
+                **batch_args,
             )
             if shard_times:
                 telemetry.emit(
@@ -1123,11 +1011,10 @@ class TopKService:
                 deadline, key = flush
                 self._execute(key, deadline)
         self.stats.cache = self.cache.stats()
+        self.stats.breaker_trips = self.breaker.trips
         if self.injector is not None:
-            # catch any seam that fired after the last per-batch drain so
-            # the windowed fault totals match the injector's
+            # book any seam that fired after the last per-batch drain so
+            # the windowed and metric fault totals match the injector's
             self._drain_faults(self.stats.makespan_s)
             self.stats.faults = self.injector.fault_counts()
-            for kind, count in self.stats.faults.items():
-                self._count("serve.faults", amount=count, kind=kind)
         return self.stats

@@ -346,6 +346,30 @@ class TestClusterApproxTier:
                 assert approx.recall_bound is not None
                 assert 0.0 < approx.recall_bound <= 1.0
 
+    @pytest.mark.parametrize("min_recall", [0.8, 0.9, 0.95])
+    def test_recall_accounting_matches_the_nodes(self, min_recall):
+        """Regression: the router graded approximate answers against the
+        worst-case ``recall_bound`` while nodes grade the planner's
+        expected recall, so every approximate answer counted as a cluster
+        recall violation that no node reported."""
+        from repro.serve import LoadSpec, build_requests
+
+        router = make_router(nodes=2, replication=1)
+        stats = router.run(
+            build_requests(
+                LoadSpec(
+                    qps=300, duration_s=0.5, seed=7,
+                    min_recall=min_recall, approx_fraction=1.0,
+                )
+            )
+        )
+        assert stats.approx_served > 0
+        node_violations = sum(n.stats.recall_violations for n in router.nodes)
+        assert stats.recall_violations == node_violations == 0
+        windows = router.cluster_report()["windows"]
+        assert sum(w["recall_met"] for w in windows) == stats.answered
+        assert sum(w["recall_requests"] for w in windows) == stats.answered
+
 
 # --------------------------------------------------------------------------- #
 # config validation + observability surface

@@ -136,10 +136,10 @@ class TestWindows:
         t.on_batch(0.3, 4)
         t.on_cache_lookup(0.4, True)
         t.on_cache_lookup(0.5, False)
-        t.on_fault(0.6, "worker_crash", 2)
-        t.on_retry(0.7)
-        t.on_hedge(0.8)
-        t.on_breaker(0.9)
+        t.on_event(0.6, "faults", 2, "worker_crash")
+        t.on_event(0.7, "retries")
+        t.on_event(0.8, "hedges")
+        t.on_event(0.9, "breaker")
         w = t.windows[0]
         assert w.queue_depth_samples == 2 and w.queue_depth_max == 5
         assert w.queue_depth_sum == 8
@@ -184,6 +184,25 @@ class TestNoOpPin:
         for a, b in zip(plain.outcomes, traced.outcomes):
             assert (a.rid, a.status, a.finish_s) == (b.rid, b.status, b.finish_s)
             assert np.array_equal(a.values, b.values)
+
+    def test_untraced_run_never_builds_a_span(self, monkeypatch):
+        # every span call site checks the trace flag first, so a plain run
+        # builds no span arguments at all, even on the fault seams
+        calls = []
+        monkeypatch.setattr(
+            ServeTelemetry, "emit", lambda self, *a, **kw: calls.append(a)
+        )
+        plan = FaultPlan(
+            seed=1,
+            rules=(
+                FaultRule(kind="worker_crash", rate=0.3, site="serve.batch"),
+                FaultRule(kind="shard_failure", rate=0.3, site="serve.shard"),
+            ),
+        )
+        service = TopKService(serve_config(faults=plan))
+        stats = service.run(unique_requests(24))
+        assert stats.retries > 0
+        assert calls == []
 
     def test_trace_flag_latched_at_construction(self):
         with obs.trace_session():
