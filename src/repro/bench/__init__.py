@@ -7,7 +7,6 @@ from .runner import (
     BenchPoint,
     SweepResult,
     run_point,
-    sweep,
 )
 from .clusterbench import (
     ACCEPT_AVAILABILITY,
@@ -98,3 +97,13 @@ __all__ = [
     "status_counts",
     "write_csv",
 ]
+
+
+def __getattr__(name: str):
+    # ``sweep`` lives in the execution engine, which imports
+    # ``repro.bench.runner``; importing it lazily breaks the cycle
+    if name == "sweep":
+        from ..exec.engine import sweep
+
+        return sweep
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

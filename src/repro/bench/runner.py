@@ -1,7 +1,8 @@
-"""Benchmark sweep runner — the engine behind every figure and table.
+"""Benchmark points and sweep results — the data behind every figure and table.
 
-Runs grids of (algorithm, distribution, N, K, batch) points through
-:func:`repro.perf.simulate_topk`, records simulated times, and computes the
+Measures (algorithm, distribution, N, K, batch) points through
+:func:`repro.perf.simulate_topk` (grids of them run through
+:func:`repro.exec.sweep`), records simulated times, and computes the
 paper's virtual SOTA baseline (the best prior algorithm per point,
 Sec. 5.1: "we regard the best performance of all previous algorithms for
 each combination of N, K, and batch size as ... SOTA").
@@ -10,7 +11,6 @@ each combination of N, K, and batch size as ... SOTA").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from ..algos import UnsupportedProblem
 from ..device import A100, DeviceCounters, GPUSpec, timeline_spans
@@ -130,8 +130,6 @@ def run_point(
     spec: GPUSpec = A100,
     cap: int = DEFAULT_EXACT_CAP,
     seed: int = 0,
-    adversarial_m: int = 20,
-    **algo_kwargs,
 ) -> BenchPoint:
     """Measure one point; unsupported (n, k) yields an explicit
     ``status="unsupported"`` row with ``time=None`` and the reason."""
@@ -154,8 +152,6 @@ def run_point(
                 spec=spec,
                 cap=cap,
                 seed=seed,
-                adversarial_m=adversarial_m,
-                **algo_kwargs,
             )
         except UnsupportedProblem as exc:
             point_span.set(status="unsupported")
@@ -193,47 +189,4 @@ def run_point(
         mode=run.mode,
         detail=f"dispatch={run.dispatch}" if run.dispatch else "",
         counters=run.device.counters,
-    )
-
-
-def sweep(
-    *,
-    algos: Sequence[str] = ALL_ALGORITHMS,
-    distributions: Sequence[str] = ("uniform",),
-    ns: Iterable[int] = (1 << 20,),
-    ks: Iterable[int] = (256,),
-    batches: Iterable[int] = (1,),
-    spec: GPUSpec = A100,
-    cap: int = DEFAULT_EXACT_CAP,
-    seed: int = 0,
-    adversarial_m: int = 20,
-    progress=None,
-    workers: int = 1,
-    timeout: float | None = None,
-) -> SweepResult:
-    """Run the full cartesian grid; k > n points are recorded as
-    ``unsupported`` rows (they are not runnable for any algorithm).
-
-    ``progress`` is an optional callable invoked with each finished
-    :class:`BenchPoint` (benchmark scripts use it for live output).
-    ``workers`` > 1 shards the grid across a process pool via
-    :func:`repro.exec.parallel_sweep` — results are identical to the
-    serial run, in the same order.  ``timeout`` bounds each point's wall
-    clock in seconds (exceeding it yields a ``timeout`` row).
-    """
-    from ..exec import parallel_sweep  # lazy: repro.exec imports this module
-
-    return parallel_sweep(
-        algos=algos,
-        distributions=distributions,
-        ns=ns,
-        ks=ks,
-        batches=batches,
-        spec=spec,
-        cap=cap,
-        seed=seed,
-        adversarial_m=adversarial_m,
-        workers=workers,
-        timeout=timeout,
-        progress=(None if progress is None else lambda ev: progress(ev.point)),
     )

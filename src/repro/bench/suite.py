@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .report import format_table, format_time, write_csv
-from .runner import SweepResult, sweep
+from .runner import SweepResult
 from .summary import table2
 from ..datagen import distance_array, make_dataset
 from ..perf import simulate_topk, sol_report
@@ -59,10 +59,12 @@ def run_paper_suite(
     """Run every Section-5 experiment; ``full=True`` uses the paper grids.
 
     ``workers``/``timeout``/``progress`` are forwarded to the sweep engine
-    (:func:`repro.exec.parallel_sweep`) for the two big grids; the
+    (:func:`repro.exec.sweep`) for the two big grids; the
     single-point experiments (timelines, ablations, devices, ANN) always
     run inline.
     """
+    from ..exec import sweep  # lazy: repro.exec imports repro.bench.runner
+
     t0 = time.perf_counter()
     result = PaperSuiteResult()
     out = Path(out_dir) if out_dir is not None else None

@@ -35,12 +35,14 @@ from .bench import (
     SNAPSHOT_SCHEMAS,
     BenchPoint,
     format_dispatch_table,
+    format_status_summary,
     format_table,
     format_time,
     load_snapshot,
     plot_sweep,
     read_csv,
     run_paper_suite,
+    status_counts,
     sweep,
     table2,
     write_csv,
@@ -594,32 +596,6 @@ def _progress_printer(args):
     return show
 
 
-def _point_progress(args, total: int | None = None):
-    """Per-point progress callback for code paths taking BenchPoint."""
-    explicit = getattr(args, "progress", False)
-    verbose = getattr(args, "verbose", 0) > 0
-    if not (explicit or verbose):
-        return None
-    level = logging.INFO if explicit else logging.DEBUG
-    state = {"done": 0}
-
-    def show(point) -> None:
-        state["done"] += 1
-        suffix = f"/{total}" if total else ""
-        logger.log(
-            level,
-            "[%d%s] %s n=%d k=%d (%s)",
-            state["done"],
-            suffix,
-            point.algo,
-            point.n,
-            point.k,
-            point.status,
-        )
-
-    return show
-
-
 @contextmanager
 def _telemetry_session(args):
     """Install tracer/metrics sessions for ``--trace``/``--metrics``.
@@ -743,8 +719,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .exec import parallel_sweep
-
     points = args.points
     if points is None:
         points = (
@@ -757,7 +731,7 @@ def cmd_sweep(args) -> int:
     algos = ALL_ALGORITHMS + ("auto",) if args.with_auto else ALL_ALGORITHMS
     started = time.perf_counter()
     with _telemetry_session(args) as (_tracer, _registry):
-        result = parallel_sweep(
+        result = sweep(
             algos=algos,
             distributions=(args.distribution,),
             ns=ns,
@@ -821,10 +795,7 @@ def cmd_sweep(args) -> int:
             )
         )
     else:
-        from collections import Counter
-
-        counts = Counter(p.status for p in result.points)
-        summary = ", ".join(f"{v} {s}" for s, v in sorted(counts.items()))
+        summary = format_status_summary(result.points)
         print(f"no measured points to plot ({summary})")
     if args.with_auto:
         print("\nauto dispatch choices:")
@@ -876,7 +847,7 @@ def cmd_auto(args) -> int:
 
 def cmd_table2(args) -> int:
     ns = [1 << p for p in (11, 15, 20, 25, 30)]
-    progress = _point_progress(args)
+    progress = _progress_printer(args)
     result = sweep(
         distributions=("uniform", "normal", "adversarial"),
         ns=ns,
@@ -921,7 +892,7 @@ def cmd_table2(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    progress = _point_progress(args)
+    progress = _progress_printer(args)
     with _telemetry_session(args):
         suite = run_paper_suite(
             out_dir=args.out,
@@ -938,11 +909,25 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def cmd_serve_bench(args) -> int:
+def _load_fault_plan(path: str):
+    """The ``--faults`` plan at ``path``, or None after one ERROR line."""
     from .faults import FaultPlan
+
+    try:
+        return FaultPlan.load(path)
+    except (OSError, ValueError) as exc:
+        logger.error("cannot load fault plan %s: %s", path, exc)
+        return None
+
+
+def cmd_serve_bench(args) -> int:
     from .serve import LoadSpec, ServeConfig, run_serve_bench
 
-    plan = FaultPlan.load(args.faults) if args.faults else None
+    plan = None
+    if args.faults:
+        plan = _load_fault_plan(args.faults)
+        if plan is None:
+            return 2
     spec = LoadSpec(
         qps=args.qps,
         duration_s=args.duration,
@@ -1321,7 +1306,6 @@ def cmd_adapt_bench(args) -> int:
 
 def cmd_cluster_bench(args) -> int:
     from .bench import clusterbench
-    from .faults import FaultPlan
 
     if args.nodes:
         try:
@@ -1339,7 +1323,9 @@ def cmd_cluster_bench(args) -> int:
     if args.no_chaos:
         chaos_plan = None
     elif args.faults:
-        chaos_plan = FaultPlan.load(args.faults)
+        chaos_plan = _load_fault_plan(args.faults)
+        if chaos_plan is None:
+            return 2
     else:
         chaos_plan = clusterbench.DEFAULT_CHAOS_PLAN
     logger.info(
@@ -1390,13 +1376,10 @@ def cmd_inspect(args) -> int:
         except (OSError, ValueError) as exc:
             logger.error("cannot read %s: %s", path, exc)
             return 1
-        status: dict[str, int] = {}
-        for p in points:
-            status[p.status] = status.get(p.status, 0) + 1
         print(f"{path}: sweep CSV, {len(points)} points")
         print(
             format_table(
-                ["status", "points"], sorted(status.items())
+                ["status", "points"], sorted(status_counts(points).items())
             )
         )
         return 0

@@ -1,37 +1,31 @@
 """Parallel sweep execution engine (see :mod:`repro.exec.engine`)."""
 
 from .engine import (
-    SEED_MODES,
     ProgressEvent,
     build_grid,
     default_chunk_size,
     fanout,
-    parallel_sweep,
+    sweep,
 )
 from .worker import (
-    DEFAULT_RETRIES,
+    RETRIES,
     ChunkResult,
     PointSpec,
     PointTimeout,
     execute_chunk,
-    execute_chunk_telemetry,
     execute_point,
-    point_seed,
 )
 
 __all__ = [
-    "SEED_MODES",
     "ProgressEvent",
     "build_grid",
     "default_chunk_size",
     "fanout",
-    "parallel_sweep",
-    "DEFAULT_RETRIES",
+    "sweep",
+    "RETRIES",
     "ChunkResult",
     "PointSpec",
     "PointTimeout",
     "execute_chunk",
-    "execute_chunk_telemetry",
     "execute_point",
-    "point_seed",
 ]

@@ -2,29 +2,29 @@
 
 The figure sweeps of ``repro.bench`` are embarrassingly parallel — every
 (algorithm, distribution, N, K, batch) point is an independent pure
-function of its coordinates — but the seed runner executed them serially.
-This engine shards any benchmark grid across a ``multiprocessing`` pool:
+function of its coordinates.  :func:`sweep` shards any benchmark grid
+across a ``multiprocessing`` pool:
 
 * **chunked work stealing** — pending points are cut into many small
   chunks consumed through ``imap_unordered``, so an idle worker always
   steals the next chunk instead of waiting on a static partition;
 * **deterministic results** — every point carries its grid index; results
-  are reassembled into exact grid order, and each point's seed is a pure
-  function of the sweep seed (and, under ``seed_mode="per-point"``, of the
-  problem coordinates), so ``workers=1`` and ``workers=N`` produce
-  byte-identical CSV rows (pinned by tests/test_exec_engine.py);
+  are reassembled into exact grid order, and every point uses the sweep
+  seed, so ``workers=1`` and ``workers=N`` produce byte-identical CSV rows
+  (pinned by tests/test_exec_engine.py);
 * **failure isolation** — a crashing point is retried once and then
   recorded as an ``error`` row, an overrunning point as a ``timeout`` row
   (see :mod:`repro.exec.worker`); one bad point cannot kill a sweep;
 * **progress/ETA** — an optional callback receives a
   :class:`ProgressEvent` per finished point (the CLI renders these).
 
-``repro.bench.runner.sweep`` delegates here, so every existing sweep —
-including ``run_paper_suite`` — gains ``workers=``/``timeout=`` for free.
+``repro.bench.sweep`` is this function, so every sweep — including
+``run_paper_suite`` — takes ``workers=``/``timeout=``.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -36,16 +36,7 @@ from ..obs.drift import record_point_drift
 from ..obs.metrics import get_metrics, metrics_enabled
 from ..obs.spans import get_tracer, span, tracing_enabled
 from ..perf import DEFAULT_EXACT_CAP
-from .worker import (
-    DEFAULT_RETRIES,
-    PointSpec,
-    execute_chunk,
-    execute_chunk_telemetry,
-    execute_point,
-    point_seed,
-)
-
-SEED_MODES = ("shared", "per-point")
+from .worker import PointSpec, execute_chunk, execute_point
 
 
 @dataclass(frozen=True)
@@ -78,14 +69,7 @@ def build_grid(
     spec: GPUSpec = A100,
     cap: int = DEFAULT_EXACT_CAP,
     seed: int = 0,
-    adversarial_m: int = 20,
     timeout: float | None = None,
-    retries: int = DEFAULT_RETRIES,
-    seed_mode: str = "shared",
-    trace: bool = False,
-    metrics: bool = False,
-    faults=None,
-    backoff_s: float = 0.0,
 ) -> list[PointSpec | BenchPoint]:
     """Expand a sweep grid into ordered slots.
 
@@ -96,8 +80,6 @@ def build_grid(
     The nesting order (distribution, batch, n, k, algorithm) matches the
     seed serial runner exactly.
     """
-    if seed_mode not in SEED_MODES:
-        raise ValueError(f"seed_mode must be one of {SEED_MODES}, got {seed_mode!r}")
     slots: list[PointSpec | BenchPoint] = []
     for distribution in distributions:
         for batch in batches:
@@ -119,16 +101,6 @@ def build_grid(
                                 )
                             )
                             continue
-                        if seed_mode == "per-point":
-                            s = point_seed(
-                                seed,
-                                distribution=distribution,
-                                n=n,
-                                k=k,
-                                batch=batch,
-                            )
-                        else:
-                            s = seed
                         slots.append(
                             PointSpec(
                                 index=len(slots),
@@ -139,14 +111,8 @@ def build_grid(
                                 batch=batch,
                                 spec=spec,
                                 cap=cap,
-                                seed=s,
-                                adversarial_m=adversarial_m,
+                                seed=seed,
                                 timeout=timeout,
-                                retries=retries,
-                                trace=trace,
-                                metrics=metrics,
-                                faults=faults,
-                                backoff_s=backoff_s,
                             )
                         )
     return slots
@@ -185,7 +151,7 @@ def fanout(
         return pool.map(fn, items)
 
 
-def parallel_sweep(
+def sweep(
     *,
     algos: Sequence[str] = ALL_ALGORITHMS,
     distributions: Sequence[str] = ("uniform",),
@@ -195,26 +161,19 @@ def parallel_sweep(
     spec: GPUSpec = A100,
     cap: int = DEFAULT_EXACT_CAP,
     seed: int = 0,
-    adversarial_m: int = 20,
     workers: int = 1,
     timeout: float | None = None,
-    retries: int = DEFAULT_RETRIES,
-    chunk_size: int | None = None,
-    seed_mode: str = "shared",
     progress: Callable[[ProgressEvent], None] | None = None,
-    faults=None,
-    backoff_s: float = 0.0,
 ) -> SweepResult:
-    """Run a benchmark grid, sharded over ``workers`` processes.
+    """Run the full cartesian grid, sharded over ``workers`` processes.
 
-    Returns the same :class:`SweepResult`, with points in the same order,
-    as a serial sweep — parallelism is an execution detail, not a result
-    change.  ``workers=1`` runs inline in the calling process (no pool).
-
-    ``faults`` (a :class:`repro.faults.FaultPlan`) opens the worker-side
-    injection seams — deterministic per grid index, so the same plan
-    yields the same rows at any worker count; ``backoff_s`` adds capped
-    exponential backoff between a point's retry attempts.
+    k > n points are recorded as ``unsupported`` rows (no algorithm can
+    run them).  Results come back in grid order and are identical at any
+    worker count — parallelism is an execution detail, not a result
+    change; ``workers=1`` runs inline in the calling process (no pool).
+    ``timeout`` bounds each point's wall clock in seconds (exceeding it
+    yields a ``timeout`` row).  ``progress`` is called with a
+    :class:`ProgressEvent` per finished point.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -231,14 +190,7 @@ def parallel_sweep(
         spec=spec,
         cap=cap,
         seed=seed,
-        adversarial_m=adversarial_m,
         timeout=timeout,
-        retries=retries,
-        seed_mode=seed_mode,
-        trace=traced,
-        metrics=metered,
-        faults=faults,
-        backoff_s=backoff_s,
     )
     total = len(slots)
     started = time.perf_counter()
@@ -276,28 +228,22 @@ def parallel_sweep(
                 if isinstance(slot, BenchPoint):
                     points[i] = slot
                     emit(slot)
-            size = chunk_size or default_chunk_size(len(pending), workers)
+            size = default_chunk_size(len(pending), workers)
             chunks = [pending[i : i + size] for i in range(0, len(pending), size)]
             pool_size = min(workers, len(chunks))
             sweep_span.set(chunks=len(chunks), chunk_size=size, pool=pool_size)
             # telemetry rides back with each chunk: workers buffer into a
             # fresh local session and the parent merges here, so counters,
             # metrics and spans are identical to the workers=1 run
-            run_chunk = (
-                execute_chunk_telemetry if (traced or metered) else execute_chunk
-            )
+            run_chunk = functools.partial(execute_chunk, trace=traced, metrics=metered)
             with multiprocessing.get_context().Pool(processes=pool_size) as pool:
                 for outcome in pool.imap_unordered(run_chunk, chunks):
                     with span("merge_chunk", cat="sweep"):
-                        if run_chunk is execute_chunk:
-                            pairs = outcome
-                        else:
-                            pairs = outcome.pairs
-                            if traced and outcome.spans:
-                                get_tracer().extend(outcome.spans)
-                            if metered and outcome.metrics is not None:
-                                get_metrics().merge(outcome.metrics)
-                        for index, point in pairs:
+                        if outcome.spans:
+                            get_tracer().extend(outcome.spans)
+                        if outcome.metrics is not None:
+                            get_metrics().merge(outcome.metrics)
+                        for index, point in outcome.pairs:
                             points[index] = point
                             emit(point)
 

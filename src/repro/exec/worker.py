@@ -1,4 +1,4 @@
-"""Worker-side execution of sweep points: seeding, timeout, retry.
+"""Worker-side execution of sweep points: timeout and retry.
 
 Everything here must be importable at module top level so a
 ``multiprocessing`` pool can run it under any start method (fork *or*
@@ -11,22 +11,19 @@ as a ``timeout`` row, so one bad point cannot kill a sweep.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import signal
-import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..bench.runner import BenchPoint, run_point
 from ..device import GPUSpec
-from ..faults import FaultPlan, backoff_schedule
-from ..obs.metrics import get_metrics
 from ..obs.spans import SpanEvent, span
 
 #: how many times a crashing point is re-attempted before an error row
-DEFAULT_RETRIES = 1
+RETRIES = 1
 
 
 @dataclass(frozen=True)
@@ -42,35 +39,7 @@ class PointSpec:
     spec: GPUSpec
     cap: int
     seed: int
-    adversarial_m: int
     timeout: float | None = None
-    retries: int = DEFAULT_RETRIES
-    #: telemetry switches, set by the engine when the parent session has a
-    #: tracer/registry installed; picklable under fork and spawn alike
-    trace: bool = False
-    metrics: bool = False
-    #: deterministic fault plan (repro.faults); None leaves every seam a
-    #: strict no-op.  Draws key on the grid index, never the process, so
-    #: workers=1 and workers=N inject identically (tests/test_exec_engine)
-    faults: FaultPlan | None = None
-    #: capped-exponential backoff before each retry, wall-clock seconds;
-    #: 0 (the default) retries immediately, as the seed engine did
-    backoff_s: float = 0.0
-    backoff_cap_s: float = 0.05
-
-
-def point_seed(base_seed: int, *, distribution: str, n: int, k: int, batch: int) -> int:
-    """Deterministic per-point seed, stable across processes and runs.
-
-    Derived by hashing the problem coordinates into the base seed (sha256,
-    not ``hash()`` — the latter is salted per process for strings).  Used
-    by the engine's ``seed_mode="per-point"``; the default ``"shared"``
-    mode reuses ``base_seed`` everywhere, matching the serial sweeps the
-    paper figures are built from.
-    """
-    text = f"{base_seed}:{distribution}:{n}:{k}:{batch}"
-    digest = hashlib.sha256(text.encode()).digest()
-    return int.from_bytes(digest[:8], "little") % (2**32)
 
 
 class PointTimeout(Exception):
@@ -110,52 +79,13 @@ def _failure_point(spec: PointSpec, status: str, detail: str) -> BenchPoint:
     )
 
 
-def _count_fault(spec: PointSpec, kind: str) -> None:
-    """Export one injected fault as an ``exec.faults`` counter sample."""
-    if not spec.metrics:
-        return
-    registry = get_metrics()
-    if registry is not None:
-        registry.counter("exec.faults", kind=kind).inc()
-
-
 def execute_point(spec: PointSpec) -> BenchPoint:
-    """Run one point; failures become recorded rows, never exceptions.
-
-    With a fault plan attached, two seams open up (both keyed on the
-    grid index, so injection is identical however the grid is sharded):
-    an injected ``timeout`` records the point as a timeout row exactly
-    like a real wall-clock overrun, and an injected ``worker_crash``
-    consumes one retry attempt exactly like a real exception — past the
-    retry budget the point becomes an ``error`` row, never a raise.
-    """
-    attempts = 1 + max(0, spec.retries)
+    """Run one point; failures become recorded rows, never exceptions."""
     last_error = ""
-    injector = spec.faults.injector() if spec.faults is not None else None
-    backoffs = backoff_schedule(
-        attempts, base_s=spec.backoff_s, cap_s=spec.backoff_cap_s
-    )
     with span(
         f"execute {spec.algo}", cat="exec", index=spec.index, algo=spec.algo
     ) as exec_span:
-        if injector is not None and injector.decide(
-            "timeout", "exec.point", f"index={spec.index}"
-        ):
-            _count_fault(spec, "timeout")
-            exec_span.set(status="timeout")
-            return _failure_point(spec, "timeout", "injected wall-clock overrun")
-        for attempt in range(attempts):
-            if attempt and backoffs[attempt - 1] > 0:
-                time.sleep(backoffs[attempt - 1])
-            if injector is not None and injector.decide(
-                "worker_crash",
-                "exec.point",
-                f"index={spec.index}",
-                f"attempt={attempt}",
-            ):
-                _count_fault(spec, "worker_crash")
-                last_error = "injected worker crash"
-                continue
+        for attempt in range(1 + RETRIES):
             try:
                 with _alarm(spec.timeout), span(
                     "attempt", cat="exec", attempt=attempt + 1
@@ -169,7 +99,6 @@ def execute_point(spec: PointSpec) -> BenchPoint:
                         spec=spec.spec,
                         cap=spec.cap,
                         seed=spec.seed,
-                        adversarial_m=spec.adversarial_m,
                     )
                     exec_span.set(status=point.status)
                     return point
@@ -184,13 +113,8 @@ def execute_point(spec: PointSpec) -> BenchPoint:
                 last_error = "".join(
                     traceback.format_exception_only(type(exc), exc)
                 ).strip()
-        exec_span.set(status="error", retries=attempts - 1)
+        exec_span.set(status="error", retries=RETRIES)
     return _failure_point(spec, "error", last_error)
-
-
-def execute_chunk(chunk: list[PointSpec]) -> list[tuple[int, BenchPoint]]:
-    """Pool entry point: run a chunk, returning (grid_index, point) pairs."""
-    return [(spec.index, execute_point(spec)) for spec in chunk]
 
 
 @dataclass(frozen=True)
@@ -202,20 +126,20 @@ class ChunkResult:
     metrics: "object | None" = None  # MetricsRegistry, kept loose for pickling
 
 
-def execute_chunk_telemetry(chunk: list[PointSpec]) -> ChunkResult:
-    """Pool entry point when the parent session has telemetry enabled.
+def execute_chunk(
+    chunk: Sequence[PointSpec], *, trace: bool = False, metrics: bool = False
+) -> ChunkResult:
+    """Pool entry point: run a chunk, returning its (grid_index, point) pairs.
 
-    Opens a *fresh* tracer/registry for the chunk (never the fork-copied
-    parent one — its buffered events would be duplicated on merge), runs
-    the chunk inside it, and ships the buffers back with the results; the
-    engine merges them into the parent session.  The worker's lane is its
-    ``multiprocessing`` process name, so Perfetto shows one row per pool
-    worker.
+    ``trace``/``metrics`` mirror the parent session.  The chunk runs inside
+    a *fresh* tracer/registry (never the fork-copied parent one — its
+    buffered events would be duplicated on merge) and ships the buffers
+    back with the results; the engine merges them into the parent session.
+    The worker's lane is its ``multiprocessing`` process name, so Perfetto
+    shows one row per pool worker.
     """
     from ..obs import local_session
 
-    trace = any(spec.trace for spec in chunk)
-    metrics = any(spec.metrics for spec in chunk)
     lane = f"host/{multiprocessing.current_process().name}"
     with local_session(trace=trace, metrics=metrics, lane=lane) as (tracer, registry):
         with span("chunk", cat="exec", points=len(chunk)):

@@ -17,9 +17,8 @@ docs/faults.md).  Three coordinated pieces:
   :func:`recall_bound` contract degraded shard merges report.
 
 The seams that consult the injector live in :mod:`repro.serve.sharder`,
-:mod:`repro.serve.service`, :mod:`repro.serve.cache`,
-:mod:`repro.exec.worker` and — for the ``node_crash``/``node_partition``
-kinds — the :mod:`repro.cluster` router; with no plan installed every
+:mod:`repro.serve.service`, :mod:`repro.serve.cache` and — for the
+``node_crash``/``node_partition`` kinds — the :mod:`repro.cluster` router; with no plan installed every
 seam is a strict no-op and behaviour is byte-identical to the fault-free
 stack (pinned by tests/test_faults.py and tests/test_cluster_chaos.py).
 """
@@ -39,7 +38,6 @@ from .policies import (
     CircuitBreaker,
     HedgePolicy,
     RetryPolicy,
-    backoff_schedule,
     recall_bound,
 )
 
@@ -56,7 +54,6 @@ __all__ = [
     "FaultRule",
     "HedgePolicy",
     "RetryPolicy",
-    "backoff_schedule",
     "fault_draw",
     "recall_bound",
     "validate_fault_plan",

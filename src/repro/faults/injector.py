@@ -4,9 +4,8 @@ The injector answers one question — *does this fault fire here, now?* —
 as a pure function of ``(plan seed, kind, site, decision key)``.  The
 uniform draw behind each decision comes from a sha256 hash rather than a
 stateful RNG, so the answer does not depend on how many other decisions
-were made before it, which thread asked, or how a sweep was chunked
-across a process pool.  That property is what lets the chaos tests pin
-``workers=1 == workers=N`` under the same fault seed.
+were made before it or which thread asked.  That property is what lets
+the chaos tests pin ``workers=1 == workers=N`` under the same fault seed.
 
 Sticky semantics: a rule with ``sticky=True`` ignores the ``attempt``
 component of the key, so every retry of the same operation sees the same

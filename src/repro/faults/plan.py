@@ -51,7 +51,6 @@ FAULT_SITES = (
     "serve.shard",
     "serve.batch",
     "serve.cache",
-    "exec.point",
     "cluster.node",
 )
 
@@ -88,7 +87,7 @@ class FaultRule:
     #: probability an eligible decision point fires, in [0, 1]
     rate: float
     #: site filter: ``"*"`` matches everywhere the kind applies, otherwise
-    #: a prefix of the seam's site name (e.g. ``"serve.shard"``)
+    #: a prefix of one of :data:`FAULT_SITES` (e.g. ``"serve.shard"``)
     site: str = "*"
     #: slowdown multiplier for ``straggler``/``timeout`` faults (>= 1)
     factor: float = 4.0
@@ -104,6 +103,14 @@ class FaultRule:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
         if self.factor < 1.0:
             raise ValueError(f"factor must be >= 1, got {self.factor}")
+        if self.site != "*" and not any(
+            site.startswith(self.site) for site in FAULT_SITES
+        ):
+            # a misspelt site would load fine and never fire
+            raise ValueError(
+                f"site must be '*' or a prefix of one of {FAULT_SITES}, "
+                f"got {self.site!r}"
+            )
 
     def matches(self, site: str) -> bool:
         return self.site == "*" or site.startswith(self.site)

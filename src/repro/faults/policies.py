@@ -2,8 +2,8 @@
 
 Four small, independently testable pieces:
 
-* :func:`backoff_schedule` / :class:`RetryPolicy` — capped exponential
-  backoff for per-shard and per-batch retries;
+* :class:`RetryPolicy` — capped exponential backoff for per-shard and
+  per-batch retries;
 * :class:`HedgePolicy` — hedged duplicate dispatch for stragglers past a
   latency quantile of their sibling shards;
 * :class:`CircuitBreaker` — trip the result cache after repeated
@@ -18,21 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-def backoff_schedule(
-    attempts: int, *, base_s: float, cap_s: float
-) -> list[float]:
-    """Capped exponential backoff delays before retries 1..attempts-1.
-
-    >>> backoff_schedule(4, base_s=1.0, cap_s=5.0)
-    [1.0, 2.0, 4.0]
-    """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    if base_s < 0 or cap_s < 0:
-        raise ValueError("backoff base and cap must be >= 0")
-    return [min(cap_s, base_s * (2.0**i)) for i in range(attempts - 1)]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Algorithms count behavioural events (AIR buffer writes/skips, early
 stops, queue flushes), the runner tallies point statuses, the execution
 engine records dispatch and drift — all against one process-global
 registry installed by :func:`metrics_session`.  Pool workers use a
-private registry (see :func:`repro.exec.worker.execute_chunk_telemetry`)
+private registry (see :func:`repro.exec.worker.execute_chunk`)
 which the engine merges back, so ``workers=1`` and ``workers=N`` produce
 identical aggregates.
 

@@ -28,7 +28,6 @@ from .batched import (
 from .histogram import batched_digit_histogram, digit_histogram
 from .scan import (
     block_scan_ops,
-    exclusive_scan,
     find_target_bucket,
     inclusive_scan,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "segment_min_max",
     "segment_offsets",
     "block_scan_ops",
-    "exclusive_scan",
     "find_target_bucket",
     "inclusive_scan",
     "ballot",

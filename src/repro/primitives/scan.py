@@ -18,17 +18,6 @@ def inclusive_scan(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.cumsum(values, axis=axis)
 
 
-def exclusive_scan(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Exclusive prefix sum along ``axis`` (first element is 0)."""
-    inclusive = np.cumsum(values, axis=axis)
-    result = np.roll(inclusive, 1, axis=axis)
-    # zero the wrapped-around first slot
-    index = [slice(None)] * values.ndim
-    index[axis if axis >= 0 else values.ndim + axis] = 0
-    result[tuple(index)] = 0
-    return result
-
-
 def block_scan_ops(n: int) -> int:
     """Adds performed by a Hillis–Steele block scan of ``n`` entries."""
     if n <= 0:

@@ -125,7 +125,7 @@ class TestSweep:
             progress=seen.append,
         )
         assert len(seen) == 2
-        assert all(isinstance(p, BenchPoint) for p in seen)
+        assert all(isinstance(ev.point, BenchPoint) for ev in seen)
 
 
 class TestSpeedups:

@@ -281,14 +281,31 @@ class TestServeBenchCommand:
         assert sum(cfg["faults_injected"].values()) >= 1
         assert {"degraded", "failed", "retries", "hedges"} <= set(cfg)
 
-    def test_serve_bench_rejects_invalid_fault_plan(self, tmp_path):
-        from repro.obs.schema import SchemaError
-
+    def test_serve_bench_rejects_invalid_fault_plan(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "repro.faults.plan/v1", "seed": 0}')
-        with pytest.raises(SchemaError):
-            main(["serve-bench", "--duration", "0.1",
-                  "--faults", str(bad), "-q"])
+        code = main(["serve-bench", "--duration", "0.1",
+                     "--faults", str(bad), "-q"])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, str(bad), "rules")
+
+    def test_cluster_bench_rejects_invalid_fault_plan(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"schema": "repro.faults.plan/v1", "seed": 0,'
+            ' "rules": [{"kind": "meteor_strike", "rate": 0.5}]}'
+        )
+        code = main(["cluster-bench", "--tiny", "--faults", str(bad), "-q"])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, str(bad), "kind")
+
+
+def assert_one_error_line(err: str, *needles: str) -> None:
+    """``err`` is a single ERROR log line mentioning every needle."""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), err
+    for needle in needles:
+        assert needle in lines[0], (needle, err)
 
 
 class TestDriftCommand:

@@ -16,18 +16,17 @@ import time
 import pytest
 
 from repro.bench.report import write_csv
-from repro.bench.runner import BenchPoint, sweep
+from repro.bench.runner import BenchPoint
 from repro.exec import (
+    RETRIES,
     PointSpec,
     ProgressEvent,
     build_grid,
     default_chunk_size,
     execute_point,
-    parallel_sweep,
-    point_seed,
+    sweep,
 )
 from repro.exec import worker as worker_mod
-from repro.faults import FaultPlan, FaultRule
 
 GOLDEN_GRID = dict(
     algos=("air_topk", "sort", "radix_select", "bitonic_topk", "auto"),
@@ -89,28 +88,6 @@ class TestGoldenRegression:
         assert any("supports k <=" in d for d in details)  # algo gap rows
 
 
-class TestPointSeed:
-    def test_deterministic(self):
-        a = point_seed(0, distribution="uniform", n=1024, k=16, batch=1)
-        b = point_seed(0, distribution="uniform", n=1024, k=16, batch=1)
-        assert a == b
-        assert isinstance(a, int) and 0 <= a < 2**32
-
-    def test_distinct_across_coordinates(self):
-        seeds = {
-            point_seed(0, distribution=d, n=n, k=k, batch=b)
-            for d in ("uniform", "normal")
-            for n in (1024, 2048)
-            for k in (8, 16)
-            for b in (1, 4)
-        }
-        assert len(seeds) == 16
-
-    def test_depends_on_base_seed(self):
-        kw = dict(distribution="uniform", n=1024, k=16, batch=1)
-        assert point_seed(0, **kw) != point_seed(1, **kw)
-
-
 class TestBuildGrid:
     def test_serial_nesting_order(self):
         slots = build_grid(
@@ -136,27 +113,15 @@ class TestBuildGrid:
         assert isinstance(slots[1], BenchPoint)
         assert slots[1].status == "unsupported" and "exceeds" in slots[1].detail
 
-    def test_per_point_seed_mode(self):
-        shared = build_grid(algos=("a",), ns=(8, 16), ks=(2,), seed=7)
-        per = build_grid(
-            algos=("a",), ns=(8, 16), ks=(2,), seed=7, seed_mode="per-point"
-        )
-        assert {s.seed for s in shared} == {7}
-        assert len({s.seed for s in per}) == 2
-
-    def test_rejects_unknown_seed_mode(self):
-        with pytest.raises(ValueError):
-            build_grid(seed_mode="nope")
-
 
 class TestValidation:
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
-            parallel_sweep(workers=0)
+            sweep(workers=0)
 
     def test_rejects_bad_timeout(self):
         with pytest.raises(ValueError):
-            parallel_sweep(timeout=-1.0)
+            sweep(timeout=-1.0)
 
     def test_chunk_size_bounds(self):
         assert default_chunk_size(0, 4) == 1
@@ -167,7 +132,7 @@ class TestValidation:
 class TestProgress:
     def test_events_count_up_with_eta(self):
         events: list[ProgressEvent] = []
-        parallel_sweep(
+        sweep(
             algos=("sort", "air_topk"),
             ns=(1 << 10,),
             ks=(4, 2048),
@@ -191,7 +156,6 @@ def _spec(**overrides) -> PointSpec:
         spec=None,
         cap=1 << 14,
         seed=0,
-        adversarial_m=20,
     )
     kw.update(overrides)
     if kw["spec"] is None:
@@ -234,8 +198,8 @@ class TestFailureIsolation:
             raise RuntimeError("persistent")
 
         monkeypatch.setattr(worker_mod, "run_point", boom)
-        execute_point(_spec(retries=1))
-        assert calls["n"] == 2  # the attempt plus exactly one retry
+        execute_point(_spec())
+        assert calls["n"] == 1 + RETRIES == 2  # the attempt plus one retry
 
     @pytest.mark.skipif(
         not hasattr(signal, "setitimer"), reason="needs POSIX interval timers"
@@ -259,108 +223,8 @@ class TestFailureIsolation:
             raise RuntimeError("kaput")
 
         monkeypatch.setattr(worker_mod, "run_point", boom)
-        res = parallel_sweep(algos=("sort",), ns=(1 << 10,), ks=(4,))
+        res = sweep(algos=("sort",), ns=(1 << 10,), ks=(4,))
         assert [p.status for p in res.points] == ["error"]
-
-
-class TestWorkerFaults:
-    """Injected worker faults (satellite d): deterministic flaky workers,
-    retry/backoff, and the workers=1 == workers=N pin under one seed."""
-
-    FLAKY = FaultPlan(
-        seed=3,
-        rules=(
-            FaultRule(kind="worker_crash", rate=0.3, site="exec.point"),
-            FaultRule(kind="timeout", rate=0.15, site="exec.point"),
-        ),
-    )
-    GRID = dict(algos=("sort", "air_topk"), ns=(1 << 10, 1 << 11), ks=(16, 32))
-
-    def test_injected_crash_consumes_retries(self):
-        plan = FaultPlan(
-            seed=3, rules=(FaultRule(kind="worker_crash", rate=0.3),)
-        )
-        # index 0 with seed 3 crashes on attempt 0 only: the retry recovers
-        point = execute_point(_spec(index=0, faults=plan))
-        assert point.status == "ok"
-        # index 2 crashes on every draw: the default budget (1 retry)
-        # exhausts into an error row
-        point = execute_point(_spec(index=2, faults=plan))
-        assert point.status == "error"
-        assert point.detail == "injected worker crash"
-
-    def test_sticky_crash_exhausts_into_error_row(self):
-        plan = FaultPlan(
-            seed=3,
-            rules=(FaultRule(kind="worker_crash", rate=0.3, sticky=True),),
-        )
-        point = execute_point(_spec(index=0, faults=plan, retries=3))
-        assert point.status == "error"
-        assert point.detail == "injected worker crash"
-
-    def test_injected_timeout_row_not_retried(self):
-        plan = FaultPlan(
-            seed=0, rules=(FaultRule(kind="timeout", rate=1.0),)
-        )
-        point = execute_point(_spec(faults=plan))
-        assert point.status == "timeout" and point.time is None
-        assert "injected" in point.detail
-
-    def test_backoff_sleeps_between_retries(self, monkeypatch):
-        naps: list[float] = []
-        monkeypatch.setattr(worker_mod.time, "sleep", naps.append)
-
-        def boom(*a, **kw):
-            raise RuntimeError("persistent")
-
-        monkeypatch.setattr(worker_mod, "run_point", boom)
-        execute_point(_spec(retries=3, backoff_s=0.01, backoff_cap_s=0.025))
-        assert naps == [0.01, 0.02, 0.025]  # capped exponential
-
-    def test_no_backoff_by_default(self, monkeypatch):
-        naps: list[float] = []
-        monkeypatch.setattr(worker_mod.time, "sleep", naps.append)
-
-        def boom(*a, **kw):
-            raise RuntimeError("persistent")
-
-        monkeypatch.setattr(worker_mod, "run_point", boom)
-        execute_point(_spec(retries=2))
-        assert naps == []
-
-    def test_flaky_sweep_identical_across_worker_counts(self):
-        """The acceptance pin: the same fault seed produces the same rows
-        at any worker count — injection draws key on the grid index, not
-        the process that happens to run the point."""
-        serial = parallel_sweep(workers=1, faults=self.FLAKY, **self.GRID)
-        pooled = parallel_sweep(workers=4, chunk_size=1, faults=self.FLAKY,
-                                **self.GRID)
-        assert serial.points == pooled.points
-        statuses = {p.status for p in serial.points}
-        assert "timeout" in statuses  # chaos actually fired
-        rows = [(p.status, p.detail) for p in serial.points
-                if p.detail.startswith("injected")]
-        assert rows  # at least one injected row, pinned above
-
-    def test_no_plan_unchanged(self):
-        """faults=None must reproduce the fault-free sweep exactly."""
-        a = parallel_sweep(workers=1, **self.GRID)
-        b = parallel_sweep(workers=1, faults=None, **self.GRID)
-        assert a.points == b.points
-        assert all(p.status == "ok" for p in a.points)
-
-
-class TestSeedModes:
-    def test_per_point_matches_itself_across_workers(self):
-        kw = dict(
-            algos=("sort", "air_topk"),
-            ns=(1 << 10, 1 << 11),
-            ks=(4,),
-            seed_mode="per-point",
-        )
-        serial = parallel_sweep(workers=1, **kw)
-        pooled = parallel_sweep(workers=2, **kw)
-        assert serial.points == pooled.points
 
 
 class TestCounterMerge:
@@ -375,7 +239,7 @@ class TestCounterMerge:
     )
 
     def test_ok_rows_carry_counters(self):
-        res = parallel_sweep(workers=1, **self.GRID)
+        res = sweep(workers=1, **self.GRID)
         for p in res.points:
             if p.status == "ok":
                 assert p.counters is not None
@@ -386,8 +250,8 @@ class TestCounterMerge:
     def test_totals_identical_across_worker_counts(self):
         from repro.device import aggregate_counters
 
-        serial = parallel_sweep(workers=1, **self.GRID)
-        pooled = parallel_sweep(workers=4, **self.GRID)
+        serial = sweep(workers=1, **self.GRID)
+        pooled = sweep(workers=4, **self.GRID)
         assert serial.points == pooled.points
         total_1 = aggregate_counters(serial.points)
         total_n = aggregate_counters(pooled.points)
@@ -399,7 +263,7 @@ class TestCounterMerge:
         from repro import obs
 
         with obs.trace_session() as tracer, obs.metrics_session() as registry:
-            res = parallel_sweep(workers=2, **self.GRID)
+            res = sweep(workers=2, **self.GRID)
         ok = sum(1 for p in res.points if p.status == "ok")
         # k > n rows are answered by the engine without running a point,
         # so only the executed rows produce a host-side span

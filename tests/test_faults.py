@@ -30,7 +30,6 @@ from repro.faults import (
     FaultRule,
     HedgePolicy,
     RetryPolicy,
-    backoff_schedule,
     fault_draw,
     recall_bound,
     validate_fault_plan,
@@ -68,6 +67,29 @@ class TestFaultPlan:
             FaultRule(kind="straggler", rate=1.5)
         with pytest.raises(ValueError):
             FaultRule(kind="straggler", rate=0.1, factor=0.5)
+        # a misspelt site would never fire: rejected, naming the sites
+        with pytest.raises(ValueError, match="serve.shard"):
+            FaultRule(kind="shard_failure", rate=1.0, site="serve.shards")
+        with pytest.raises(ValueError, match="cluster.node"):
+            FaultPlan.from_payload(
+                {
+                    "schema": "repro.faults.plan/v1",
+                    "seed": 0,
+                    "rules": [
+                        {"kind": "worker_crash", "rate": 0.5, "site": "sevre.batch"}
+                    ],
+                }
+            )
+        # "*" and any prefix of a real site stay valid
+        for site in ("*", "serve", "serve.batch", "cluster.node"):
+            FaultRule(kind="worker_crash", rate=0.1, site=site)
+
+    def test_committed_plans_load(self):
+        root = Path(__file__).parent.parent / "benchmarks"
+        paths = sorted((root / "fault_plans").glob("*.json"))
+        paths.append(root / "e2e" / "cluster_chaos_plan.json")
+        for path in paths:
+            assert FaultPlan.load(path).rules, path
 
     def test_empty_detection(self):
         assert FaultPlan().empty
@@ -141,7 +163,7 @@ class TestInjector:
         )
         inj = plan.injector()
         assert inj.decide("straggler", "serve.shard", "x") is not None
-        assert inj.decide("straggler", "exec.point", "x") is None  # wrong site
+        assert inj.decide("straggler", "serve.batch", "x") is None  # wrong site
         assert inj.decide("timeout", "serve.shard", "x") is None  # wrong kind
         assert FaultPlan(seed=5).injector().decide(
             "straggler", "serve.shard", "x"
@@ -152,7 +174,7 @@ class TestInjector:
             seed=0, rules=(FaultRule(kind="worker_crash", rate=0.5),)
         ).injector()
         flips = {
-            transient.decide("worker_crash", "exec.point", "p", f"attempt={i}")
+            transient.decide("worker_crash", "serve.batch", "p", f"attempt={i}")
             is not None
             for i in range(16)
         }
@@ -163,7 +185,7 @@ class TestInjector:
             rules=(FaultRule(kind="worker_crash", rate=0.5, sticky=True),),
         ).injector()
         outcomes = {
-            sticky.decide("worker_crash", "exec.point", "p", f"attempt={i}")
+            sticky.decide("worker_crash", "serve.batch", "p", f"attempt={i}")
             is not None
             for i in range(16)
         }
@@ -275,11 +297,6 @@ class TestNodeFaultKinds:
 # recovery policies
 # --------------------------------------------------------------------------- #
 class TestPolicies:
-    def test_backoff_schedule_caps(self):
-        assert backoff_schedule(4, base_s=1.0, cap_s=5.0) == [1.0, 2.0, 4.0]
-        assert backoff_schedule(5, base_s=1.0, cap_s=3.0) == [1.0, 2.0, 3.0, 3.0]
-        assert backoff_schedule(1, base_s=1.0, cap_s=5.0) == []
-
     def test_retry_policy(self):
         policy = RetryPolicy(retries=2, backoff_base_s=0.1, backoff_cap_s=0.15)
         assert policy.attempts == 3

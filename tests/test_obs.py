@@ -16,7 +16,8 @@ import pytest
 
 from repro import obs
 from repro.bench.report import read_csv, write_csv
-from repro.bench.runner import BenchPoint, run_point, sweep
+from repro.bench import sweep
+from repro.bench.runner import BenchPoint, run_point
 from repro.device import Device, aggregate_counters, timeline_spans
 from repro.obs.drift import drift_report, point_drift, record_point_drift
 from repro.obs.metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry

@@ -11,7 +11,6 @@ from repro.primitives import (
     batched_digit_histogram,
     block_scan_ops,
     digit_histogram,
-    exclusive_scan,
     find_target_bucket,
     inclusive_scan,
 )
@@ -20,18 +19,6 @@ from repro.primitives import (
 class TestScans:
     def test_inclusive(self):
         assert np.array_equal(inclusive_scan(np.array([1, 2, 3])), [1, 3, 6])
-
-    def test_exclusive(self):
-        assert np.array_equal(exclusive_scan(np.array([1, 2, 3])), [0, 1, 3])
-
-    def test_exclusive_2d(self):
-        x = np.array([[1, 2], [3, 4]])
-        out = exclusive_scan(x, axis=1)
-        assert np.array_equal(out, [[0, 1], [0, 3]])
-
-    def test_relationship(self, rng):
-        x = rng.integers(0, 10, 100)
-        assert np.array_equal(exclusive_scan(x) + x, inclusive_scan(x))
 
     def test_block_scan_ops(self):
         assert block_scan_ops(1) == 0
