@@ -39,7 +39,7 @@ from ..approx import (
 )
 from ..device import streaming_grid
 from ..perf import calibration as cal
-from ..primitives import affine_partitions, partition_topc
+from ..primitives import affine_partitions, partition_topc, stable_topk_order
 from .base import RunContext, TopKAlgorithm, TopKResult
 
 
@@ -124,7 +124,7 @@ class PartitionApproxTopK(TopKAlgorithm):
         # the entire point of both approximate schemes); only the final
         # result sync in select() is paid
         m = cand_keys.shape[1]
-        sel = np.argsort(cand_keys, axis=1, kind="stable")[:, : ctx.k]
+        sel = stable_topk_order(cand_keys, ctx.k)
         device.launch_kernel(
             self.kernel_stage2,
             grid_blocks=streaming_grid(

@@ -34,6 +34,7 @@ from ..primitives import (
     inclusive_scan,
     segment_min_max,
     segment_offsets,
+    stable_topk_order,
 )
 
 
@@ -104,7 +105,7 @@ class BucketSelect(TopKAlgorithm):
         # terminal threshold, so one fused sort finishes every row without
         # ever building the flat candidate state
         if n <= max(self.terminal_size, ctx.k):
-            order = np.argsort(keys2d, axis=1, kind="stable")[:, : ctx.k]
+            order = stable_topk_order(keys2d, ctx.k)
             device.launch_kernel(
                 "BucketTerminalSort",
                 grid_blocks=batch,

@@ -78,52 +78,86 @@ class QueueRunResult:
 
 def _thread_mode_flushes(
     mask: np.ndarray, carry: np.ndarray, queue_len: int
-) -> tuple[int, np.ndarray]:
-    """Exact flush count for per-thread queues over one chunk of rounds.
-
-    ``mask`` is (rounds, lanes): which lane inserted in which round.
-    ``carry`` is the per-lane queue fill entering the chunk.  A flush clears
-    every lane's queue (the warp sorts and merges all queues together).
-    Returns the flush count and the per-lane fill leaving the chunk.
-    """
-    rounds, lanes = mask.shape
-    if rounds == 0:
-        return 0, carry
-    cum = np.cumsum(mask, axis=0, dtype=np.int64)
-    flushes = 0
-    start = 0
-    offset = carry.astype(np.int64)
-    while start < rounds:
-        base = cum[start - 1] if start > 0 else np.zeros(lanes, dtype=np.int64)
-        counts_max = (cum[start:] - base + offset).max(axis=1)
-        hit = int(np.searchsorted(counts_max, queue_len, side="left"))
-        if hit >= counts_max.shape[0]:
-            return flushes, (cum[-1] - base + offset)
-        flushes += 1
-        start = start + hit + 1
-        offset = np.zeros(lanes, dtype=np.int64)
-    return flushes, offset
-
-
-def _merge_into_maintained(
-    m_keys: np.ndarray,
-    m_idx: np.ndarray,
-    cand_keys: np.ndarray,
-    cand_idx: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge padded candidates into the maintained per-slice top-k arrays."""
-    k = m_keys.shape[1]
-    all_keys = np.concatenate([m_keys, cand_keys], axis=1)
-    all_idx = np.concatenate([m_idx, cand_idx], axis=1)
-    # key-primary, validity-secondary: a real element whose key happens to
-    # equal the all-ones sentinel (e.g. uint32 value 0xFFFFFFFF selected
-    # smallest, or value 0 selected largest) must beat padding slots, which
-    # carry the same key but index -1
-    order = np.lexsort((all_idx < 0, all_keys))[:, :k]
-    return (
-        np.take_along_axis(all_keys, order, axis=1),
-        np.take_along_axis(all_idx, order, axis=1),
+    """Exact flush counts for per-thread queues over one chunk of rounds.
+
+    ``mask`` is (..., rounds, lanes): which lane inserted in which round,
+    for any number of independent slices.  ``carry`` is (..., lanes), the
+    per-lane queue fill entering the chunk (each below ``queue_len``).  A
+    flush clears every lane's queue (the warp sorts and merges all queues
+    together).  Returns the per-slice flush counts, shape (...), and the
+    per-lane fill leaving the chunk, shape (..., lanes).
+
+    No loop runs per slice, round or flush.  The carry enters as inserts
+    in ``queue_len - 1`` virtual rounds ahead of the chunk, a lane holding
+    c entries inserting in the last c of them, so every queue epoch starts
+    empty: at virtual round 0, or one round after a flush.  From an epoch
+    start t, the flush is the earliest insert whose lane already made
+    ``queue_len - 1`` inserts at or after t — a suffix minimum over the
+    inserts ordered by that earlier insert's round.  Pointer doubling over
+    the epoch starts then counts every slice's flushes along its whole
+    chain at once.
+    """
+    *lead, rounds, lanes = mask.shape
+    fill = np.asarray(carry, dtype=np.int64).reshape(-1, lanes)
+    num = fill.shape[0]
+    mask = mask.reshape(num, rounds, lanes)
+    virtual = queue_len - 1
+    width = virtual + rounds
+    span = width + 1
+    # inserts per (slice, lane, virtual round), lanes outermost so that
+    # the flat positions list each lane's inserts together, in round order
+    carried = np.arange(virtual) >= (virtual - fill)[:, :, None]
+    flat = np.flatnonzero(np.concatenate([carried, mask.transpose(0, 2, 1)], axis=2))
+    lane = flat // width
+    rnd = flat - lane * width
+    sl = lane // lanes
+    key = sl * span + rnd
+    rank = np.arange(lane.size) - np.searchsorted(lane, lane)
+    # an insert flushes every epoch that starts at or before the round of
+    # its lane's insert queue_len - 1 places back
+    back = np.flatnonzero(rank >= virtual)
+    since = key[back - virtual]
+    by_since = np.argsort(since, kind="stable")
+    since = since[by_since]
+    earliest = np.append(
+        np.minimum.accumulate(key[back][by_since][::-1])[::-1], num * span
     )
+    # epoch starts: virtual round 0 and one round after each insert round
+    is_start = np.zeros((num, span), dtype=bool)
+    is_start[:, 0] = True
+    is_start[:, virtual + 1 :] = mask.any(axis=2)
+    starts = np.flatnonzero(is_start)
+    flush = earliest[np.searchsorted(since, starts)]
+    flushed = flush // span == starts // span
+    jump = np.where(
+        flushed, np.searchsorted(starts, flush + 1), np.arange(starts.size)
+    )
+    count = flushed.astype(np.int64)
+    for _ in range(starts.size.bit_length()):
+        count += count[jump]
+        jump = jump[jump]
+    origin = np.arange(num) * span
+    entry = np.searchsorted(starts, origin)
+    last = starts[jump[entry]] - origin
+    fill_out = np.bincount(lane[rnd >= last[sl]], minlength=num * lanes)
+    return count[entry].reshape(lead), fill_out.reshape(*lead, lanes)
+
+
+def best_first(
+    keys: np.ndarray, idx: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best ``k`` of ``(keys, idx)``, best first.
+
+    Order: key first, a real element before padding (index -1), then
+    position.  Padding carries the all-ones sentinel key, which a real
+    element's key can equal on integer data (uint32 0xFFFFFFFF selected
+    smallest, or 0 selected largest); such an element must still beat the
+    padding.
+    """
+    order = np.lexsort((idx < 0, keys))[:, :k]
+    order += np.arange(order.shape[0])[:, None] * keys.shape[1]
+    return np.take(keys, order), np.take(idx, order)
 
 
 def emulate_queue_select(
@@ -210,45 +244,55 @@ def emulate_queue_select(
             shared_fill = total % queue_len
         else:
             rounds_c = -(-c // lanes)
-            padded = np.zeros((num_slices, rounds_c * lanes), dtype=bool)
-            padded[:, :c] = mask
-            per_round = padded.reshape(num_slices, rounds_c, lanes)
+            per_round = mask
+            if c % lanes:
+                per_round = np.zeros((num_slices, rounds_c * lanes), dtype=bool)
+                per_round[:, :c] = mask
+            per_round = per_round.reshape(num_slices, rounds_c, lanes)
             # tier 0 — no flush possible: cumulative lane counts are
             # monotone, so if no lane's final fill reaches queue_len, no
-            # prefix does either; the whole chunk is plain accumulation.
-            # This is the common case once the threshold tightens, and it
-            # covers every slice in one vectorised step.
-            lane_counts = per_round.sum(axis=1, dtype=np.int64)
-            no_flush = (thread_fill + lane_counts).max(axis=1) < queue_len
-            thread_fill[no_flush] += lane_counts[no_flush]
+            # prefix does either; the chunk is plain accumulation.  This is
+            # the common case once the threshold tightens.
+            carry = thread_fill
+            thread_fill = carry + per_round.sum(axis=1, dtype=np.int64)
+            flushing = thread_fill.max(axis=1) >= queue_len
             # tier 1 — dense phase: every lane inserts every round and the
             # fills are uniform, so flush arithmetic is closed-form
             dense = (
-                ~no_flush
-                & per_round.all(axis=(1, 2))
-                & (thread_fill == thread_fill[:, :1]).all(axis=1)
+                flushing
+                & (per_slice_q == rounds_c * lanes)
+                & (carry == carry[:, :1]).all(axis=1)
             )
             if dense.any():
-                total_d = thread_fill[dense, 0] + rounds_c
+                total_d = carry[dense, 0] + rounds_c
                 stats.flushes += int((total_d // queue_len).sum())
                 thread_fill[dense] = (total_d % queue_len)[:, None]
-            # tier 2 — exact per-slice replay for the irregular remainder
-            for s in np.flatnonzero(~no_flush & ~dense):
-                f, thread_fill[s] = _thread_mode_flushes(
-                    per_round[s], thread_fill[s], queue_len
+                flushing &= ~dense
+            # tier 2 — the irregular remainder: exact flush chains of all
+            # its slices in one batched computation
+            if flushing.any():
+                f, thread_fill[flushing] = _thread_mode_flushes(
+                    per_round[flushing], carry[flushing], queue_len
                 )
-                stats.flushes += f
+                stats.flushes += int(f.sum())
 
         # --- merge qualified candidates into the maintained top-k ---------
         maxc = int(per_slice_q.max()) if num_slices else 0
         if maxc:
-            cand_keys = np.full((num_slices, maxc), sentinel, dtype=slices.dtype)
-            cand_idx = np.full((num_slices, maxc), -1, dtype=np.int64)
-            rows, cols = np.nonzero(mask)
-            rank = np.cumsum(mask, axis=1)[rows, cols] - 1
-            cand_keys[rows, rank] = block[rows, cols]
-            cand_idx[rows, rank] = pos + cols
-            m_keys, m_idx = _merge_into_maintained(m_keys, m_idx, cand_keys, cand_idx)
+            # maintained entries, then each slice's candidates in position
+            # order, padded to the longest candidate list
+            all_keys = np.full((num_slices, k + maxc), sentinel, dtype=slices.dtype)
+            all_idx = np.full((num_slices, k + maxc), -1, dtype=np.int64)
+            all_keys[:, :k] = m_keys
+            all_idx[:, :k] = m_idx
+            flat = np.flatnonzero(mask)
+            rows = flat // c
+            cols = flat - rows * c
+            first = np.cumsum(per_slice_q) - per_slice_q
+            slot = k + np.arange(flat.size) - first[rows]
+            all_keys[rows, slot] = block[rows, cols]
+            all_idx[rows, slot] = pos + cols
+            m_keys, m_idx = best_first(all_keys, all_idx, k)
 
         pos += c
         # adapt: once the threshold is tight, qualified elements are rare and

@@ -26,7 +26,12 @@ import numpy as np
 from .base import RunContext, TopKAlgorithm
 from ..device import next_pow2, streaming_grid
 from ..perf import calibration as cal
-from ..primitives import comparator_count_sort, head_mask, segment_offsets
+from ..primitives import (
+    comparator_count_sort,
+    head_mask,
+    segment_offsets,
+    stable_topk_order,
+)
 
 
 class QuickSelect(TopKAlgorithm):
@@ -54,7 +59,7 @@ class QuickSelect(TopKAlgorithm):
         # ---- terminal fast path: the whole batch is already below the
         # terminal threshold, so one fused sort finishes every row
         if n <= max(self.terminal_size, ctx.k):
-            order = np.argsort(keys2d, axis=1, kind="stable")[:, : ctx.k]
+            order = stable_topk_order(keys2d, ctx.k)
             device.launch_kernel(
                 "QuickSelectTerminalSort",
                 grid_blocks=batch,

@@ -34,6 +34,7 @@ from ..primitives import (
     head_mask,
     inclusive_scan,
     segment_offsets,
+    stable_topk_order,
 )
 
 
@@ -74,7 +75,7 @@ class SampleSelect(TopKAlgorithm):
         # ---- terminal fast path: the whole batch is already below the
         # terminal threshold, so one fused sort finishes every row
         if n <= max(self.terminal_size, ctx.k):
-            order = np.argsort(keys2d, axis=1, kind="stable")[:, : ctx.k]
+            order = stable_topk_order(keys2d, ctx.k)
             device.launch_kernel(
                 "SampleTerminalSort",
                 grid_blocks=batch,

@@ -18,6 +18,7 @@ import numpy as np
 from .base import RunContext, TopKAlgorithm
 from ..device import streaming_grid
 from ..perf import calibration as cal
+from ..primitives import stable_topk_order
 
 
 class SortTopK(TopKAlgorithm):
@@ -43,10 +44,9 @@ class SortTopK(TopKAlgorithm):
             items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
         )
 
-        # functional result: a stable argsort is exactly what an LSD radix
-        # sort of (key, index) pairs produces
-        order = np.argsort(keys, axis=1, kind="stable")
-        idx = order[:, : ctx.k].astype(np.int64)
+        # functional result: the first k of a stable argsort are exactly
+        # what an LSD radix sort of (key, index) pairs leaves at the front
+        idx = stable_topk_order(keys, ctx.k).astype(np.int64, copy=False)
         key_out = np.take_along_axis(keys, idx, axis=1)
 
         copy_grid = streaming_grid(

@@ -28,8 +28,9 @@ import numpy as np
 from ..algos.base import RunContext, TopKAlgorithm
 from ..algos.queue_common import (
     QueueStats,
-    SENTINEL,
+    best_first,
     emulate_queue_select,
+    sentinel_for,
     slice_rows,
 )
 from ..device import Device, GPUSpec, A100, ceil_div, next_pow2
@@ -104,11 +105,7 @@ class GridSelect(TopKAlgorithm):
         # final merge kernel: one block per problem reduces the per-block
         # top-k candidates to the global top-k; with a single block the
         # block result already is the answer and the kernel is skipped
-        # validity-secondary sort: per-block padding (idx -1) carries the
-        # sentinel key, which a real element's key can equal on integer data
-        order = np.lexsort((block_idx < 0, block_keys))[:, : ctx.k]
-        out_keys = np.take_along_axis(block_keys, order, axis=1)
-        out_idx = np.take_along_axis(block_idx, order, axis=1)
+        out_keys, out_idx = best_first(block_keys, block_idx, ctx.k)
         if blocks > 1:
             merge_elems = batch * blocks * ctx.k
             device.launch_kernel(
@@ -188,6 +185,10 @@ class GridSelectStream:
     the top-k of everything pushed so far.  Useful when the scored elements
     are produced incrementally (e.g. distance computations fused with
     selection in ANN search).
+
+    Any radix key dtype can be streamed (see :mod:`repro.primitives.radix`);
+    the first non-empty push fixes it, and a later push of another dtype
+    raises ``ValueError``.
     """
 
     def __init__(
@@ -206,7 +207,9 @@ class GridSelectStream:
         self.largest = largest
         self.device = device if device is not None else Device(spec)
         self._seen = 0
-        self._keys = np.full(k, SENTINEL, dtype=np.uint32)
+        #: value dtype, and the maintained keys, fixed by the first push
+        self._dtype: np.dtype | None = None
+        self._keys: np.ndarray | None = None
         self._idx = np.full(k, -1, dtype=np.int64)
         self._queue_fill = 0
         self._flushes = 0
@@ -226,9 +229,20 @@ class GridSelectStream:
             raise ValueError(f"push expects a 1-d chunk, got shape {chunk.shape}")
         if chunk.size == 0:
             return
+        if self._dtype is not None and chunk.dtype != self._dtype:
+            raise ValueError(
+                f"stream holds {self._dtype} values, cannot push {chunk.dtype}"
+            )
         keys = priority_keys(np.ascontiguousarray(chunk), largest=self.largest)
+        if self._keys is None:
+            self._dtype = chunk.dtype
+            self._keys = np.full(self.k, sentinel_for(keys.dtype), dtype=keys.dtype)
         threshold = self._keys[-1]
         mask = keys < threshold
+        # while padding remains, a real element whose key equals the
+        # sentinel is admitted too, as in emulate_queue_select
+        if self._idx[-1] < 0:
+            mask |= keys == threshold
         qualified = int(mask.sum())
         self._inserts += qualified
         total = self._queue_fill + qualified
@@ -236,13 +250,13 @@ class GridSelectStream:
         self._queue_fill = total % cal.SHARED_QUEUE_LEN
 
         if qualified:
-            cand_keys = keys[mask]
-            cand_idx = np.nonzero(mask)[0].astype(np.int64) + self._seen
-            merged_keys = np.concatenate([self._keys, cand_keys])
+            cand_idx = np.flatnonzero(mask) + self._seen
+            merged_keys = np.concatenate([self._keys, keys[mask]])
             merged_idx = np.concatenate([self._idx, cand_idx])
-            order = np.argsort(merged_keys, kind="stable")[: self.k]
-            self._keys = merged_keys[order]
-            self._idx = merged_idx[order]
+            best_keys, best_idx = best_first(
+                merged_keys[None], merged_idx[None], self.k
+            )
+            self._keys, self._idx = best_keys[0], best_idx[0]
 
         n = chunk.shape[0]
         span_args = None
@@ -267,7 +281,8 @@ class GridSelectStream:
 
     def topk(self) -> tuple[np.ndarray, np.ndarray]:
         """Current top-k ``(values, indices)`` over everything pushed so far,
-        best first.  Raises if fewer than k elements were pushed.
+        best first, in the pushed dtype.  Raises if fewer than k elements
+        were pushed.
         """
         from ..primitives import decode, invert
 
@@ -278,4 +293,4 @@ class GridSelectStream:
         keys = self._keys
         if self.largest:
             keys = invert(keys)
-        return decode(keys, np.float32), self._idx.copy()
+        return decode(keys, self._dtype), self._idx.copy()

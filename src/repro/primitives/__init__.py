@@ -25,6 +25,7 @@ from .batched import (
     segment_min_max,
     segment_offsets,
 )
+from .select import stable_topk_order
 from .histogram import batched_digit_histogram, digit_histogram
 from .scan import (
     block_scan_ops,
@@ -56,6 +57,7 @@ __all__ = [
     "partition_topc",
     "segment_min_max",
     "segment_offsets",
+    "stable_topk_order",
     "block_scan_ops",
     "find_target_bucket",
     "inclusive_scan",

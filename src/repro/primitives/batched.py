@@ -29,6 +29,8 @@ import math
 
 import numpy as np
 
+from .select import stable_topk_order
+
 
 def segment_offsets(counts: np.ndarray) -> np.ndarray:
     """CSR offsets (length ``len(counts) + 1``) of row-major segments.
@@ -160,7 +162,9 @@ def affine_partitions(
         c = int(rng.integers(n))
     j = np.arange(n, dtype=np.int64)
     part = ((a * j + c) % n) % parts
-    order = np.argsort(part, kind="stable")
+    # partition ids fit a narrow unsigned type, whose stable sort is a radix
+    # sort; the order is the same as sorting the int64 ids
+    order = np.argsort(part.astype(np.min_scalar_type(parts - 1)), kind="stable")
     sizes = np.bincount(part, minlength=parts)
     return order, sizes
 
@@ -182,9 +186,9 @@ def partition_topc(
     Because near-equal splits have at most two distinct sizes, the
     ragged per-partition selection decomposes into (at most two)
     rectangular ``(batch, count, size)`` blocks, each solved by one
-    vectorised stable argsort — no padding sentinels, so ties between
-    real elements and padding can never surface.  Ties within a partition
-    break toward the lower original position.
+    vectorised :func:`stable_topk_order` — no padding sentinels, so ties
+    between real elements and padding can never surface.  Ties within a
+    partition break toward the lower original position.
 
     Returns ``(keys, positions)`` of shape ``(batch, parts * keep)``,
     partition-major, best-first within each partition.
@@ -216,7 +220,7 @@ def partition_topc(
         count = i - run_start
         span = size * count
         block = grouped[:, start : start + span].reshape(batch, count, size)
-        sel = np.argsort(block, axis=2, kind="stable")[:, :, :keep]
+        sel = stable_topk_order(block, keep)
         out_keys.append(
             np.take_along_axis(block, sel, axis=2).reshape(batch, -1)
         )

@@ -42,27 +42,39 @@ def key_bits(dtype) -> int:
     return dt.itemsize * 8
 
 
+def _has_nan(values: np.ndarray) -> bool:
+    """Whether a float array holds a NaN (``min`` propagates NaN: one pass)."""
+    return values.size > 0 and bool(np.isnan(values.min()))
+
+
 def encode(values: np.ndarray) -> np.ndarray:
     """Map values to unsigned keys whose integer order equals value order.
 
     NaNs are canonicalised to the positive quiet-NaN pattern first, so every
     NaN encodes to the same key, which is larger than the encoding of +inf:
     NaNs sort after every number and are only selected when k forces it.
+
+    Floats are transcoded with one xor mask: the arithmetic right shift of
+    the signed view is all ones for negative values (flip every bit) and
+    zero otherwise, or-ed with the sign bit (flip only the sign bit).
     """
     dt = values.dtype
     if dt not in _UNSIGNED_VIEW:
         raise TypeError(f"unsupported radix key dtype {dt}")
     utype = _UNSIGNED_VIEW[dt]
+    nbits = key_bits(dt)
+    sign_mask = utype.type(1) << utype.type(nbits - 1)
     if dt.kind == "f":
-        values = np.where(np.isnan(values), np.asarray(np.nan, dtype=dt), values)
-        u = values.view(utype)
-        sign_mask = utype.type(1) << utype.type(key_bits(dt) - 1)
-        negative = (u & sign_mask) != 0
-        return np.where(negative, ~u, u | sign_mask)
+        if _has_nan(values):
+            values = np.where(np.isnan(values), np.asarray(np.nan, dtype=dt), values)
+        signed = np.dtype(f"i{dt.itemsize}")
+        mask = np.empty(values.shape, dtype=utype)
+        np.right_shift(values.view(signed), nbits - 1, out=mask.view(signed))
+        mask |= sign_mask
+        mask ^= values.view(utype)
+        return mask
     if dt.kind == "i":
-        u = values.view(utype)
-        sign_mask = utype.type(1) << utype.type(key_bits(dt) - 1)
-        return u ^ sign_mask
+        return values.view(utype) ^ sign_mask
     return values.astype(utype, copy=False)
 
 
@@ -101,7 +113,7 @@ def priority_keys(values: np.ndarray, *, largest: bool = False) -> np.ndarray:
     if not largest:
         return keys
     keys = invert(keys)
-    if values.dtype.kind == "f":
+    if values.dtype.kind == "f" and _has_nan(values):
         nan_key = keys.dtype.type(~keys.dtype.type(0) - keys.dtype.type(1))
         keys = np.where(np.isnan(values), nan_key, keys)
     return keys

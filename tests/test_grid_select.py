@@ -140,6 +140,62 @@ class TestGridSelectStream:
         with pytest.raises(ValueError):
             stream.push(np.zeros((2, 2), dtype=np.float32))
 
+    def test_float64_values(self):
+        stream = GridSelectStream(2)
+        stream.push(np.array([3.5, -1.25, 7.0, 2.0]))
+        values, indices = stream.topk()
+        assert values.dtype == np.float64
+        assert np.array_equal(values, [-1.25, 2.0])
+        assert np.array_equal(indices, [1, 3])
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.float16, np.float32, np.float64, np.int16, np.int32, np.int64,
+         np.uint16, np.uint32, np.uint64],
+    )
+    @pytest.mark.parametrize("largest", [False, True])
+    def test_every_dtype_matches_oracle(self, rng, dtype, largest):
+        if np.dtype(dtype).kind == "f":
+            data = rng.standard_normal(3000).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            data = rng.integers(info.min, info.max, 3000, dtype=dtype, endpoint=True)
+        stream = GridSelectStream(40, largest=largest)
+        for chunk in np.array_split(data, 7):
+            stream.push(chunk)
+        values, indices = stream.topk()
+        assert values.dtype == dtype
+        assert np.array_equal(values, oracle_topk_values(data, 40, largest=largest))
+        assert np.array_equal(data[indices], values)
+
+    @pytest.mark.parametrize(
+        "value,largest", [(0xFFFFFFFF, False), (0, True)]
+    )
+    def test_sentinel_keyed_value_admitted(self, value, largest):
+        """A real element whose key equals the sentinel fills a free slot."""
+        stream = GridSelectStream(1, largest=largest)
+        stream.push(np.array([value], dtype=np.uint32))
+        values, indices = stream.topk()
+        assert np.array_equal(values, [value])
+        assert np.array_equal(indices, [0])
+
+    def test_sentinel_keyed_values_fill_across_pushes(self):
+        stream = GridSelectStream(3)
+        top = np.uint32(0xFFFFFFFF)
+        stream.push(np.array([top, 4], dtype=np.uint32))
+        stream.push(np.array([top, top], dtype=np.uint32))
+        values, indices = stream.topk()
+        assert np.array_equal(values, [4, top, top])
+        assert np.array_equal(indices, [1, 0, 2])
+
+    def test_dtype_change_rejected(self):
+        stream = GridSelectStream(2)
+        stream.push(np.array([1.0, 2.0], dtype=np.float32))
+        stream.push(np.array([], dtype=np.float64))  # empty: ignored
+        with pytest.raises(ValueError, match="float32"):
+            stream.push(np.array([1.0, 2.0], dtype=np.float64))
+        assert stream.count_seen == 2
+
     def test_nan_never_preferred_in_stream(self, rng):
         data = rng.standard_normal(1000).astype(np.float32)
         data[::11] = np.nan

@@ -49,6 +49,29 @@ class TestThreadModeFlushes:
         )
         assert flushes == 0
 
+    @pytest.mark.parametrize("queue_len", [1, 2, 3])
+    def test_batched_slices_match_per_slice_reference(self, rng, queue_len):
+        """Many slices in one call, each with its own density and carry."""
+        slices, rounds, lanes = 12, 60, 8
+        density = rng.uniform(0.0, 1.0, size=(slices, 1, 1))
+        mask = rng.random((slices, rounds, lanes)) < density
+        carry = rng.integers(0, queue_len, size=(slices, lanes))
+        flushes, fill = _thread_mode_flushes(mask, carry, queue_len)
+        assert flushes.shape == (slices,)
+        for s in range(slices):
+            want = sequential_thread_flushes(mask[s], carry[s], queue_len)
+            assert flushes[s] == want[0]
+            assert np.array_equal(fill[s], want[1])
+
+    def test_flush_every_round(self):
+        """The longest flush chain: a queue of one and an insert per round."""
+        for rounds in range(1, 40):
+            mask = np.zeros((rounds, 3), dtype=bool)
+            mask[:, 1] = True
+            flushes, fill = _thread_mode_flushes(mask, np.zeros(3, dtype=np.int64), 1)
+            assert flushes == rounds
+            assert not fill.any()
+
     def test_dense_all_lanes(self):
         mask = np.ones((10, 4), dtype=bool)
         flushes, fill = _thread_mode_flushes(mask, np.zeros(4, dtype=np.int64), 2)
@@ -138,6 +161,58 @@ class TestEmulateQueueSelect:
         r32 = emulate_queue_select(keys, 8, lanes=32, mode="shared", queue_len=32)
         r128 = emulate_queue_select(keys, 8, lanes=128, mode="shared", queue_len=32)
         assert r128.stats.rounds < r32.stats.rounds
+
+    @pytest.mark.parametrize("lanes,queue_len", [(32, 2), (32, 3), (128, 2)])
+    def test_multi_slice_flushes_match_reference(self, rng, lanes, queue_len):
+        """Thread-mode flush counts over many irregular slices equal a
+        round-by-round replay of each slice.
+
+        Keys are either small or the sentinel, and ``valid_lengths`` marks
+        every slice as padding, so the sentinel keys never qualify.  With
+        k = slice length the maintained top-k never fills, the threshold
+        stays at the sentinel, and the insert mask is exactly "key is
+        small" — irregular, with a different density per slice.
+        """
+        num_slices, length = 9, 3000
+        density = rng.uniform(0.02, 1.0, size=(num_slices, 1))
+        density[0] = 1.0  # one dense slice
+        small = rng.random((num_slices, length)) < density
+        keys = np.where(
+            small, rng.integers(0, 1000, (num_slices, length)), SENTINEL
+        ).astype(np.uint32)
+        result = emulate_queue_select(
+            keys,
+            length,
+            lanes=lanes,
+            mode="thread",
+            queue_len=queue_len,
+            valid_lengths=np.zeros(num_slices, dtype=np.int64),
+        )
+        rounds = -(-length // lanes)
+        want = 0
+        for s in range(num_slices):
+            per_round = np.zeros(rounds * lanes, dtype=bool)
+            per_round[:length] = small[s]
+            want += sequential_thread_flushes(
+                per_round.reshape(rounds, lanes),
+                np.zeros(lanes, dtype=np.int64),
+                queue_len,
+            )[0]
+        assert result.stats.inserts == int(small.sum())
+        assert result.stats.flushes == want
+        # slices are independent: one batched call equals per-slice calls
+        single = sum(
+            emulate_queue_select(
+                keys[s : s + 1],
+                length,
+                lanes=lanes,
+                mode="thread",
+                queue_len=queue_len,
+                valid_lengths=np.zeros(1, dtype=np.int64),
+            ).stats.flushes
+            for s in range(num_slices)
+        )
+        assert single == want
 
     def test_validation(self):
         keys = np.zeros((1, 8), dtype=np.uint32)

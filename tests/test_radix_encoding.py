@@ -14,6 +14,7 @@ from repro.primitives import (
     encode,
     invert,
     key_bits,
+    priority_keys,
 )
 
 
@@ -104,6 +105,109 @@ class TestDecode:
     def test_unsupported_dtype_rejected(self):
         with pytest.raises(TypeError):
             decode(np.zeros(4, np.uint32), np.complex64)
+
+
+def reference_encode(values: np.ndarray) -> np.ndarray:
+    """The two-``np.where`` float transcoding, kept as the reference."""
+    utype = np.dtype(f"u{values.dtype.itemsize}")
+    sign_mask = utype.type(1) << utype.type(values.dtype.itemsize * 8 - 1)
+    if values.dtype.kind == "f":
+        values = np.where(
+            np.isnan(values), np.asarray(np.nan, dtype=values.dtype), values
+        )
+        u = values.view(utype)
+        negative = (u & sign_mask) != 0
+        return np.where(negative, ~u, u | sign_mask)
+    if values.dtype.kind == "i":
+        return values.view(utype) ^ sign_mask
+    return values.astype(utype, copy=False)
+
+
+def reference_priority_keys(values: np.ndarray, largest: bool) -> np.ndarray:
+    """Unconditional NaN re-pin under ``largest``, kept as the reference."""
+    keys = reference_encode(values)
+    if not largest:
+        return keys
+    keys = ~keys
+    if values.dtype.kind == "f":
+        nan_key = keys.dtype.type(~keys.dtype.type(0) - keys.dtype.type(1))
+        keys = np.where(np.isnan(values), nan_key, keys)
+    return keys
+
+
+def float_specials(dtype) -> np.ndarray:
+    """Signed zeros, infinities, extremes, subnormals and NaNs of both
+    signs, including a NaN with a payload."""
+    info = np.finfo(dtype)
+    values = np.array(
+        [0.0, -0.0, np.inf, -np.inf, info.max, -info.max, info.tiny, -info.tiny,
+         info.tiny / 4, -info.tiny / 4, info.smallest_subnormal,
+         -info.smallest_subnormal, 1.0, -1.0, np.nan],
+        dtype=dtype,
+    )
+    utype = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    sign = utype.type(1) << utype.type(np.dtype(dtype).itemsize * 8 - 1)
+    nan_bits = values[-1:].view(utype)[0]
+    nans = np.array([nan_bits | sign, nan_bits | utype.type(1)], dtype=utype)
+    return np.concatenate([values, nans.view(dtype)])
+
+
+class TestXorMaskEncoding:
+    """``encode`` and ``priority_keys`` are byte-equal to the reference."""
+
+    @staticmethod
+    def assert_same_bytes(values: np.ndarray) -> None:
+        got = encode(values)
+        want = reference_encode(values)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        for largest in (False, True):
+            got = priority_keys(values, largest=largest)
+            want = reference_priority_keys(values, largest)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_specials_with_nan(self, dtype):
+        self.assert_same_bytes(float_specials(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_specials_without_nan(self, dtype):
+        values = float_specials(dtype)
+        self.assert_same_bytes(values[~np.isnan(values)])
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_only_nans(self, dtype):
+        values = float_specials(dtype)
+        self.assert_same_bytes(values[np.isnan(values)])
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.float16, np.float32, np.float64, np.int16, np.int32, np.int64,
+         np.uint16, np.uint32, np.uint64],
+    )
+    def test_empty(self, dtype):
+        self.assert_same_bytes(np.empty(0, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_random_bit_patterns(self, dtype, rng):
+        """Every bit pattern, NaNs and subnormals included, 2-d too."""
+        utype = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        bits = rng.integers(0, np.iinfo(utype).max, size=(4, 500), dtype=utype,
+                            endpoint=True)
+        self.assert_same_bytes(bits.view(dtype))
+        self.assert_same_bytes(bits[:, ::3].view(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_zero_dimensional(self, dtype):
+        for value in (-1.5, np.nan, -0.0):
+            self.assert_same_bytes(np.array(value, dtype=dtype))
+
+    def test_input_untouched(self):
+        values = float_specials(np.float32)
+        before = values.tobytes()
+        priority_keys(values, largest=True)
+        assert values.tobytes() == before
 
 
 class TestDigitLayout:
