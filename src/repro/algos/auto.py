@@ -11,8 +11,9 @@ predicted winner, recording the choice in :attr:`last_choice`.
 
 Dispatch is a pure function of (n, k, batch, GPU spec) — a memoised table
 lookup at enqueue time, so it adds no device work to the run.  Predictions
-can be refined with measured sweep data via a
-:class:`repro.perf.calibration.CalibrationCache` (pass ``calibration=``).
+can be corrected with measured data via a
+:class:`repro.perf.adaptive.CorrectionStore` (pass ``corrections=``), the
+store ``serve-bench --adaptive --corrections`` learns and saves.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ class AutoTopK(TopKAlgorithm):
     max_k = None
     batched_execution = True
 
-    def __init__(self, *, candidates=None, calibration=None, corrections=None) -> None:
+    def __init__(self, *, candidates=None, corrections=None) -> None:
         """``candidates`` restricts the dispatch roster (default: every
-        predictable concrete algorithm); ``calibration`` is an optional
-        :class:`repro.perf.calibration.CalibrationCache` (or a path to one
-        saved as JSON) refining the analytic predictions; ``corrections``
-        is an optional :class:`repro.perf.adaptive.CorrectionStore` (or a
-        path to one) whose folded drift residuals rescale them — the
-        online half of the loop (docs/adaptive.md)."""
+        predictable concrete algorithm); ``corrections`` is an optional
+        :class:`repro.perf.adaptive.CorrectionStore` (or a path to one)
+        whose folded drift residuals rescale the analytic predictions
+        (docs/adaptive.md)."""
         from ..perf.costmodel import PREDICTABLE_ALGORITHMS
 
         if candidates is not None:
@@ -48,13 +47,6 @@ class AutoTopK(TopKAlgorithm):
             if self.name in candidates:
                 raise ValueError("auto cannot dispatch to itself")
         self.candidates = candidates or PREDICTABLE_ALGORITHMS
-        if isinstance(calibration, (str, bytes)) or hasattr(
-            calibration, "__fspath__"
-        ):
-            from ..perf.calibration import CalibrationCache
-
-            calibration = CalibrationCache.load(calibration)
-        self.calibration = calibration
         if isinstance(corrections, (str, bytes)) or hasattr(
             corrections, "__fspath__"
         ):
@@ -86,23 +78,8 @@ class AutoTopK(TopKAlgorithm):
             batch=batch,
             spec=spec,
             candidates=self.candidates,
-            calibration=self.calibration,
+            corrections=self.corrections,
         )
-        if self.corrections is not None:
-            from ..perf.adaptive import corrected_ranking
-
-            if spec is None:
-                from ..device import A100
-
-                spec = A100
-            self.last_ranking = corrected_ranking(
-                self.last_ranking,
-                self.corrections,
-                n=n,
-                k=k,
-                batch=batch,
-                spec_name=spec.name,
-            )
         return self.last_ranking[0].algo
 
     # ------------------------------------------------------------------ #

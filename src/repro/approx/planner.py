@@ -62,17 +62,13 @@ def predict_approx_time(algo: str, *, n: int, k: int, batch: int = 1, spec=None)
     return predict_topk_time(algo, n=n, k=k, batch=batch, spec=spec)
 
 
-def _approx_plan(algo: str, n: int, k: int, batch: int, spec, calibration) -> QualityPlan:
+def _approx_plan(algo: str, n: int, k: int, batch: int, spec) -> QualityPlan:
     from ..algos.registry import get_algorithm  # lazy: algos import perf
 
     instance = get_algorithm(algo)
     parts, keep = instance.plan(n, k)
     exact = instance.plan_is_exact(n, k)
     time = predict_topk_time(algo, n=n, k=k, batch=batch, spec=spec)
-    if calibration is not None and spec is not None:
-        time = calibration.refine(
-            algo, predicted=time, n=n, k=k, batch=batch, spec_name=spec.name
-        )
     return QualityPlan(
         algo=algo,
         params={},
@@ -90,7 +86,6 @@ def candidate_plans(
     batch: int = 1,
     spec=None,
     include_exact: bool = True,
-    calibration=None,
 ) -> list[QualityPlan]:
     """Every dispatchable plan for the problem, cheapest first.
 
@@ -104,10 +99,7 @@ def candidate_plans(
         spec = A100
     plans: list[QualityPlan] = []
     if include_exact:
-        ranked = rank_algorithms(
-            n=n, k=k, batch=batch, spec=spec, calibration=calibration
-        )
-        best = ranked[0]
+        best = rank_algorithms(n=n, k=k, batch=batch, spec=spec)[0]
         plans.append(
             QualityPlan(algo=best.algo, predicted_time=best.time, exact=True)
         )
@@ -116,7 +108,7 @@ def candidate_plans(
     for algo in APPROX_ALGORITHMS:
         if get_algorithm(algo).supports(n, k) is not None:
             continue
-        plans.append(_approx_plan(algo, n, k, batch, spec, calibration))
+        plans.append(_approx_plan(algo, n, k, batch, spec))
     return sorted(plans, key=lambda p: (p.predicted_time, p.algo))
 
 
@@ -128,7 +120,6 @@ def choose_plan(
     spec=None,
     min_recall: float | None = None,
     include_exact: bool = True,
-    calibration=None,
 ) -> QualityPlan:
     """Cheapest plan whose expected recall clears ``min_recall``.
 
@@ -143,12 +134,7 @@ def choose_plan(
     if min_recall is not None and not 0.0 <= min_recall <= 1.0:
         raise ValueError(f"min_recall must be in [0, 1], got {min_recall!r}")
     plans = candidate_plans(
-        n=n,
-        k=k,
-        batch=batch,
-        spec=spec,
-        include_exact=include_exact,
-        calibration=calibration,
+        n=n, k=k, batch=batch, spec=spec, include_exact=include_exact
     )
     required = 0.0
     if min_recall is not None:

@@ -228,10 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_auto)
     add_logging(p_auto)
     p_auto.add_argument(
-        "--calibration",
+        "--corrections",
         default=None,
-        help="JSON measurement cache (repro.perf.CalibrationCache) used to "
-        "refine the analytic predictions",
+        metavar="PATH",
+        help="correction store (repro.perf.corrections/v1, as written by "
+        "'serve-bench --adaptive --corrections') rescaling the analytic "
+        "predictions",
     )
 
     p_t2 = sub.add_parser("table2", help="reproduce the paper's Table 2 (reduced grid)")
@@ -419,9 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--gpu", choices=sorted(PRESETS), default="A100", help="simulated board"
     )
     p_drift.add_argument(
-        "--calibration",
+        "--corrections",
         default=None,
-        help="JSON measurement cache; adds a calibrated-residual column",
+        metavar="PATH",
+        help="correction store (repro.perf.corrections/v1); adds a "
+        "corrected-residual column",
     )
     add_logging(p_drift)
 
@@ -804,15 +808,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_auto(args) -> int:
-    from .perf.calibration import CalibrationCache
     from .perf.costmodel import rank_algorithms
 
-    calibration = None
-    if args.calibration:
-        calibration = CalibrationCache.load(args.calibration)
+    store = None
+    if args.corrections:
+        store = _load_corrections(args.corrections)
+        if store is None:
+            return 2
     spec = get_spec(args.gpu)
     ranking = rank_algorithms(
-        n=args.n, k=args.k, batch=args.batch, spec=spec, calibration=calibration
+        n=args.n, k=args.k, batch=args.batch, spec=spec, corrections=store
     )
     print(
         f"cost-model ranking for n={args.n:,} k={args.k} batch={args.batch} "
@@ -836,7 +841,7 @@ def cmd_auto(args) -> int:
         spec=spec,
         cap=args.cap,
         seed=args.seed,
-        calibration=calibration,
+        corrections=store,
     )
     print(
         f"\ndispatched to: {run.dispatch}\n"
@@ -920,6 +925,17 @@ def _load_fault_plan(path: str):
         return None
 
 
+def _load_corrections(path: str):
+    """The correction store at ``path``, or None after one ERROR line."""
+    from .perf.adaptive import CorrectionStore
+
+    try:
+        return CorrectionStore.load(path)
+    except (OSError, ValueError) as exc:
+        logger.error("cannot load correction store %s: %s", path, exc)
+        return None
+
+
 def cmd_serve_bench(args) -> int:
     from .serve import LoadSpec, ServeConfig, run_serve_bench
 
@@ -947,10 +963,10 @@ def cmd_serve_bench(args) -> int:
         if args.algo != "auto":
             logger.error("--adaptive requires --algo auto")
             return 2
-        from .perf.adaptive import CorrectionStore
-
         if args.corrections and Path(args.corrections).exists():
-            store = CorrectionStore.load(args.corrections)
+            store = _load_corrections(args.corrections)
+            if store is None:
+                return 2
             logger.info(
                 "seeded correction store from %s (%d corrections)",
                 args.corrections,
@@ -1153,17 +1169,18 @@ def cmd_serve_report(args) -> int:
 
 def cmd_drift(args) -> int:
     from .obs.drift import drift_report
-    from .perf.calibration import CalibrationCache
 
     try:
         points = read_csv(args.csv)
     except (OSError, ValueError) as exc:
         logger.error("cannot read %s: %s", args.csv, exc)
         return 1
-    calibration = (
-        CalibrationCache.load(args.calibration) if args.calibration else None
-    )
-    rows = drift_report(points, spec=get_spec(args.gpu), calibration=calibration)
+    store = None
+    if args.corrections:
+        store = _load_corrections(args.corrections)
+        if store is None:
+            return 2
+    rows = drift_report(points, spec=get_spec(args.gpu), corrections=store)
     measured = sum(1 for p in points if p.time is not None)
     logger.info(
         "%d points in %s (%d measured, %d predictable)",
@@ -1177,8 +1194,8 @@ def cmd_drift(args) -> int:
         return 0
     print(f"cost-model drift vs simulated times on {args.gpu}:")
     headers = ["algorithm", "points", "geomean", "min", "max", "rmse(log2)"]
-    if calibration is not None:
-        headers.append("calibrated")
+    if store is not None:
+        headers.append("corrected")
     table_rows = []
     for r in rows:
         row = [
@@ -1189,8 +1206,8 @@ def cmd_drift(args) -> int:
             f"{r.max_ratio:.3f}x",
             f"{r.rmse_log2:.3f}",
         ]
-        if calibration is not None:
-            row.append(f"{r.calibrated_geomean:.3f}x")
+        if store is not None:
+            row.append(f"{r.corrected_geomean:.3f}x")
         table_rows.append(row)
     print(format_table(headers, table_rows))
     print(

@@ -10,7 +10,7 @@ single :class:`~repro.serve.TopKService`, but across N replicas:
    :func:`~repro.serve.sharder.shard_bounds`.  A placement policy maps
    (:func:`~repro.cluster.placement.payload_key`, partition) to a
    preference-ordered replica set; the router dispatches to the first
-   ``dispatch_replicas`` reachable entries, paying ``failover_detect_s``
+   ``dispatch_replicas`` reachable entries, paying ``FAILOVER_DETECT_S``
    of virtual time for every crashed or partitioned replica it walks
    past.
 2. **Execute** (phase 2): every node serves its dispatched sub-trace
@@ -55,6 +55,10 @@ from .placement import PLACEMENTS, make_placement, payload_key
 #: dispatch and once on the merged reply)
 NET_HOP_S = 5e-5
 
+#: virtual seconds to detect an unreachable replica and fail over (paid
+#: per unreachable replica walked past)
+FAILOVER_DETECT_S = 1e-3
+
 #: per-candidate, per-merge-level cost of the router's k-way fold,
 #: seconds (the coordinator-side analogue of the sharder's merge charge)
 MERGE_PER_CANDIDATE_S = 2e-9
@@ -82,15 +86,10 @@ class ClusterConfig:
     #: take the first reply (read-quorum style tail-cutting; the losers'
     #: work is wasted).  1 dispatches to the preferred replica only.
     dispatch_replicas: int = 1
-    #: virtual seconds to detect an unreachable replica and fail over
-    failover_detect_s: float = 1e-3
     #: width of the node-fault epoch: transient ``node_crash`` /
     #: ``node_partition`` rules draw once per (node, epoch), modelling
     #: leave/rejoin churn rather than per-packet blips
     fault_epoch_s: float = 0.25
-    #: straggler-partition hedging (same contract as the sharder's)
-    hedge_quantile: float = 0.5
-    hedge_factor: float = 3.0
     #: cluster-level telemetry window width, virtual seconds
     window_s: float = 0.25
     #: cap on raw cluster-latency samples (histogram fallback past it)
@@ -226,9 +225,8 @@ class ClusterRouter:
             seed=cfg.seed,
         )
         self.injector = cfg.faults.injector() if cfg.faults is not None else None
-        self.hedge = HedgePolicy(
-            quantile=cfg.hedge_quantile, factor=cfg.hedge_factor
-        )
+        #: straggler-partition hedging, same default policy as the sharder's
+        self.hedge = HedgePolicy()
         #: cluster-level windowed telemetry (per-node telemetry lives on
         #: each node's own service)
         self.telemetry = ServeTelemetry(window_s=cfg.window_s, trace=False)
@@ -287,7 +285,7 @@ class ClusterRouter:
                 )
                 if self._node_down("node_crash", node_id, request.arrival_s):
                     part.failovers += 1
-                    part.extra_delay_s += cfg.failover_detect_s
+                    part.extra_delay_s += FAILOVER_DETECT_S
                     continue
                 if self._node_down("node_partition", node_id, request.arrival_s):
                     # the partitioned node does the work; the reply is lost
@@ -302,7 +300,7 @@ class ClusterRouter:
                     )
                     self.stats.wasted_dispatches += 1
                     part.failovers += 1
-                    part.extra_delay_s += cfg.failover_detect_s
+                    part.extra_delay_s += FAILOVER_DETECT_S
                     continue
                 rid = self.nodes[node_id].dispatch(
                     data,
@@ -399,7 +397,7 @@ class ClusterRouter:
             threshold = self.hedge.threshold(durations)
             for i, d in enumerate(durations):
                 if d > threshold:
-                    hedged = min(d, threshold + threshold / cfg.hedge_factor)
+                    hedged = min(d, threshold + threshold / self.hedge.factor)
                     if hedged < d:
                         self.ledger.record(arrival + threshold, "hedges", stat="hedges")
                         effective[i] = hedged

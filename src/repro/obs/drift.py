@@ -1,8 +1,8 @@
 """Cost-model drift tracking: predicted vs simulated time, per point.
 
 The ``auto`` dispatcher is only as good as the analytic predictions of
-``repro.perf.costmodel`` (optionally refined by a
-:class:`repro.perf.calibration.CalibrationCache`).  This module makes
+``repro.perf.costmodel`` (optionally corrected by a
+:class:`repro.perf.adaptive.CorrectionStore`).  This module makes
 their quality observable:
 
 * during a sweep with metrics enabled, every measured point's
@@ -11,11 +11,11 @@ their quality observable:
   :func:`record_point_drift`, called by the execution engine;
 * after the fact, ``repro-topk drift <sweep.csv>`` rebuilds per-point
   residuals from any sweep CSV and summarises them per algorithm
-  (:func:`drift_report`), with a calibrated column when a cache is given
-  so the effect of calibration on bias is visible.
+  (:func:`drift_report`), with a corrected column when a correction
+  store is given so the effect of its corrections on bias is visible.
 
 A geomean ratio of 1.0 means the model is unbiased for that algorithm; a
-widening rmse is drift the `CalibrationCache` should absorb.
+widening rmse is drift the online ``CorrectionStore`` should absorb.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _predictable_algo(point) -> str | None:
 
 @dataclass(frozen=True)
 class PointDrift:
-    """One measured point against its analytic (and calibrated) prediction."""
+    """One measured point against its analytic (and corrected) prediction."""
 
     algo: str
     distribution: str
@@ -47,8 +47,8 @@ class PointDrift:
     batch: int
     measured: float
     predicted: float
-    #: prediction refined by the calibration cache (== predicted without one)
-    calibrated: float
+    #: prediction rescaled by the correction store (== predicted without one)
+    corrected: float
 
     @property
     def ratio(self) -> float:
@@ -60,9 +60,14 @@ class PointDrift:
 
 
 def point_drift(
-    points: Iterable, *, spec=None, calibration=None
+    points: Iterable, *, spec=None, corrections=None
 ) -> list[PointDrift]:
-    """Per-point residuals for every measured, predictable point."""
+    """Per-point residuals for every measured, predictable point.
+
+    Sweep rows are float32, so ``corrections`` (a
+    :class:`repro.perf.adaptive.CorrectionStore`) applies its float32
+    regimes.
+    """
     from ..perf.costmodel import predict_topk_time
 
     if spec is None:
@@ -77,15 +82,11 @@ def point_drift(
         if algo is None:
             continue
         predicted = predict_topk_time(algo, n=p.n, k=p.k, batch=p.batch, spec=spec)
-        calibrated = predicted
-        if calibration is not None:
-            calibrated = calibration.refine(
-                algo,
-                predicted=predicted,
-                n=p.n,
-                k=p.k,
-                batch=p.batch,
-                spec_name=spec.name,
+        corrected = predicted
+        if corrections is not None:
+            corrected = corrections.apply(
+                algo, predicted, n=p.n, k=p.k, batch=p.batch,
+                spec_name=spec.name, dtype="float32",
             )
         out.append(
             PointDrift(
@@ -96,7 +97,7 @@ def point_drift(
                 batch=p.batch,
                 measured=p.time,
                 predicted=predicted,
-                calibrated=calibrated,
+                corrected=corrected,
             )
         )
     return out
@@ -114,8 +115,8 @@ class DriftSummary:
     max_ratio: float
     #: rms of log2(measured/predicted) — spread the bias cannot explain
     rmse_log2: float
-    #: geomean of measured/calibrated (how much a cache would fix)
-    calibrated_geomean: float
+    #: geomean of measured/corrected (how much the corrections fix)
+    corrected_geomean: float
 
 
 def summarise(drifts: list[PointDrift]) -> list[DriftSummary]:
@@ -126,7 +127,7 @@ def summarise(drifts: list[PointDrift]) -> list[DriftSummary]:
     rows = []
     for algo, ds in by_algo.items():
         logs = [d.log2_ratio for d in ds]
-        cal_logs = [math.log2(d.measured / d.calibrated) for d in ds]
+        corrected_logs = [math.log2(d.measured / d.corrected) for d in ds]
         mean_log = sum(logs) / len(logs)
         rows.append(
             DriftSummary(
@@ -136,17 +137,17 @@ def summarise(drifts: list[PointDrift]) -> list[DriftSummary]:
                 min_ratio=2.0 ** min(logs),
                 max_ratio=2.0 ** max(logs),
                 rmse_log2=math.sqrt(sum(l * l for l in logs) / len(logs)),
-                calibrated_geomean=2.0 ** (sum(cal_logs) / len(cal_logs)),
+                corrected_geomean=2.0 ** (sum(corrected_logs) / len(ds)),
             )
         )
     return sorted(rows, key=lambda r: -abs(math.log2(r.geomean_ratio)))
 
 
 def drift_report(
-    points: Iterable, *, spec=None, calibration=None
+    points: Iterable, *, spec=None, corrections=None
 ) -> list[DriftSummary]:
     """End-to-end: residuals of a sweep's points, summarised per algorithm."""
-    return summarise(point_drift(points, spec=spec, calibration=calibration))
+    return summarise(point_drift(points, spec=spec, corrections=corrections))
 
 
 def record_point_drift(registry, point, *, spec=None) -> None:

@@ -27,14 +27,12 @@ __all__ = [
     "AdaptiveDispatcher",
     "CorrectionStore",
     "DispatchDecision",
-    "corrected_ranking",
 ]
 
 _LAZY = {
     "AdaptiveDispatcher": "adaptive",
     "CorrectionStore": "adaptive",
     "DispatchDecision": "adaptive",
-    "corrected_ranking": "adaptive",
     "RooflinePoint": "roofline",
     "ridge_intensity": "roofline",
     "roofline_points": "roofline",

@@ -1,8 +1,7 @@
 """Online adaptation: fold live drift residuals back into the dispatcher.
 
 The static cost model (:func:`repro.perf.costmodel.rank_algorithms`)
-dispatches on analytic predictions, optionally refined by offline
-calibration.  PR 2's drift tracking records per-point
+dispatches on analytic predictions.  Drift tracking records per-point
 ``log2(measured / predicted)`` residuals — this module closes the loop
 (ROADMAP item 5) with two cooperating pieces:
 
@@ -29,7 +28,8 @@ calibration.  PR 2's drift tracking records per-point
 
 Nothing here touches the ``lru_cache`` behind
 :func:`~repro.perf.costmodel.predict_topk_time` — corrections compose
-*outside* it, the same seam calibration uses.  Persistence is JSON
+*outside* it, applied by ``rank_algorithms(corrections=...)``, the one
+seam where measured data corrects the model.  Persistence is JSON
 (schema ``repro.perf.corrections/v1``): a saved and reloaded store
 reproduces identical dispatch decisions (pinned by
 tests/test_adaptive.py).
@@ -391,44 +391,6 @@ class CorrectionStore:
         return store
 
 
-def corrected_ranking(
-    predictions,
-    store: CorrectionStore | None,
-    *,
-    n: int,
-    k: int,
-    batch: int,
-    spec_name: str = "A100",
-    dtype: str = "float32",
-):
-    """Re-rank cost-model predictions under a correction store.
-
-    ``predictions`` is the output of
-    :func:`repro.perf.costmodel.rank_algorithms`; entries whose regime
-    carries a non-zero correction come back rescaled with source
-    ``"adapted"``.  With no store (or no corrections) the input list is
-    returned unchanged — the zero-adaptation fast path.
-    """
-    if store is None:
-        return list(predictions)
-    from .costmodel import TopKPrediction
-
-    out = []
-    changed = False
-    for p in predictions:
-        corrected = store.apply(
-            p.algo, p.time, n=n, k=k, batch=batch,
-            spec_name=spec_name, dtype=dtype,
-        )
-        if corrected != p.time:
-            changed = True
-            p = TopKPrediction(algo=p.algo, time=corrected, source="adapted")
-        out.append(p)
-    if not changed:
-        return out
-    return sorted(out, key=lambda p: (p.time, p.algo))
-
-
 @dataclass(frozen=True)
 class DispatchDecision:
     """One adaptive dispatch: what ran and why."""
@@ -468,7 +430,6 @@ class AdaptiveDispatcher:
         explore_factor: float = 4.0,
         seed: int = 0,
         candidates=None,
-        calibration=None,
     ) -> None:
         if not 0.0 <= epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
@@ -482,7 +443,6 @@ class AdaptiveDispatcher:
         self.explore_factor = float(explore_factor)
         self.seed = int(seed)
         self.candidates = tuple(candidates) if candidates is not None else None
-        self.calibration = calibration
         #: (regime.parts, algo) -> (observation count, EMA of measured seconds)
         self._means: dict[tuple, tuple[int, float]] = {}
         self.decisions = 0
@@ -513,11 +473,8 @@ class AdaptiveDispatcher:
             batch=batch,
             spec=spec,
             candidates=self.candidates,
-            calibration=self.calibration,
-        )
-        ranking = corrected_ranking(
-            ranking, self.corrections, n=n, k=k, batch=batch,
-            spec_name=spec.name, dtype=dtype,
+            corrections=self.corrections,
+            dtype=dtype,
         )
         return self.decide(
             tuple((p.algo, p.time) for p in ranking),
@@ -624,11 +581,6 @@ class AdaptiveDispatcher:
             predicted = predict_topk_time(algo, n=n, k=k, batch=batch, spec=spec)
         except KeyError:
             return False
-        if self.calibration is not None:
-            predicted = self.calibration.refine(
-                algo, predicted=predicted, n=n, k=k, batch=batch,
-                spec_name=spec.name,
-            )
         corrected = self.corrections.apply(
             algo, predicted, n=n, k=k, batch=batch,
             spec_name=spec.name, dtype=dtype,

@@ -14,8 +14,6 @@ microseconds (DESIGN.md Sec. 2).
 
 from __future__ import annotations
 
-import math
-
 # --------------------------------------------------------------------------
 # FP32-equivalent operations per element, per kernel family.
 #
@@ -188,140 +186,3 @@ SHARED_QUEUE_LEN = 32
 BLOCK_SELECT_WARPS = 4
 #: items per thread assumed when sizing streaming grids
 STREAM_ITEMS_PER_THREAD = 8
-
-
-# --------------------------------------------------------------------------
-# Measured-data refinement of the analytic predictor.
-#
-# The constants above fix the *model*; a CalibrationCache holds *measured*
-# run times (from sweeps, or recorded explicitly) and corrects the model's
-# systematic per-algorithm bias.  The correction is multiplicative in log
-# space: for each algorithm the cache tracks the geometric mean of
-# measured/predicted over its observations, and scales future predictions
-# by that factor.  An exact (n, k, batch) hit returns the measurement
-# itself.  This is the "optionally refined by calibration data" path of the
-# ``auto`` dispatcher.
-# --------------------------------------------------------------------------
-
-
-class CalibrationCache:
-    """Measured (algo, n, k, batch) -> time store refining predictions."""
-
-    def __init__(self) -> None:
-        #: (algo, spec_name, n, k, batch) -> measured seconds
-        self._measurements: dict[tuple[str, str, int, int, int], float] = {}
-
-    def __len__(self) -> int:
-        return len(self._measurements)
-
-    def observe(
-        self,
-        algo: str,
-        *,
-        n: int,
-        k: int,
-        batch: int,
-        time: float,
-        spec_name: str = "A100",
-    ) -> None:
-        """Record one measured run time."""
-        if time <= 0:
-            raise ValueError(f"measured time must be positive, got {time}")
-        self._measurements[(algo, spec_name, int(n), int(k), int(batch))] = float(
-            time
-        )
-
-    def observe_sweep(self, points, *, spec_name: str = "A100") -> int:
-        """Record every timed point of a sweep; returns the count absorbed.
-
-        ``points`` is an iterable of :class:`repro.bench.BenchPoint`-likes
-        (anything with algo/n/k/batch/time attributes); untimed rows
-        (unsupported, errored) are skipped.
-        """
-        absorbed = 0
-        for p in points:
-            if getattr(p, "time", None) is None:
-                continue
-            algo = p.algo
-            # auto rows measure the dispatched concrete algorithm
-            dispatch = getattr(p, "detail", "")
-            if algo == "auto" and dispatch.startswith("dispatch="):
-                algo = dispatch.split("=", 1)[1]
-            self.observe(
-                algo, n=p.n, k=p.k, batch=p.batch, time=p.time, spec_name=spec_name
-            )
-            absorbed += 1
-        return absorbed
-
-    def lookup(
-        self, algo: str, *, n: int, k: int, batch: int, spec_name: str = "A100"
-    ) -> float | None:
-        """Exact measured time for a problem shape, or None."""
-        return self._measurements.get((algo, spec_name, int(n), int(k), int(batch)))
-
-    def bias(self, algo: str, *, spec_name: str = "A100") -> float | None:
-        """Geomean of measured/predicted for ``algo``, or None if unseen."""
-        from .costmodel import predict_topk_time  # lazy: costmodel imports us
-
-        logs = []
-        for (name, spec, n, k, batch), measured in self._measurements.items():
-            if name != algo or spec != spec_name:
-                continue
-            try:
-                predicted = predict_topk_time(algo, n=n, k=k, batch=batch)
-            except KeyError:
-                return None
-            if predicted > 0:
-                logs.append(math.log(measured / predicted))
-        if not logs:
-            return None
-        return math.exp(sum(logs) / len(logs))
-
-    def refine(
-        self,
-        algo: str,
-        *,
-        predicted: float,
-        n: int,
-        k: int,
-        batch: int,
-        spec_name: str = "A100",
-    ) -> float:
-        """Refined prediction: exact hit > bias-corrected > analytic."""
-        exact = self.lookup(algo, n=n, k=k, batch=batch, spec_name=spec_name)
-        if exact is not None:
-            return exact
-        bias = self.bias(algo, spec_name=spec_name)
-        if bias is not None:
-            return predicted * bias
-        return predicted
-
-    # ---- persistence ------------------------------------------------- #
-    def save(self, path) -> None:
-        """Write the cache as JSON (one record per measurement)."""
-        import json
-        from pathlib import Path
-
-        records = [
-            {"algo": a, "gpu": s, "n": n, "k": k, "batch": b, "time_s": t}
-            for (a, s, n, k, b), t in sorted(self._measurements.items())
-        ]
-        Path(path).write_text(json.dumps(records, indent=1) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "CalibrationCache":
-        """Read a cache written by :meth:`save`."""
-        import json
-        from pathlib import Path
-
-        cache = cls()
-        for rec in json.loads(Path(path).read_text()):
-            cache.observe(
-                rec["algo"],
-                n=rec["n"],
-                k=rec["k"],
-                batch=rec["batch"],
-                time=rec["time_s"],
-                spec_name=rec["gpu"],
-            )
-        return cache

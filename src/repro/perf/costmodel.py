@@ -200,10 +200,10 @@ class TopKPrediction:
     """Predicted run time of one algorithm on one problem shape."""
 
     algo: str
-    #: predicted wall-clock seconds (analytic, optionally calibrated)
+    #: predicted wall-clock seconds (analytic, optionally corrected)
     time: float
-    #: "model" for a pure analytic estimate, "calibrated" when refined by
-    #: measured data from a :class:`repro.perf.calibration.CalibrationCache`
+    #: "model" for a pure analytic estimate, "adapted" when rescaled by a
+    #: :class:`repro.perf.adaptive.CorrectionStore`'s folded residuals
     source: str = "model"
 
 
@@ -731,7 +731,7 @@ def _predict_cached(algo: str, spec, n: int, k: int, batch: int) -> float:
 def predict_topk_time(algo: str, *, n: int, k: int, batch: int = 1, spec=None) -> float:
     """Predicted run time (seconds) of ``algo`` on an (n, k, batch) problem.
 
-    Analytic only — see :func:`rank_algorithms` for calibrated ranking.
+    Analytic only — see :func:`rank_algorithms` for corrected ranking.
     """
     if n <= 0 or batch <= 0 or not 1 <= k <= n:
         raise ValueError(f"invalid problem: n={n}, k={k}, batch={batch}")
@@ -749,14 +749,19 @@ def rank_algorithms(
     batch: int = 1,
     spec=None,
     candidates=None,
-    calibration=None,
+    corrections=None,
+    dtype: str = "float32",
 ) -> list[TopKPrediction]:
     """Rank candidate algorithms by predicted time, fastest first.
 
     ``candidates`` defaults to every predictable algorithm that supports
-    the (n, k) problem; ``calibration`` is an optional
-    :class:`repro.perf.calibration.CalibrationCache` whose measured data
-    refines the analytic estimates.  Ties break by name for determinism.
+    the (n, k) problem.  ``corrections`` is an optional
+    :class:`repro.perf.adaptive.CorrectionStore`: entries whose
+    (algo, n, k, batch, spec, ``dtype``) regime carries a non-zero
+    correction come back rescaled with source ``"adapted"`` and are
+    ranked by their corrected time.  This is the one seam where measured
+    data corrects the analytic model.  Ties break by name for
+    determinism.
     """
     if spec is None:
         from ..device import A100
@@ -772,12 +777,13 @@ def rank_algorithms(
             continue
         time = predict_topk_time(name, n=n, k=k, batch=batch, spec=spec)
         source = "model"
-        if calibration is not None:
-            refined = calibration.refine(
-                name, predicted=time, n=n, k=k, batch=batch, spec_name=spec.name
+        if corrections is not None:
+            corrected = corrections.apply(
+                name, time, n=n, k=k, batch=batch,
+                spec_name=spec.name, dtype=dtype,
             )
-            if refined != time:
-                time, source = refined, "calibrated"
+            if corrected != time:
+                time, source = corrected, "adapted"
         predictions.append(TopKPrediction(algo=name, time=time, source=source))
     if not predictions:
         raise ValueError(f"no candidate algorithm supports n={n}, k={k}")

@@ -221,7 +221,6 @@ class ServeCache:
         spec,
         largest: bool,
         min_recall: float | None = None,
-        calibration=None,
         dtype: str = "float32",
     ) -> tuple[DispatchPlan, bool]:
         """Fetch or compute the plan for a shape; returns (plan, was_hit).
@@ -255,7 +254,7 @@ class ServeCache:
 
             chosen = choose_plan(
                 n=n, k=k, batch=bucket, spec=spec,
-                min_recall=min_recall, calibration=calibration,
+                min_recall=min_recall,
             )
             plan = DispatchPlan(
                 algo=chosen.algo,
@@ -269,15 +268,9 @@ class ServeCache:
             from ..perf.costmodel import rank_algorithms
 
             ranking = rank_algorithms(
-                n=n, k=k, batch=bucket, spec=spec, calibration=calibration
+                n=n, k=k, batch=bucket, spec=spec,
+                corrections=self.corrections, dtype=dtype,
             )
-            if self.corrections is not None:
-                from ..perf.adaptive import corrected_ranking
-
-                ranking = corrected_ranking(
-                    ranking, self.corrections, n=n, k=k, batch=bucket,
-                    spec_name=spec.name, dtype=dtype,
-                )
             plan = DispatchPlan(
                 algo=ranking[0].algo,
                 ranking=tuple((p.algo, p.time) for p in ranking),

@@ -87,9 +87,9 @@ class ServeConfig:
     shards: int = 1
     #: only shard problems at least this large
     shard_min_n: int = 1 << 16
-    #: LRU capacities (0 disables the respective cache)
+    #: result LRU capacity (0 disables the cache); the plan LRU keeps
+    #: :class:`ServeCache`'s default
     result_cache: int = 256
-    plan_cache: int = 64
     #: seed forwarded to the algorithms' internal sampling
     seed: int = 0
     #: algorithm tuning params forwarded to the registry
@@ -111,15 +111,6 @@ class ServeConfig:
     #: how many times a crashing batch execution is re-attempted before
     #: its requests are finished "failed"
     batch_retries: int = 1
-    #: per-shard retry budget inside sharded execution
-    shard_retries: int = 2
-    #: capped-exponential backoff before retries, virtual seconds
-    retry_backoff_s: float = 1e-4
-    retry_backoff_cap_s: float = 1e-2
-    #: hedge a shard slower than `hedge_factor` x the `hedge_quantile` of
-    #: its siblings (no-op unless something is actually inflated)
-    hedge_quantile: float = 0.5
-    hedge_factor: float = 3.0
     #: open the result-cache circuit breaker after this many corruption
     #: detections, bypassing the cache for `breaker_cooldown_s`
     breaker_threshold: int = 3
@@ -309,22 +300,14 @@ class TopKService:
             max_batch=self.config.max_batch,
             max_delay_s=self.config.max_delay_s,
         )
-        self.cache = ServeCache(
-            result_capacity=self.config.result_cache,
-            plan_capacity=self.config.plan_cache,
-        )
+        self.cache = ServeCache(result_capacity=self.config.result_cache)
         self.injector = (
             self.config.faults.injector() if self.config.faults is not None else None
         )
-        self.retry = RetryPolicy(
-            retries=self.config.shard_retries,
-            backoff_base_s=self.config.retry_backoff_s,
-            backoff_cap_s=self.config.retry_backoff_cap_s,
-        )
-        self.hedge = HedgePolicy(
-            quantile=self.config.hedge_quantile,
-            factor=self.config.hedge_factor,
-        )
+        #: retry backoff and straggler hedging run on the policies' own
+        #: defaults (docs/faults.md)
+        self.retry = RetryPolicy()
+        self.hedge = HedgePolicy()
         self.breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
             cooldown_s=self.config.breaker_cooldown_s,

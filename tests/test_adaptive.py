@@ -31,7 +31,6 @@ from repro.perf.adaptive import (
     AdaptiveDispatcher,
     CorrectionStore,
     Regime,
-    corrected_ranking,
     explore_draw,
 )
 from repro.perf.costmodel import rank_algorithms
@@ -140,8 +139,13 @@ class TestCorrectedRanking:
 
     def test_no_store_returns_input_order(self):
         ranking = rank_algorithms(n=self.N, k=self.K, batch=self.BATCH, spec=SPEC)
-        assert corrected_ranking(
-            ranking, None, n=self.N, k=self.K, batch=self.BATCH
+        assert rank_algorithms(
+            n=self.N, k=self.K, batch=self.BATCH, spec=SPEC, corrections=None
+        ) == list(ranking)
+        # an empty store changes nothing either
+        assert rank_algorithms(
+            n=self.N, k=self.K, batch=self.BATCH, spec=SPEC,
+            corrections=CorrectionStore(),
         ) == list(ranking)
 
     def test_large_correction_demotes_the_winner(self):
@@ -152,8 +156,8 @@ class TestCorrectedRanking:
         store.observe(
             winner, n=self.N, k=self.K, batch=self.BATCH, residual_log2=8.0
         )
-        adapted = corrected_ranking(
-            ranking, store, n=self.N, k=self.K, batch=self.BATCH
+        adapted = rank_algorithms(
+            n=self.N, k=self.K, batch=self.BATCH, spec=SPEC, corrections=store
         )
         assert adapted[0].algo != winner
         demoted = next(p for p in adapted if p.algo == winner)
@@ -161,6 +165,34 @@ class TestCorrectedRanking:
         assert demoted.time == pytest.approx(ranking[0].time * 2.0**8)
         # untouched entries keep their analytic source and times
         assert all(p.source != "adapted" for p in adapted if p.algo != winner)
+
+    def test_every_dispatch_path_sees_the_same_correction(self):
+        """auto, the serve plan cache and the adaptive dispatcher all
+        rank through ``rank_algorithms(corrections=...)``."""
+        from repro.algos.auto import AutoTopK
+
+        winner = rank_algorithms(
+            n=self.N, k=self.K, batch=self.BATCH, spec=SPEC
+        )[0].algo
+        store = CorrectionStore(min_window=1, gain=1.0)
+        store.observe(
+            winner, n=self.N, k=self.K, batch=self.BATCH, residual_log2=8.0
+        )
+        shape = dict(n=self.N, k=self.K, batch=self.BATCH, spec=SPEC)
+
+        auto = AutoTopK(corrections=store)
+        choice = auto.choose(**shape)
+        via_auto = tuple((p.algo, p.time) for p in auto.last_ranking)
+        cache = ServeCache()
+        cache.corrections = store
+        plan, _ = cache.make_plan(largest=True, **shape)
+        decision = AdaptiveDispatcher(corrections=store).choose(
+            explore=False, **shape
+        )
+
+        assert choice != winner
+        assert via_auto == plan.ranking == decision.ranking
+        assert choice == plan.algo == decision.algo
 
 
 class TestPlanCacheEpochs:

@@ -308,16 +308,21 @@ def assert_one_error_line(err: str, *needles: str) -> None:
         assert needle in lines[0], (needle, err)
 
 
+@pytest.fixture
+def sweep_csv(tmp_path):
+    csv = tmp_path / "s.csv"
+    assert (
+        main(["sweep", "--vary", "k", "--n", "2^13", "--points", "8,64",
+              "--cap", "2^14", "--csv", str(csv), "-q"])
+        == 0
+    )
+    return csv
+
+
 class TestDriftCommand:
-    def test_drift_reports_per_algorithm(self, tmp_path, capsys):
-        csv = tmp_path / "s.csv"
-        assert (
-            main(["sweep", "--vary", "k", "--n", "2^13", "--points", "8,64",
-                  "--cap", "2^14", "--csv", str(csv), "-q"])
-            == 0
-        )
+    def test_drift_reports_per_algorithm(self, sweep_csv, capsys):
         capsys.readouterr()
-        assert main(["drift", str(csv)]) == 0
+        assert main(["drift", str(sweep_csv)]) == 0
         out = capsys.readouterr().out
         assert "geomean" in out and "rmse" in out
         assert "air_topk" in out
@@ -326,6 +331,79 @@ class TestDriftCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["drift", str(bad)]) == 1
+
+
+def _demoting_store(path, *, n: int, k: int, batch: int = 1) -> str:
+    """Save a correction store that folds "the cost model's winner for
+    (n, k, batch) is 2^8 slower" on A100; returns the winner."""
+    from repro.device import get_spec
+    from repro.perf.adaptive import CorrectionStore
+    from repro.perf.costmodel import rank_algorithms
+
+    spec = get_spec("A100")
+    winner = rank_algorithms(n=n, k=k, batch=batch, spec=spec)[0].algo
+    store = CorrectionStore(min_window=1, gain=1.0)
+    store.observe(winner, n=n, k=k, batch=batch, residual_log2=8.0)
+    store.save(path)
+    return winner
+
+
+class TestCorrectionsFlag:
+    def test_auto_corrections_dispatch_elsewhere(self, tmp_path, capsys):
+        store = tmp_path / "corrections.json"
+        winner = _demoting_store(store, n=1 << 16, k=64)
+        assert main(["auto", "--n", "2^16", "--k", "64", "-q"]) == 0
+        assert f"dispatched to: {winner}" in capsys.readouterr().out
+        assert main(["auto", "--n", "2^16", "--k", "64",
+                     "--corrections", str(store), "-q"]) == 0
+        out = capsys.readouterr().out
+        assert "adapted" in out
+        dispatched = out.split("dispatched to: ", 1)[1].split()[0]
+        assert dispatched != winner
+
+    def test_drift_corrections_add_corrected_column(
+        self, tmp_path, sweep_csv, capsys
+    ):
+        store = tmp_path / "corrections.json"
+        _demoting_store(store, n=1 << 13, k=8)
+        capsys.readouterr()
+        assert main(["drift", str(sweep_csv), "-q"]) == 0
+        assert "corrected" not in capsys.readouterr().out
+        assert main(["drift", str(sweep_csv),
+                     "--corrections", str(store), "-q"]) == 0
+        header = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if "geomean" in line
+        )
+        assert header.split()[-1] == "corrected"
+
+    @pytest.mark.parametrize("command", ["auto", "drift", "serve-bench"])
+    @pytest.mark.parametrize("content", [
+        '{"schema": "repro.perf.corrections/v1"}',
+        "not json",
+        None,
+    ], ids=["schema", "json", "missing"])
+    def test_bad_store_exits_2_with_one_error_line(
+        self, tmp_path, sweep_csv, capsys, command, content
+    ):
+        store = tmp_path / "bad.json"
+        if content is not None:
+            store.write_text(content)
+        argv = {
+            "auto": ["auto", "--n", "2^12", "--k", "8"],
+            "drift": ["drift", str(sweep_csv)],
+            "serve-bench": ["serve-bench", "--duration", "0.1", "--adaptive"],
+        }[command]
+        capsys.readouterr()
+        code = main(argv + ["--corrections", str(store), "-q"])
+        if command == "serve-bench" and content is None:
+            # serve-bench learns into a fresh store and saves it
+            assert code == 0 and store.exists()
+            return
+        assert code == 2
+        assert_one_error_line(
+            capsys.readouterr().err, "cannot load correction store", str(store)
+        )
 
 
 class TestInspectCommand:
