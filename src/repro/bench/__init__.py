@@ -15,10 +15,8 @@ from .clusterbench import (
     DEFAULT_CHAOS_PLAN,
     DEFAULT_NODE_COUNTS,
     crashed_nodes,
-    gate_cluster,
     measure_chaos,
     measure_point,
-    render_cluster_report,
 )
 from .recallbench import (
     APPROX_VARIANTS,
@@ -26,10 +24,8 @@ from .recallbench import (
     TINY_REGIMES,
     RecallCell,
     empirical_recall,
-    gate_recall,
-    render_recall_report,
 )
-from .snapshot import SNAPSHOT_SCHEMAS, load_snapshot, write_snapshot
+from .gates import Gate, GateCheck, load_snapshot, write_snapshot
 from .suite import PaperSuiteResult, run_paper_suite
 from .summary import SpeedupRange, Table2Row, speedup_range, table2
 from .ascii_plot import ascii_plot, plot_sweep
@@ -62,18 +58,15 @@ __all__ = [
     "DEFAULT_CHAOS_PLAN",
     "DEFAULT_NODE_COUNTS",
     "crashed_nodes",
-    "gate_cluster",
     "measure_chaos",
     "measure_point",
-    "render_cluster_report",
     "APPROX_VARIANTS",
     "DEFAULT_REGIMES",
     "TINY_REGIMES",
     "RecallCell",
     "empirical_recall",
-    "gate_recall",
-    "render_recall_report",
-    "SNAPSHOT_SCHEMAS",
+    "Gate",
+    "GateCheck",
     "load_snapshot",
     "write_snapshot",
     "PaperSuiteResult",

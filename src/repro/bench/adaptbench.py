@@ -5,7 +5,7 @@ fastest algorithm per regime* from live measurements, where static
 dispatch trusts the analytic cost model's belief about the device.  This
 bench makes that claim falsifiable with a worst case for the static
 path: the cost model keeps believing ``gpu`` while, halfway through the
-decision stream, the device silently becomes ``gpu_shift`` (a
+decision stream, the device silently becomes :data:`GPU_SHIFT` (a
 device-spec drift — new hardware behind the same endpoint, thermal
 derating, a driver regression).
 
@@ -29,23 +29,36 @@ safety properties to hold exactly:
 * **no-telemetry no-op** — a dispatcher that never receives feedback
   (telemetry off) makes exactly the static choices and folds nothing.
 
-Snapshots are schema-validated JSON (``repro.bench.adapt/v1``) with no
-wall-clock content, so a seeded rerun is byte-identical — CI runs the
-tiny grid twice and ``cmp``s the files (see docs/adaptive.md).
+The gates are declared in :data:`GATES` and evaluated by
+:mod:`repro.bench.gates`; the snapshot has no wall-clock content, so a
+seeded rerun is byte-identical — CI runs the tiny grid twice and
+``cmp``s the files (see docs/adaptive.md).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
-from ..obs.manifest import git_revision
-from ..obs.schema import validate
+from .gates import Gate, make_snapshot
 from .report import format_table, format_time
 
-SCHEMA_ID = "repro.bench.adapt/v1"
+logger = logging.getLogger(__name__)
 
 #: post-shift cumulative-regret ratio (static / adaptive) the gate requires
 ACCEPT_RATIO = 1.3
+
+#: the board the device silently becomes halfway through the stream
+GPU_SHIFT = "V100"
+
+#: decision-stream length of the full and the tiny grid; the shift
+#: lands halfway
+DECISIONS = 240
+TINY_DECISIONS = 80
+
+#: the adaptive dispatcher's exploration probability and fold window
+EPSILON = 0.1
+MIN_WINDOW = 4
 
 #: dispatch roster raced in every regime — the exact tier's contenders
 #: across the paper's regime map (hierarchical, AIR, radix, partition)
@@ -92,26 +105,26 @@ _SHIFT_PHASES = ("pre", "post")
 
 _TIMES = {"type": "object"}
 
-SNAPSHOT_SCHEMA = {
+_REGRET = {
+    "type": "object",
+    "required": ["static_regret_s", "adaptive_regret_s"],
+    "properties": {
+        "static_regret_s": {"type": "number"},
+        "adaptive_regret_s": {"type": "number"},
+    },
+}
+
+BODY_SCHEMA = {
     "type": "object",
     "required": [
-        "schema", "rev", "gpu", "gpu_shift", "seed", "candidates",
-        "decisions", "shift_at", "epsilon", "min_window", "regimes",
-        "static_regret_s", "adaptive_regret_s", "pre_shift", "post_shift",
-        "folds", "explored", "corrections", "byte_identical",
-        "no_telemetry_noop",
+        "gpu_shift", "decisions", "shift_at", "regimes", "static_regret_s",
+        "adaptive_regret_s", "pre_shift", "post_shift", "folds", "explored",
+        "corrections", "byte_identical", "no_telemetry_noop",
     ],
     "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "rev": {"type": "string"},
-        "gpu": {"type": "string"},
         "gpu_shift": {"type": "string"},
-        "seed": {"type": "integer"},
-        "candidates": {"type": "array", "items": {"type": "string"}},
         "decisions": {"type": "integer"},
         "shift_at": {"type": "integer"},
-        "epsilon": {"type": "number"},
-        "min_window": {"type": "integer"},
         "regimes": {
             "type": "array",
             "items": {
@@ -135,24 +148,8 @@ SNAPSHOT_SCHEMA = {
         },
         "static_regret_s": {"type": "number"},
         "adaptive_regret_s": {"type": "number"},
-        "pre_shift": {
-            "type": "object",
-            "required": ["static_regret_s", "adaptive_regret_s"],
-            "properties": {
-                "static_regret_s": {"type": "number"},
-                "adaptive_regret_s": {"type": "number"},
-            },
-        },
-        "post_shift": {
-            "type": "object",
-            "required": ["static_regret_s", "adaptive_regret_s", "ratio"],
-            "properties": {
-                "static_regret_s": {"type": "number"},
-                "adaptive_regret_s": {"type": "number"},
-                #: null when adaptive post-shift regret is exactly zero
-                "ratio": {"type": ["number", "null"]},
-            },
-        },
+        "pre_shift": _REGRET,
+        "post_shift": _REGRET,
         "folds": {"type": "integer"},
         "explored": {"type": "integer"},
         "corrections": {"type": "integer"},
@@ -169,9 +166,7 @@ def measure_regime(
     cell: AdaptCell,
     *,
     gpu: str,
-    gpu_shift: str,
     seed: int,
-    candidates: tuple[str, ...] = CANDIDATES,
 ) -> dict:
     """One regime's measured-time tables on both devices.
 
@@ -187,18 +182,18 @@ def measure_regime(
 
     data = generate("uniform", cell.n, batch=cell.batch, seed=seed)
     times = {}
-    for phase, name in zip(_SHIFT_PHASES, (gpu, gpu_shift)):
+    for phase, name in zip(_SHIFT_PHASES, (gpu, GPU_SHIFT)):
         spec = get_spec(name)
         times[phase] = {
             algo: topk(data, cell.k, algo=algo, device=spec, seed=seed).time
-            for algo in candidates
+            for algo in CANDIDATES
         }
     static_algo = rank_algorithms(
         n=cell.n,
         k=cell.k,
         batch=cell.batch,
         spec=get_spec(gpu),
-        candidates=candidates,
+        candidates=CANDIDATES,
     )[0].algo
     oracle_pre = min(times["pre"], key=times["pre"].get)
     oracle_post = min(times["post"], key=times["post"].get)
@@ -219,29 +214,26 @@ def _replay(
     seed: int,
     decisions: int,
     shift_at: int,
-    epsilon: float,
-    min_window: int,
-    candidates: tuple[str, ...],
 ) -> dict:
     """Run the static and adaptive decision streams against the tables."""
     from ..device import get_spec
     from ..perf.adaptive import AdaptiveDispatcher, CorrectionStore
 
     belief = get_spec(gpu)
-    store = CorrectionStore(min_window=min_window)
+    store = CorrectionStore(min_window=MIN_WINDOW)
     dispatcher = AdaptiveDispatcher(
         corrections=store,
-        epsilon=epsilon,
+        epsilon=EPSILON,
         seed=seed,
-        candidates=candidates,
+        candidates=CANDIDATES,
     )
     # the no-op control: same construction, never fed — must reproduce
     # the static stream exactly (what "telemetry off" degrades to)
     control = AdaptiveDispatcher(
-        corrections=CorrectionStore(min_window=min_window),
-        epsilon=epsilon,
+        corrections=CorrectionStore(min_window=MIN_WINDOW),
+        epsilon=EPSILON,
         seed=seed,
-        candidates=candidates,
+        candidates=CANDIDATES,
     )
     regret = {
         "static": {"pre": 0.0, "post": 0.0},
@@ -298,7 +290,6 @@ def _byte_identity(
     chosen: list[set],
     *,
     gpu: str,
-    gpu_shift: str,
     seed: int,
 ) -> bool:
     """Re-run every (regime, chosen algorithm) pair on both devices and
@@ -310,7 +301,7 @@ def _byte_identity(
     for entry, algos in zip(regimes, chosen):
         cell = entry["cell"]
         for algo in sorted(algos):
-            for name in (gpu, gpu_shift):
+            for name in (gpu, GPU_SHIFT):
                 spec = get_spec(name)
                 first = topk(entry["data"], cell.k, algo=algo, device=spec, seed=seed)
                 again = topk(entry["data"], cell.k, algo=algo, device=spec, seed=seed)
@@ -323,63 +314,45 @@ def _byte_identity(
 
 
 def collect_snapshot(
-    regimes: tuple[AdaptCell, ...] = DEFAULT_REGIMES,
     *,
+    tiny: bool = False,
     gpu: str = "A100",
-    gpu_shift: str = "V100",
     seed: int = 0,
-    decisions: int = 240,
-    shift_at: int | None = None,
-    epsilon: float = 0.1,
-    min_window: int = 4,
-    candidates: tuple[str, ...] = CANDIDATES,
     rev: str | None = None,
-    progress=None,
 ) -> dict:
-    """Measure, replay, and assemble one ``repro.bench.adapt/v1`` payload."""
-    if gpu_shift == gpu:
-        raise ValueError("gpu_shift must differ from gpu — no shift, no bench")
-    if shift_at is None:
-        shift_at = decisions // 2
-    if not 0 < shift_at < decisions:
-        raise ValueError(f"shift_at must be inside (0, {decisions}), got {shift_at}")
+    """Measure, replay, and assemble one gated snapshot."""
+    if gpu == GPU_SHIFT:
+        raise ValueError(f"gpu must differ from {GPU_SHIFT} — no shift, no bench")
+    regimes = TINY_REGIMES if tiny else DEFAULT_REGIMES
+    decisions = TINY_DECISIONS if tiny else DECISIONS
+    shift_at = decisions // 2
+    logger.info(
+        "adapt-bench: %d regimes x %d candidates, %d decisions, "
+        "%s -> %s shift at %d",
+        len(regimes), len(CANDIDATES), decisions, gpu, GPU_SHIFT, shift_at,
+    )
     measured = []
     for cell in regimes:
-        entry = measure_regime(
-            cell, gpu=gpu, gpu_shift=gpu_shift, seed=seed, candidates=candidates
-        )
+        entry = measure_regime(cell, gpu=gpu, seed=seed)
         measured.append(entry)
-        if progress is not None:
-            progress(cell, entry)
+        logger.info(
+            "n=%d k=%d batch=%d: static %s, oracle %s -> %s%s",
+            cell.n, cell.k, cell.batch, entry["static_algo"],
+            entry["oracle_pre"], entry["oracle_post"],
+            " (flip)" if entry["oracle_pre"] != entry["oracle_post"] else "",
+        )
     replay = _replay(
-        measured,
-        gpu=gpu,
-        seed=seed,
-        decisions=decisions,
-        shift_at=shift_at,
-        epsilon=epsilon,
-        min_window=min_window,
-        candidates=candidates,
+        measured, gpu=gpu, seed=seed, decisions=decisions, shift_at=shift_at
     )
     byte_identical = _byte_identity(
-        measured, replay["chosen"], gpu=gpu, gpu_shift=gpu_shift, seed=seed
+        measured, replay["chosen"], gpu=gpu, seed=seed
     )
     regret = replay["regret"]
-    static_post = regret["static"]["post"]
-    adaptive_post = regret["adaptive"]["post"]
-    ratio = static_post / adaptive_post if adaptive_post > 0 else None
     store = replay["store"]
-    snapshot = {
-        "schema": SCHEMA_ID,
-        "rev": rev if rev is not None else git_revision(short=True) or "local",
-        "gpu": gpu,
-        "gpu_shift": gpu_shift,
-        "seed": int(seed),
-        "candidates": list(candidates),
-        "decisions": int(decisions),
-        "shift_at": int(shift_at),
-        "epsilon": float(epsilon),
-        "min_window": int(min_window),
+    body = {
+        "gpu_shift": GPU_SHIFT,
+        "decisions": decisions,
+        "shift_at": shift_at,
         "regimes": [
             {
                 "n": e["cell"].n,
@@ -394,16 +367,17 @@ def collect_snapshot(
             }
             for e in measured
         ],
-        "static_regret_s": regret["static"]["pre"] + static_post,
-        "adaptive_regret_s": regret["adaptive"]["pre"] + adaptive_post,
+        "static_regret_s": regret["static"]["pre"] + regret["static"]["post"],
+        "adaptive_regret_s": (
+            regret["adaptive"]["pre"] + regret["adaptive"]["post"]
+        ),
         "pre_shift": {
             "static_regret_s": regret["static"]["pre"],
             "adaptive_regret_s": regret["adaptive"]["pre"],
         },
         "post_shift": {
-            "static_regret_s": static_post,
-            "adaptive_regret_s": adaptive_post,
-            "ratio": ratio,
+            "static_regret_s": regret["static"]["post"],
+            "adaptive_regret_s": regret["adaptive"]["post"],
         },
         "folds": store.folds,
         "explored": replay["dispatcher"].explored,
@@ -411,54 +385,45 @@ def collect_snapshot(
         "byte_identical": byte_identical,
         "no_telemetry_noop": replay["noop"],
     }
-    validate(snapshot, SNAPSHOT_SCHEMA)
-    return snapshot
+    return make_snapshot("adapt", body, gpu=gpu, seed=seed, rev=rev)
 
 
-# --------------------------------------------------------------------------- #
-# gating and rendering
-# --------------------------------------------------------------------------- #
-def gate_adapt(snapshot: dict, *, min_ratio: float = ACCEPT_RATIO) -> list[str]:
-    """Every gate violation in ``snapshot`` (empty list = gate passes)."""
-    failures: list[str] = []
-    post = snapshot["post_shift"]
+def _regret_ratio(body: dict) -> float:
+    """Post-shift cumulative regret, static over adaptive.
+
+    Zero static regret reads 0 — the pinned regimes no longer exercise
+    the shift, so the gate must fail — and zero adaptive regret against
+    a positive static regret reads infinite.
+    """
+    post = body["post_shift"]
     if post["static_regret_s"] <= 0:
-        failures.append(
-            "static dispatch accumulated zero post-shift regret — the "
-            "pinned regimes no longer exercise the shift; re-pin them"
-        )
-    elif post["ratio"] is not None and post["ratio"] < min_ratio:
-        failures.append(
-            f"post-shift regret ratio {post['ratio']:.2f}x below the "
-            f">= {min_ratio:g}x acceptance bar (static "
-            f"{post['static_regret_s']:.3e}s vs adaptive "
-            f"{post['adaptive_regret_s']:.3e}s)"
-        )
-    if not snapshot["folds"]:
-        failures.append("no correction ever folded — the learner never engaged")
-    if not snapshot["byte_identical"]:
-        failures.append(
-            "byte-identity violated: a chosen (regime, algorithm) pair did "
-            "not reproduce its results exactly on re-run"
-        )
-    if not snapshot["no_telemetry_noop"]:
-        failures.append(
-            "no-telemetry control deviated from static dispatch — "
-            "adaptation is not a strict no-op without feedback"
-        )
-    return failures
+        return 0.0
+    if post["adaptive_regret_s"] <= 0:
+        return float("inf")
+    return post["static_regret_s"] / post["adaptive_regret_s"]
 
 
-def render_adapt_report(snapshot: dict) -> str:
+#: the adapt bench's gates: the regret headline, a learner that really
+#: engaged, and the two exact safety properties
+GATES = (
+    Gate("post-shift regret ratio (static / adaptive)", ACCEPT_RATIO, "max",
+         _regret_ratio),
+    Gate("correction folds", 1, "max", lambda body: body["folds"]),
+    Gate("byte identity", 1, "max", lambda body: body["byte_identical"]),
+    Gate("no-telemetry no-op", 1, "max",
+         lambda body: body["no_telemetry_noop"]),
+)
+
+
+def render_table(body: dict) -> str:
     """The regret tables ``repro-topk adapt-bench`` prints."""
     out = [
-        f"adapt-bench on {snapshot['gpu']} -> {snapshot['gpu_shift']} "
-        f"(rev {snapshot['rev']}, seed {snapshot['seed']}): "
-        f"{snapshot['decisions']} decisions, shift at {snapshot['shift_at']}"
+        f"shift to {body['gpu_shift']} after {body['shift_at']} of "
+        f"{body['decisions']} decisions"
     ]
     rows = []
-    for r in snapshot["regimes"]:
-        pre, post = r["times_pre_s"], r["times_post_s"]
+    for r in body["regimes"]:
+        post = r["times_post_s"]
         static_post = post[r["static_algo"]] / post[r["oracle_post"]]
         rows.append(
             (
@@ -478,22 +443,17 @@ def render_adapt_report(snapshot: dict) -> str:
             rows,
         )
     )
-    pre, post = snapshot["pre_shift"], snapshot["post_shift"]
+    pre, post = body["pre_shift"], body["post_shift"]
     out.append(
         f"cumulative regret pre-shift:  static {format_time(pre['static_regret_s'])}"
         f"  adaptive {format_time(pre['adaptive_regret_s'])}"
     )
-    ratio = post["ratio"]
     out.append(
         f"cumulative regret post-shift: static {format_time(post['static_regret_s'])}"
         f"  adaptive {format_time(post['adaptive_regret_s'])}"
-        f"  ratio {'inf' if ratio is None else f'{ratio:.2f}x'}"
-        f" (gate >= {ACCEPT_RATIO:g}x)"
     )
     out.append(
-        f"learner: folds={snapshot['folds']} corrections={snapshot['corrections']} "
-        f"explored={snapshot['explored']}  "
-        f"byte_identical={'yes' if snapshot['byte_identical'] else 'NO'}  "
-        f"no_telemetry_noop={'yes' if snapshot['no_telemetry_noop'] else 'NO'}"
+        f"learner: folds={body['folds']} corrections={body['corrections']} "
+        f"explored={body['explored']}"
     )
     return "\n".join(out)

@@ -1,13 +1,14 @@
 """Cluster bench: node-count scaling sweep plus the chaos acceptance cell.
 
-Two measurements into one ``repro.bench.cluster/v1`` snapshot:
+Two measurements into one gated snapshot body:
 
 * **Sweep** — the same 200 QPS request trace served by clusters of
   1, 2, 4... nodes.  The headline is ``capacity_rps`` — executed
   requests per second of *bottleneck-node* busy time, the cluster's
   throughput ceiling — and ``speedup`` against the single-node cell.
   The acceptance gate requires near-linear scaling:
-  >= :data:`ACCEPT_SPEEDUP` x at :data:`ACCEPT_NODES` nodes.
+  >= :data:`ACCEPT_SPEEDUP` x at :data:`ACCEPT_NODES` nodes, judged on
+  the full acceptance load only (the ``tiny`` smoke load is launch-bound).
 * **Chaos** — the pinned cluster fault plan
   (``benchmarks/fault_plans/cluster.json``: one sticky ``node_crash``
   replica plus transient ``node_partition`` churn and node-level
@@ -18,24 +19,25 @@ Two measurements into one ``repro.bench.cluster/v1`` snapshot:
 
 Both cells run entirely in virtual time on the simulated device, so a
 snapshot is a pure function of (seed, config) — re-runs are
-byte-identical and the gates are deterministic, not flaky.  CI runs this
+byte-identical and the gates (:data:`GATES`, evaluated by
+:mod:`repro.bench.gates`) are deterministic, not flaky.  CI runs this
 via ``repro-topk cluster-bench`` — see docs/cluster.md.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import TYPE_CHECKING
 
 from ..faults import FaultPlan, FaultRule, fault_draw
-from ..obs.manifest import git_revision
-from ..obs.schema import validate
+from .gates import Gate, make_snapshot
 from .report import format_table, format_time
 
 if TYPE_CHECKING:  # real imports are lazy: cluster -> serve -> bench cycle
     from ..cluster import ClusterRouter
     from ..serve import LoadSpec, ServeConfig
 
-SCHEMA_ID = "repro.bench.cluster/v1"
+logger = logging.getLogger(__name__)
 
 #: acceptance gate: the sweep's ACCEPT_NODES-node cell must reach this
 #: capacity multiple of the single-node cell
@@ -44,8 +46,13 @@ ACCEPT_SPEEDUP = 3.0
 #: chaos gate: answered fraction under the pinned fault plan
 ACCEPT_AVAILABILITY = 0.99
 
-#: node counts the default sweep visits
+#: node counts the sweep visits
 DEFAULT_NODE_COUNTS = (1, 2, 4)
+
+#: replicas per data partition and the replica placement policy of
+#: every cluster the bench builds
+REPLICATION = 2
+PLACEMENT = "least-loaded"
 
 #: the pinned chaos scenario, mirrored on disk at
 #: benchmarks/fault_plans/cluster.json (tests assert they stay in sync).
@@ -111,16 +118,11 @@ def node_template(*, gpu: str | None = None, seed: int = 0) -> ServeConfig:
     )
 
 
-SNAPSHOT_SCHEMA = {
+BODY_SCHEMA = {
     "type": "object",
-    "required": [
-        "schema", "rev", "gpu", "seed", "spec", "cluster", "sweep", "chaos",
-    ],
+    "required": ["tiny", "spec", "sweep", "chaos"],
     "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "rev": {"type": "string"},
-        "gpu": {"type": "string"},
-        "seed": {"type": "integer"},
+        "tiny": {"type": "boolean"},
         "spec": {
             "type": "object",
             "required": ["qps", "duration_s", "n", "k", "payload_pool"],
@@ -130,15 +132,6 @@ SNAPSHOT_SCHEMA = {
                 "n": {"type": "integer"},
                 "k": {"type": "integer"},
                 "payload_pool": {"type": "integer"},
-            },
-        },
-        "cluster": {
-            "type": "object",
-            "required": ["replication", "placement", "partitions"],
-            "properties": {
-                "replication": {"type": "integer"},
-                "placement": {"type": "string"},
-                "partitions": {"type": ["integer", "null"]},
             },
         },
         "sweep": {
@@ -174,7 +167,7 @@ SNAPSHOT_SCHEMA = {
             },
         },
         "chaos": {
-            "type": ["object", "null"],
+            "type": "object",
             "required": [
                 "nodes", "replication", "plan_seed", "crashed_nodes",
                 "requests", "availability", "served", "degraded", "failed",
@@ -227,13 +220,8 @@ def measure_point(
     nodes: int,
     requests: list,
     *,
-    replication: int = 2,
-    placement: str = "least-loaded",
-    partitions: int | None = None,
     template: ServeConfig | None = None,
-    faults: FaultPlan | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> tuple[dict, ClusterRouter]:
     """Serve one trace on an N-node cluster; returns (cell, router)."""
     from ..cluster import ClusterConfig, ClusterRouter
@@ -241,13 +229,10 @@ def measure_point(
     router = ClusterRouter(
         ClusterConfig(
             nodes=nodes,
-            replication=min(replication, nodes),
-            placement=placement,
-            partitions=partitions,
+            replication=min(REPLICATION, nodes),
+            placement=PLACEMENT,
             node_config=template or node_template(seed=seed),
-            faults=faults,
             seed=seed,
-            workers=workers,
         )
     )
     stats = router.run(requests)
@@ -278,11 +263,8 @@ def measure_chaos(
     *,
     plan: FaultPlan,
     nodes: int = 4,
-    replication: int = 2,
-    placement: str = "least-loaded",
     gpu: str | None = None,
     seed: int = 0,
-    workers: int = 1,
     tiny: bool = False,
 ) -> dict:
     """The availability cell: the pinned plan against an R-replicated
@@ -294,19 +276,18 @@ def measure_chaos(
     router = ClusterRouter(
         ClusterConfig(
             nodes=nodes,
-            replication=replication,
-            placement=placement,
+            replication=REPLICATION,
+            placement=PLACEMENT,
             partition_min_n=1 << 14,
             node_config=node_template(gpu=gpu, seed=seed),
             faults=plan,
             seed=seed,
-            workers=workers,
         )
     )
     stats = router.run(requests)
     return {
         "nodes": nodes,
-        "replication": replication,
+        "replication": REPLICATION,
         "plan_seed": plan.seed,
         "crashed_nodes": crashed_nodes(plan, nodes),
         "requests": stats.total,
@@ -326,51 +307,40 @@ def measure_chaos(
 
 def collect_snapshot(
     *,
-    node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS,
-    replication: int = 2,
-    placement: str = "least-loaded",
-    partitions: int | None = None,
+    tiny: bool = False,
     gpu: str = "A100",
     seed: int = 0,
-    workers: int = 1,
-    chaos_plan: FaultPlan | None = DEFAULT_CHAOS_PLAN,
-    tiny: bool = False,
+    chaos_plan: FaultPlan = DEFAULT_CHAOS_PLAN,
     rev: str | None = None,
-    progress=None,
 ) -> dict:
-    """Measure the sweep (and optionally the chaos cell) into a
-    validated ``repro.bench.cluster/v1`` payload."""
+    """Measure the scaling sweep and the chaos cell into a gated snapshot."""
     from ..serve import build_requests
 
+    logger.info(
+        "cluster-bench: nodes %s, R=%d, placement %s + chaos cell",
+        ",".join(str(n) for n in DEFAULT_NODE_COUNTS),
+        REPLICATION,
+        PLACEMENT,
+    )
     spec = sweep_spec(seed=seed, tiny=tiny)
     requests = build_requests(spec)
     template = node_template(gpu=gpu, seed=seed)
     sweep = []
-    base_capacity = None
-    for nodes in node_counts:
+    for nodes in DEFAULT_NODE_COUNTS:
         cell, _router = measure_point(
-            nodes,
-            requests,
-            replication=replication,
-            placement=placement,
-            partitions=partitions,
-            template=template,
-            seed=seed,
-            workers=workers,
+            nodes, requests, template=template, seed=seed
         )
-        if base_capacity is None:
-            base_capacity = cell["capacity_rps"]
+        base_capacity = sweep[0]["capacity_rps"] if sweep else cell["capacity_rps"]
         cell["speedup"] = (
             cell["capacity_rps"] / base_capacity if base_capacity else 0.0
         )
         sweep.append(cell)
-        if progress is not None:
-            progress(cell)
-    snapshot = {
-        "schema": SCHEMA_ID,
-        "rev": rev if rev is not None else git_revision(short=True) or "local",
-        "gpu": gpu,
-        "seed": int(seed),
+        logger.info(
+            "%d node(s): capacity %.0f rps (%.2fx), availability %.4f",
+            nodes, cell["capacity_rps"], cell["speedup"], cell["availability"],
+        )
+    body = {
+        "tiny": tiny,
         "spec": {
             "qps": spec.qps,
             "duration_s": spec.duration_s,
@@ -378,91 +348,43 @@ def collect_snapshot(
             "k": spec.k,
             "payload_pool": spec.payload_pool,
         },
-        "cluster": {
-            "replication": replication,
-            "placement": placement,
-            "partitions": partitions,
-        },
         "sweep": sweep,
-        "chaos": (
-            measure_chaos(
-                plan=chaos_plan,
-                replication=replication,
-                placement=placement,
-                gpu=gpu,
-                seed=seed,
-                workers=workers,
-                tiny=tiny,
-            )
-            if chaos_plan is not None
-            else None
-        ),
+        "chaos": measure_chaos(plan=chaos_plan, gpu=gpu, seed=seed, tiny=tiny),
     }
-    validate(snapshot, SNAPSHOT_SCHEMA)
-    return snapshot
+    return make_snapshot("cluster", body, gpu=gpu, seed=seed, rev=rev)
 
 
-def gate_cluster(
-    snapshot: dict,
-    *,
-    min_speedup: float = ACCEPT_SPEEDUP,
-    at_nodes: int = ACCEPT_NODES,
-    min_availability: float = ACCEPT_AVAILABILITY,
-) -> list[str]:
-    """Every gate violation in ``snapshot`` (empty list = gates pass).
-
-    Two contracts: the ``at_nodes``-node sweep cell scales capacity by
-    >= ``min_speedup`` over one node at full availability, and the chaos
-    cell (when present) sustains >= ``min_availability`` with at least
-    one genuinely crashed replica.
-    """
-    failures: list[str] = []
-    cells = {cell["nodes"]: cell for cell in snapshot["sweep"]}
-    if at_nodes in cells and 1 in cells:
-        cell = cells[at_nodes]
-        if cell["speedup"] < min_speedup:
-            failures.append(
-                f"sweep: {at_nodes}-node capacity is {cell['speedup']:.2f}x "
-                f"the single node, need >= {min_speedup:g}x "
-                f"({cell['capacity_rps']:,.0f} vs "
-                f"{cells[1]['capacity_rps']:,.0f} rps)"
-            )
-        for c in snapshot["sweep"]:
-            if c["availability"] < 1.0:
-                failures.append(
-                    f"sweep: {c['nodes']}-node cell lost requests on a "
-                    f"healthy cluster (availability {c['availability']:.4f})"
-                )
-    elif at_nodes in cells or 1 in cells:
-        failures.append(
-            f"sweep: need both the 1-node and {at_nodes}-node cells to "
-            f"gate scaling, got node counts {sorted(cells)}"
-        )
-    chaos = snapshot.get("chaos")
-    if chaos is not None:
-        if not chaos["crashed_nodes"]:
-            failures.append(
-                "chaos: the pinned plan crashed no replica — the "
-                "availability assertion would be vacuous"
-            )
-        if chaos["availability"] < min_availability:
-            failures.append(
-                f"chaos: availability {chaos['availability']:.4f} below "
-                f"the {min_availability:.0%} SLO with "
-                f"{len(chaos['crashed_nodes'])} crashed replica(s)"
-            )
-    return failures
+def _scaling_speedup(body: dict) -> float | None:
+    """The ACCEPT_NODES-node cell's capacity multiple of one node; the
+    tiny smoke load is launch-bound, so only the full acceptance load is
+    held to the scaling floor."""
+    if body["tiny"]:
+        return None
+    (cell,) = (c for c in body["sweep"] if c["nodes"] == ACCEPT_NODES)
+    return cell["speedup"]
 
 
-def render_cluster_report(snapshot: dict) -> str:
+#: the cluster bench's gates: near-linear scaling on a healthy cluster,
+#: and availability under the chaos plan with a replica really down
+GATES = (
+    Gate(f"{ACCEPT_NODES}-node capacity speedup", ACCEPT_SPEEDUP, "max",
+         _scaling_speedup),
+    Gate("healthy sweep availability", 1.0, "max",
+         lambda body: min(c["availability"] for c in body["sweep"])),
+    Gate("chaos crashed replicas", 1, "max",
+         lambda body: len(body["chaos"]["crashed_nodes"])),
+    Gate("chaos availability", ACCEPT_AVAILABILITY, "max",
+         lambda body: body["chaos"]["availability"]),
+)
+
+
+def render_table(body: dict) -> str:
     """The scaling table ``repro-topk cluster-bench`` prints."""
-    spec = snapshot["spec"]
-    cluster = snapshot["cluster"]
+    spec = body["spec"]
     out = [
-        f"cluster-bench on {snapshot['gpu']} (rev {snapshot['rev']}, "
-        f"seed {snapshot['seed']}): {spec['qps']:g} QPS x "
-        f"{spec['duration_s']:g}s, n={spec['n']:,} k={spec['k']}, "
-        f"R={cluster['replication']} placement={cluster['placement']}"
+        f"{spec['qps']:g} QPS x {spec['duration_s']:g}s, n={spec['n']:,} "
+        f"k={spec['k']}, R={REPLICATION} placement={PLACEMENT}"
+        + (" (tiny smoke load)" if body["tiny"] else "")
     ]
     rows = [
         (
@@ -476,7 +398,7 @@ def render_cluster_report(snapshot: dict) -> str:
             f"{c['mean_occupancy']:.1f}",
             f"{c['bottleneck_busy_s'] * 1e3:.2f} ms",
         )
-        for c in snapshot["sweep"]
+        for c in body["sweep"]
     ]
     out.append(
         format_table(
@@ -485,17 +407,16 @@ def render_cluster_report(snapshot: dict) -> str:
             rows,
         )
     )
-    chaos = snapshot.get("chaos")
-    if chaos is not None:
-        out.append(
-            f"\nchaos: {chaos['nodes']} nodes R={chaos['replication']} "
-            f"(plan seed {chaos['plan_seed']}, crashed "
-            f"{chaos['crashed_nodes']}): availability "
-            f"{chaos['availability']:.4f} over {chaos['requests']} requests "
-            f"— served={chaos['served']} degraded={chaos['degraded']} "
-            f"failed={chaos['failed']} timeout={chaos['timeout']}, "
-            f"failovers={chaos['failovers']} "
-            f"lost_partitions={chaos['lost_partitions']} "
-            f"wasted={chaos['wasted_dispatches']}, faults={chaos['faults']}"
-        )
+    chaos = body["chaos"]
+    out.append(
+        f"\nchaos: {chaos['nodes']} nodes R={chaos['replication']} "
+        f"(plan seed {chaos['plan_seed']}, crashed "
+        f"{chaos['crashed_nodes']}): availability "
+        f"{chaos['availability']:.4f} over {chaos['requests']} requests "
+        f"— served={chaos['served']} degraded={chaos['degraded']} "
+        f"failed={chaos['failed']} timeout={chaos['timeout']}, "
+        f"failovers={chaos['failovers']} "
+        f"lost_partitions={chaos['lost_partitions']} "
+        f"wasted={chaos['wasted_dispatches']}, faults={chaos['faults']}"
+    )
     return "\n".join(out)

@@ -25,21 +25,23 @@ recall >= :data:`ACCEPT_RECALL` must beat the best exact baseline by
 along and must finish with zero recall violations, tying the offline
 Pareto front to the SLO dispatcher that consumes it.
 
-Snapshots are schema-validated JSON (``repro.bench.recall/v1``); CI runs
-this via ``repro-topk recall-bench`` — see docs/approximate.md.
+The body is schema-validated (:data:`BODY_SCHEMA`) and the gates are
+declared in :data:`GATES`; :mod:`repro.bench.gates` evaluates them and
+writes the snapshot.  CI runs this via ``repro-topk recall-bench`` —
+see docs/approximate.md.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.manifest import git_revision
-from ..obs.schema import validate
+from .gates import Gate, make_snapshot
 from .report import format_table, format_time
 
-SCHEMA_ID = "repro.bench.recall/v1"
+logger = logging.getLogger(__name__)
 
 #: headline acceptance gate of ``acceptance=True`` regimes: some
 #: approximate point must reach this speedup at this empirical recall
@@ -98,14 +100,10 @@ APPROX_VARIANTS: tuple[tuple[str, str, dict | None], ...] = (
     ("twostage_approx", "k''=4", {"stage_k": 4}),
 )
 
-SNAPSHOT_SCHEMA = {
+BODY_SCHEMA = {
     "type": "object",
-    "required": ["schema", "rev", "gpu", "seed", "cells", "serve"],
+    "required": ["cells", "serve"],
     "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "rev": {"type": "string"},
-        "gpu": {"type": "string"},
-        "seed": {"type": "integer"},
         "cells": {
             "type": "array",
             "items": {
@@ -129,7 +127,7 @@ SNAPSHOT_SCHEMA = {
                             "required": [
                                 "algo", "label", "params", "sim_time_s",
                                 "speedup", "qps_capacity", "expected_recall",
-                                "recall_floor", "empirical_recall", "gate_ok",
+                                "recall_floor", "empirical_recall",
                             ],
                             "properties": {
                                 "algo": {"type": "string"},
@@ -141,7 +139,6 @@ SNAPSHOT_SCHEMA = {
                                 "expected_recall": {"type": "number"},
                                 "recall_floor": {"type": "number"},
                                 "empirical_recall": {"type": "number"},
-                                "gate_ok": {"type": "boolean"},
                             },
                         },
                     },
@@ -195,8 +192,6 @@ def measure_cell(
     *,
     gpu: str = "A100",
     seed: int = 0,
-    variants: tuple = APPROX_VARIANTS,
-    progress=None,
 ) -> dict:
     """Measure one regime: best exact baseline + the full config ladder."""
     from ..algos import UnsupportedProblem
@@ -219,7 +214,7 @@ def measure_cell(
             f"no exact baseline supports n={cell.n}, k={cell.k}"
         )
     points = []
-    for algo, label, raw in variants:
+    for algo, label, raw in APPROX_VARIANTS:
         params = _resolve_params(algo, cell.k, raw)
         try:
             run = topk(data, cell.k, algo=algo, device=spec, seed=seed,
@@ -238,11 +233,13 @@ def measure_cell(
             "expected_recall": float(run.meta.get("expected_recall", 1.0)),
             "recall_floor": floor,
             "empirical_recall": empirical,
-            "gate_ok": empirical >= floor,
         }
         points.append(entry)
-        if progress is not None:
-            progress(cell, entry)
+        logger.info(
+            "%s n=%d k=%d batch=%d %s: sim %s (%.2fx) empirical recall %.4f",
+            algo, cell.n, cell.k, cell.batch, label,
+            format_time(run.time), entry["speedup"], empirical,
+        )
     return {
         "n": cell.n,
         "k": cell.k,
@@ -288,107 +285,67 @@ def measure_serve(
 
 
 def collect_snapshot(
-    regimes: tuple[RecallCell, ...] = DEFAULT_REGIMES,
     *,
+    tiny: bool = False,
     gpu: str = "A100",
     seed: int = 0,
-    variants: tuple = APPROX_VARIANTS,
-    serve: bool = True,
     rev: str | None = None,
-    progress=None,
 ) -> dict:
-    """Measure every regime (plus the serving gate) into a validated
-    ``repro.bench.recall/v1`` payload."""
-    cells = [
-        measure_cell(
-            cell, gpu=gpu, seed=seed, variants=variants, progress=progress
-        )
-        for cell in regimes
-    ]
-    snapshot = {
-        "schema": SCHEMA_ID,
-        "rev": rev if rev is not None else git_revision(short=True) or "local",
-        "gpu": gpu,
-        "seed": int(seed),
-        "cells": cells,
-        "serve": (
-            measure_serve(gpu=gpu, seed=seed)
-            if serve
-            else {
-                "requests": 0,
-                "served": 0,
-                "approx_served": 0,
-                "recall_violations": 0,
-                "min_recall": 0.0,
-                "approx_fraction": 0.0,
-            }
-        ),
+    """Measure every regime plus the serving run into a gated snapshot."""
+    regimes = TINY_REGIMES if tiny else DEFAULT_REGIMES
+    logger.info(
+        "recall-bench: %d regimes x %d configs + mixed-load serve run",
+        len(regimes),
+        len(APPROX_VARIANTS),
+    )
+    body = {
+        "cells": [measure_cell(cell, gpu=gpu, seed=seed) for cell in regimes],
+        "serve": measure_serve(gpu=gpu, seed=seed),
     }
-    validate(snapshot, SNAPSHOT_SCHEMA)
-    return snapshot
+    return make_snapshot("recall", body, gpu=gpu, seed=seed, rev=rev)
 
 
-def gate_recall(
-    snapshot: dict,
-    *,
-    min_speedup: float = ACCEPT_SPEEDUP,
-    at_recall: float = ACCEPT_RECALL,
-) -> list[str]:
-    """Every gate violation in ``snapshot`` (empty list = gate passes).
+def _points_below_floor(body: dict) -> int:
+    return sum(
+        p["empirical_recall"] < p["recall_floor"]
+        for cell in body["cells"]
+        for p in cell["points"]
+    )
 
-    Three contracts are checked: each measured point's empirical recall
-    clears its promised floor; each acceptance regime has a point at
-    ``>= at_recall`` empirical recall beating the exact baseline by
-    ``>= min_speedup``; and the serving run (when it carried approximate
-    traffic) finished with zero recall violations.
-    """
-    failures: list[str] = []
-    for cell in snapshot["cells"]:
-        label = (
-            f"n={cell['n']} k={cell['k']} batch={cell['batch']} "
-            f"{cell['distribution']}"
+
+def _acceptance_speedup(body: dict) -> float | None:
+    """The worst acceptance regime's best speedup among points reaching
+    :data:`ACCEPT_RECALL`; None when the grid has no acceptance regime."""
+    best = [
+        max(
+            (p["speedup"] for p in cell["points"]
+             if p["empirical_recall"] >= ACCEPT_RECALL),
+            default=0.0,
         )
-        for p in cell["points"]:
-            if not p["gate_ok"]:
-                failures.append(
-                    f"{label} {p['algo']}[{p['label']}]: empirical recall "
-                    f"{p['empirical_recall']:.4f} below promised floor "
-                    f"{p['recall_floor']:.4f}"
-                )
-        if cell["acceptance"]:
-            best = max(
-                (
-                    p["speedup"]
-                    for p in cell["points"]
-                    if p["empirical_recall"] >= at_recall
-                ),
-                default=0.0,
-            )
-            if best < min_speedup:
-                failures.append(
-                    f"{label}: best speedup at recall >= {at_recall:g} is "
-                    f"{best:.2f}x, need >= {min_speedup:g}x vs "
-                    f"{cell['exact_algo']}"
-                )
-    serve = snapshot["serve"]
-    if serve["requests"] and serve["recall_violations"]:
-        failures.append(
-            f"serve: {serve['recall_violations']} request(s) finished below "
-            f"min_recall={serve['min_recall']:g}"
-        )
-    if serve["requests"] and not serve["approx_served"]:
-        failures.append(
-            "serve: mixed load served no approximate results — the quality "
-            "dispatcher never engaged"
-        )
-    return failures
+        for cell in body["cells"]
+        if cell["acceptance"]
+    ]
+    return min(best) if best else None
 
 
-def render_recall_report(snapshot: dict) -> str:
+#: the recall bench's gates: the per-point floor contract, the
+#: acceptance regime's headline, and the serving run's quality dispatch
+GATES = (
+    Gate("points below their promised recall floor", 0, "min",
+         _points_below_floor),
+    Gate(f"acceptance speedup at recall >= {ACCEPT_RECALL:g}",
+         ACCEPT_SPEEDUP, "max", _acceptance_speedup),
+    Gate("serve recall violations", 0, "min",
+         lambda body: body["serve"]["recall_violations"]),
+    Gate("serve approximate results", 1, "max",
+         lambda body: body["serve"]["approx_served"]),
+)
+
+
+def render_table(body: dict) -> str:
     """The Pareto tables ``repro-topk recall-bench`` prints."""
-    out = [f"recall-bench on {snapshot['gpu']} (rev {snapshot['rev']}, "
-           f"seed {snapshot['seed']})"]
-    for cell in snapshot["cells"]:
+    out = []
+    for cell in body["cells"]:
         tag = "  [acceptance regime]" if cell["acceptance"] else ""
         out.append(
             f"\nn={cell['n']:,} k={cell['k']} batch={cell['batch']} "
@@ -404,24 +361,23 @@ def render_recall_report(snapshot: dict) -> str:
                 f"{p['expected_recall']:.4f}",
                 f"{p['recall_floor']:.4f}",
                 f"{p['empirical_recall']:.4f}",
-                "ok" if p["gate_ok"] else "FAIL",
+                "ok" if p["empirical_recall"] >= p["recall_floor"] else "MISS",
             )
             for p in sorted(cell["points"], key=lambda p: p["sim_time_s"])
         ]
         out.append(
             format_table(
                 ["config", "sim", "speedup", "qps", "E[recall]", "floor",
-                 "empirical", "gate"],
+                 "empirical", "floor met"],
                 rows,
             )
         )
-    serve = snapshot["serve"]
-    if serve["requests"]:
-        out.append(
-            f"\nserve gate: {serve['requests']} requests "
-            f"({serve['approx_fraction'] * 100:g}% at min_recall="
-            f"{serve['min_recall']:g}): approx_served="
-            f"{serve['approx_served']} recall_violations="
-            f"{serve['recall_violations']}"
-        )
+    serve = body["serve"]
+    out.append(
+        f"\nserve run: {serve['requests']} requests "
+        f"({serve['approx_fraction'] * 100:g}% at min_recall="
+        f"{serve['min_recall']:g}): approx_served="
+        f"{serve['approx_served']} recall_violations="
+        f"{serve['recall_violations']}"
+    )
     return "\n".join(out)

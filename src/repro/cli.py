@@ -29,16 +29,13 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import algorithm_names, obs
-from .cluster import PLACEMENTS as CLUSTER_PLACEMENTS
 from .bench import (
     ALL_ALGORITHMS,
-    SNAPSHOT_SCHEMAS,
     BenchPoint,
     format_dispatch_table,
     format_status_summary,
     format_table,
     format_time,
-    load_snapshot,
     plot_sweep,
     read_csv,
     run_paper_suite,
@@ -46,7 +43,6 @@ from .bench import (
     sweep,
     table2,
     write_csv,
-    write_snapshot,
 )
 from .datagen import DISTRIBUTIONS
 from .device import PRESETS, get_spec, timeline_spans
@@ -161,23 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="max elements materialised; larger runs use scaled execution",
         )
 
-    def add_gate_bench(p, kind, tiny_help, gpu_help="simulated board"):
-        p.add_argument(
-            "--gpu", choices=sorted(PRESETS), default="A100", help=gpu_help
-        )
+    def add_gate_bench(p, tiny_help):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--out",
             default=None,
             metavar="PATH",
-            help=f"write the repro.bench.{kind}/v1 snapshot JSON here",
+            help="write the repro.bench.gates/v1 snapshot JSON here",
         )
         p.add_argument("--tiny", action="store_true", help=tiny_help)
-        p.add_argument(
-            "--no-gate",
-            action="store_true",
-            help="measure and report without gating",
-        )
 
     p_topk = sub.add_parser("topk", help="run one algorithm on one problem")
     add_common(p_topk)
@@ -438,14 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_gate_bench(
         p_rb,
-        "recall",
         "use the reduced smoke grid instead of the pinned regimes "
-        "(skips the acceptance-speedup gate)",
-    )
-    p_rb.add_argument(
-        "--no-serve",
-        action="store_true",
-        help="skip the mixed-load serving gate (offline sweep only)",
+        "(no acceptance regime, so no speedup gate)",
     )
     add_logging(p_rb)
 
@@ -456,42 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
         "a pinned node-fault plan; gates near-linear scaling and "
         "availability under replica loss",
     )
-    p_cb.add_argument(
-        "--nodes",
-        default=None,
-        metavar="N,N,...",
-        help="comma-separated node counts to sweep (default 1,2,4)",
-    )
-    p_cb.add_argument(
-        "--replication",
-        type=int,
-        default=2,
-        help="replicas per data partition (default 2)",
-    )
-    p_cb.add_argument(
-        "--placement",
-        choices=CLUSTER_PLACEMENTS,
-        default="least-loaded",
-        help="replica placement policy (default least-loaded)",
-    )
-    p_cb.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        help="data partitions per large request (default: node count)",
-    )
     add_gate_bench(
         p_cb,
-        "cluster",
         "use the reduced smoke workload instead of the pinned acceptance "
-        "load (skips the scaling-speedup gate)",
-    )
-    p_cb.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="host threads running node replicas (results are identical "
-        "for any value; >1 only changes wall-clock)",
+        "load (no scaling-speedup gate)",
     )
     p_cb.add_argument(
         "--faults",
@@ -501,45 +451,25 @@ def build_parser() -> argparse.ArgumentParser:
         "default is the pinned plan mirrored at "
         "benchmarks/fault_plans/cluster.json",
     )
-    p_cb.add_argument(
-        "--no-chaos",
-        action="store_true",
-        help="skip the chaos cell (scaling sweep only)",
-    )
     add_logging(p_cb)
 
     p_ab = sub.add_parser(
         "adapt-bench",
         help="regret bench of online adaptive dispatch: replay a decision "
-        "stream with a mid-run device-spec shift and gate the adaptive "
-        "dispatcher's post-shift cumulative regret against static "
+        "stream with a mid-run A100 -> V100 device-spec shift and gate the "
+        "adaptive dispatcher's post-shift cumulative regret against static "
         "cost-model dispatch (plus byte-identity and no-telemetry no-op)",
     )
     add_gate_bench(
-        p_ab,
-        "adapt",
-        "use the reduced smoke grid instead of the pinned regimes",
-        gpu_help="the board the cost model believes it is on",
-    )
-    p_ab.add_argument(
-        "--gpu-shift",
-        choices=sorted(PRESETS),
-        default="V100",
-        help="the board the device silently becomes mid-stream",
-    )
-    p_ab.add_argument(
-        "--decisions",
-        type=int,
-        default=None,
-        help="length of the dispatch decision stream (default 240, "
-        "tiny 80); the shift lands halfway",
+        p_ab, "use the reduced smoke grid instead of the pinned regimes"
     )
     add_logging(p_ab)
 
     p_ins = sub.add_parser(
         "inspect",
         help="validate and summarise a telemetry artifact "
-        "(manifest.json, metrics.json, trace JSON, or a sweep CSV)",
+        "(manifest.json, metrics.json, trace JSON, sweep CSV or gate-bench "
+        "snapshot)",
     )
     p_ins.add_argument("path", help="artifact file to inspect")
     add_logging(p_ins)
@@ -1217,172 +1147,19 @@ def cmd_drift(args) -> int:
     return 0
 
 
-def _finish_gate_bench(args, snapshot: dict, render, gate) -> int:
-    """Shared tail of the gate benches: print the report, write ``--out``,
-    then (unless ``--no-gate``) print each ``GATE FAIL`` and return 1 if
-    ``gate`` found any, else 0."""
-    print(render(snapshot))
-    if args.out:
-        print(f"snapshot: {write_snapshot(snapshot, args.out)}")
-    if args.no_gate:
-        return 0
-    name = args.command.removesuffix("-bench")
-    failures = gate(snapshot)
-    for line in failures:
-        print(f"GATE FAIL: {line}")
-    if failures:
-        logger.error("%d %s-gate failure(s)", len(failures), name)
-        return 1
-    print(f"{name} gate: ok")
-    return 0
+def cmd_gate_bench(args) -> int:
+    """``recall-bench``, ``cluster-bench`` and ``adapt-bench``: measure,
+    gate, print, write ``--out``; exit 1 on any failed gate."""
+    from .bench import gates
 
-
-def cmd_recall_bench(args) -> int:
-    from .bench import recallbench
-
-    regimes = (
-        recallbench.TINY_REGIMES if args.tiny else recallbench.DEFAULT_REGIMES
-    )
-    logger.info(
-        "recall-bench: %d regimes x %d configs%s",
-        len(regimes),
-        len(recallbench.APPROX_VARIANTS),
-        "" if args.no_serve else " + mixed-load serve gate",
-    )
-
-    def show(cell, entry) -> None:
-        logger.info(
-            "%s n=%d k=%d batch=%d %s: sim %s (%.2fx) empirical recall %.4f",
-            entry["algo"],
-            cell.n,
-            cell.k,
-            cell.batch,
-            entry["label"],
-            format_time(entry["sim_time_s"]),
-            entry["speedup"],
-            entry["empirical_recall"],
-        )
-
-    snapshot = recallbench.collect_snapshot(
-        regimes,
-        gpu=args.gpu,
-        seed=args.seed,
-        serve=not args.no_serve,
-        progress=show,
-    )
-    return _finish_gate_bench(
-        args, snapshot, recallbench.render_recall_report, recallbench.gate_recall
-    )
-
-
-def cmd_adapt_bench(args) -> int:
-    from .bench import adaptbench
-
-    if args.gpu_shift == args.gpu:
-        logger.error("--gpu-shift must differ from --gpu")
-        return 2
-    regimes = (
-        adaptbench.TINY_REGIMES if args.tiny else adaptbench.DEFAULT_REGIMES
-    )
-    decisions = args.decisions or (80 if args.tiny else 240)
-    logger.info(
-        "adapt-bench: %d regimes x %d candidates, %d decisions, "
-        "%s -> %s shift at %d",
-        len(regimes),
-        len(adaptbench.CANDIDATES),
-        decisions,
-        args.gpu,
-        args.gpu_shift,
-        decisions // 2,
-    )
-
-    def show(cell, entry) -> None:
-        logger.info(
-            "n=%d k=%d batch=%d: static %s, oracle %s -> %s%s",
-            cell.n,
-            cell.k,
-            cell.batch,
-            entry["static_algo"],
-            entry["oracle_pre"],
-            entry["oracle_post"],
-            " (flip)" if entry["oracle_pre"] != entry["oracle_post"] else "",
-        )
-
-    snapshot = adaptbench.collect_snapshot(
-        regimes,
-        gpu=args.gpu,
-        gpu_shift=args.gpu_shift,
-        seed=args.seed,
-        decisions=decisions,
-        progress=show,
-    )
-    return _finish_gate_bench(
-        args, snapshot, adaptbench.render_adapt_report, adaptbench.gate_adapt
-    )
-
-
-def cmd_cluster_bench(args) -> int:
-    from .bench import clusterbench
-
-    if args.nodes:
-        try:
-            node_counts = tuple(
-                int(part) for part in args.nodes.split(",") if part.strip()
-            )
-        except ValueError:
-            logger.error("--nodes must be a comma-separated list of ints")
+    options = {}
+    if getattr(args, "faults", None):
+        options["chaos_plan"] = _load_fault_plan(args.faults)
+        if options["chaos_plan"] is None:
             return 2
-        if not node_counts or any(n < 1 for n in node_counts):
-            logger.error("--nodes needs at least one count >= 1")
-            return 2
-    else:
-        node_counts = clusterbench.DEFAULT_NODE_COUNTS
-    if args.no_chaos:
-        chaos_plan = None
-    elif args.faults:
-        chaos_plan = _load_fault_plan(args.faults)
-        if chaos_plan is None:
-            return 2
-    else:
-        chaos_plan = clusterbench.DEFAULT_CHAOS_PLAN
-    logger.info(
-        "cluster-bench: nodes %s, R=%d, placement %s%s",
-        ",".join(str(n) for n in node_counts),
-        args.replication,
-        args.placement,
-        "" if chaos_plan is None else " + chaos cell",
-    )
-
-    def show(cell) -> None:
-        logger.info(
-            "%d node(s): capacity %.0f rps (%.2fx), availability %.4f",
-            cell["nodes"],
-            cell["capacity_rps"],
-            cell["speedup"],
-            cell["availability"],
-        )
-
-    snapshot = clusterbench.collect_snapshot(
-        node_counts=node_counts,
-        replication=args.replication,
-        placement=args.placement,
-        partitions=args.partitions,
-        gpu=args.gpu,
-        seed=args.seed,
-        workers=args.workers,
-        chaos_plan=chaos_plan,
-        tiny=args.tiny,
-        progress=show,
-    )
-    # the tiny smoke workload is launch-bound, so only the full
-    # acceptance load is held to the scaling floor
-    min_speedup = 0.0 if args.tiny else clusterbench.ACCEPT_SPEEDUP
-    return _finish_gate_bench(
-        args,
-        snapshot,
-        clusterbench.render_cluster_report,
-        lambda s: clusterbench.gate_cluster(s, min_speedup=min_speedup),
-    )
+    bench = gates.bench_module(args.command.removesuffix("-bench"))
+    snapshot = bench.collect_snapshot(tiny=args.tiny, seed=args.seed, **options)
+    return gates.finish(snapshot, args.out)
 
 
 def cmd_inspect(args) -> int:
@@ -1459,45 +1236,15 @@ def cmd_inspect(args) -> int:
         ]
         print(format_table(["field", "value"], rows))
         return 0
-    if schema in SNAPSHOT_SCHEMAS:
-        payload = load_snapshot(path)
-    if schema == "repro.bench.recall/v1":
-        from .bench.recallbench import gate_recall
+    if schema == "repro.bench.gates/v1":
+        from .bench import gates
 
-        failures = gate_recall(payload)
-        points = sum(len(c["points"]) for c in payload["cells"])
+        snapshot = gates.load_snapshot(path)
         print(
-            f"{path}: valid recall-bench snapshot "
-            f"({len(payload['cells'])} regimes, {points} points, "
-            f"gate {'FAIL' if failures else 'ok'})"
+            f"{path}: valid {snapshot['bench']}-bench snapshot "
+            f"(rev {snapshot['rev']}, seed {snapshot['seed']})"
         )
-        return 0
-    if schema == "repro.bench.cluster/v1":
-        from .bench.clusterbench import gate_cluster
-
-        failures = gate_cluster(payload, min_speedup=0.0)
-        counts = ",".join(str(c["nodes"]) for c in payload["sweep"])
-        chaos = payload.get("chaos")
-        print(
-            f"{path}: valid cluster-bench snapshot "
-            f"(nodes {counts}, chaos "
-            f"{'absent' if chaos is None else 'present'}, "
-            f"gate {'FAIL' if failures else 'ok'})"
-        )
-        return 0
-    if schema == "repro.bench.adapt/v1":
-        from .bench.adaptbench import gate_adapt
-
-        failures = gate_adapt(payload)
-        ratio = payload["post_shift"]["ratio"]
-        print(
-            f"{path}: valid adapt-bench snapshot "
-            f"({len(payload['regimes'])} regimes, "
-            f"{payload['gpu']} -> {payload['gpu_shift']}, "
-            f"post-shift ratio "
-            f"{'inf' if ratio is None else f'{ratio:.2f}x'}, "
-            f"gate {'FAIL' if failures else 'ok'})"
-        )
+        print(gates.render_verdicts(snapshot))
         return 0
     if schema == "repro.perf.corrections/v1":
         from .perf.adaptive import CORRECTIONS_SCHEMA
@@ -1554,9 +1301,9 @@ COMMANDS = {
     "serve-bench": cmd_serve_bench,
     "serve-report": cmd_serve_report,
     "drift": cmd_drift,
-    "recall-bench": cmd_recall_bench,
-    "adapt-bench": cmd_adapt_bench,
-    "cluster-bench": cmd_cluster_bench,
+    "recall-bench": cmd_gate_bench,
+    "adapt-bench": cmd_gate_bench,
+    "cluster-bench": cmd_gate_bench,
     "inspect": cmd_inspect,
 }
 

@@ -13,7 +13,8 @@ workers=N holds cluster-wide).
 
 Pinned by tests/test_cluster.py (differential layer) and
 tests/test_cluster_chaos.py (chaos properties); swept by
-``repro-topk cluster-bench`` into ``repro.bench.cluster/v1`` manifests.
+``repro-topk cluster-bench`` into gated ``repro.bench.gates/v1``
+snapshots.
 """
 
 from .node import ClusterNode, build_nodes, node_fault_plan

@@ -305,60 +305,15 @@ class TestRecallBench:
     def test_tiny_snapshot_validates_and_gates(self):
         from repro.bench import recallbench as rb
 
-        snap = rb.collect_snapshot(rb.TINY_REGIMES, seed=0, serve=False)
-        assert snap["schema"] == rb.SCHEMA_ID
-        (cell,) = snap["cells"]
+        snap = rb.collect_snapshot(tiny=True, seed=0)
+        assert snap["bench"] == "recall"
+        (cell,) = snap["body"]["cells"]
         assert cell["points"], "no approximate points measured"
         for p in cell["points"]:
-            assert p["gate_ok"]
+            assert p["empirical_recall"] >= p["recall_floor"]
             assert p["qps_capacity"] > 0
         # speedup gate only applies to acceptance regimes (tiny has none)
-        assert rb.gate_recall(snap) == []
-
-    def test_gate_flags_floor_miss_and_headline_miss(self):
-        from repro.bench import recallbench as rb
-
-        snap = {
-            "schema": rb.SCHEMA_ID,
-            "rev": "test",
-            "gpu": "A100",
-            "seed": 0,
-            "cells": [
-                {
-                    "n": 1 << 14,
-                    "k": 64,
-                    "batch": 4,
-                    "distribution": "uniform",
-                    "acceptance": True,
-                    "exact_algo": "air_topk",
-                    "exact_time_s": 1e-5,
-                    "points": [
-                        {
-                            "algo": "bucket_approx",
-                            "label": "b=16k",
-                            "params": {},
-                            "sim_time_s": 9e-6,
-                            "speedup": 1.1,
-                            "qps_capacity": 4e5,
-                            "expected_recall": 0.97,
-                            "recall_floor": 0.9,
-                            "empirical_recall": 0.85,
-                            "gate_ok": False,
-                        }
-                    ],
-                }
-            ],
-            "serve": {
-                "requests": 10,
-                "served": 10,
-                "approx_served": 0,
-                "recall_violations": 1,
-                "min_recall": 0.95,
-                "approx_fraction": 0.5,
-            },
-        }
-        failures = rb.gate_recall(snap)
-        assert any("below promised floor" in f for f in failures)
-        assert any("best speedup" in f for f in failures)
-        assert any("recall_violations" in f or "below" in f for f in failures)
-        assert any("never engaged" in f for f in failures)
+        assert [g["name"] for g in snap["gates"]] == [
+            g.name for g in rb.GATES if "speedup" not in g.name
+        ]
+        assert all(g["ok"] for g in snap["gates"])
