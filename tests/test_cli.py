@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import _size, _size_range, build_parser, main
+from tests.test_golden_cli import golden_stdout, normalise
 
 
 class TestParsing:
@@ -126,6 +127,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "AIR vs Radix" in out
         assert "adversarial" in out
+        assert normalise(out) == golden_stdout("table2")
 
 
 class TestLoggingFlags:

@@ -8,6 +8,7 @@ import pytest
 from repro import algorithm_names, topk
 from repro.bench import run_paper_suite
 from repro.cli import main
+from tests.test_golden_cli import golden_stdout, normalise
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,7 @@ class TestPaperSuite:
         assert main(["reproduce", "--cap", "2^13", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Table 2" in out
+        assert normalise(out) == golden_stdout("reproduce")
         assert (tmp_path / "paper_suite.txt").exists()
 
 
