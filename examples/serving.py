@@ -25,7 +25,7 @@ from repro.serve import LoadSpec, ServeConfig, run_serve_bench, sharded_topk
 
 
 def main() -> None:
-    # --- 1. closed-loop load test ------------------------------------------
+    # --- 1. open-loop load test --------------------------------------------
     spec = LoadSpec(qps=200, duration_s=2.0, n=1 << 16, k=64)
     report, _service = run_serve_bench(spec, ServeConfig())
     print(report.format())

@@ -47,12 +47,14 @@ from .api import topk
 from .approx import QualityPlan, choose_plan, expected_recall, recall_floor
 from .core import AIRTopK, GridSelect, GridSelectStream
 from .device import A10, A100, H100, Device, GPUSpec, get_spec
+from .errors import InputError
 from .verify import check_topk, oracle_topk_values
 
 __version__ = "3.0.0"
 
 __all__ = [
     "topk",
+    "InputError",
     "QualityPlan",
     "choose_plan",
     "expected_recall",

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..device import Device, GPUSpec, A100
+from ..errors import InputError, check_problem
 from ..primitives import priority_keys
 
 
@@ -157,16 +158,15 @@ class TopKAlgorithm(abc.ABC):
         if squeeze:
             data = data[None, :]
         if data.ndim != 2:
-            raise ValueError(
+            raise InputError(
                 f"data must be 1-d or 2-d (batch, n), got shape {data.shape}"
             )
         batch, n = data.shape
         if batch == 0:
-            raise ValueError("batch must contain at least one problem")
+            raise InputError("batch must contain at least one problem")
         if n == 0:
-            raise ValueError("cannot select from an empty list")
-        if not 1 <= k <= n:
-            raise ValueError(f"k must be in [1, n={n}], got k={k}")
+            raise InputError("cannot select from an empty list")
+        check_problem(n, k)
         nominal_n = n if nominal_n is None else nominal_n
         nominal_k = k if nominal_k is None else nominal_k
         if nominal_n < n or nominal_k < 1:

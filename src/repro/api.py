@@ -24,6 +24,9 @@ funnels through :func:`topk`, with a single signature::
 * ``params`` is the single dict of algorithm-specific tuning, matching
   the ``tunables`` of the registry's :class:`~repro.algos.AlgorithmInfo`;
   an unknown key raises :class:`ValueError`.
+
+Bad arguments to the facade itself raise :class:`repro.InputError`, a
+:class:`ValueError` subclass.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 
 from .algos import TopKResult, get_algorithm
 from .device import A100, Device, GPUSpec, get_spec
+from .errors import InputError
 
 __all__ = ["topk", "resolve_device"]
 
@@ -126,20 +130,20 @@ def topk(
     data = np.asarray(data)
     if batch is not None:
         if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
+            raise InputError(f"batch must be >= 1, got {batch}")
         if data.ndim == 1:
             if data.size % batch:
-                raise ValueError(
+                raise InputError(
                     f"cannot split {data.size} elements into {batch} equal rows"
                 )
             data = data.reshape(batch, -1)
         elif data.ndim == 2:
             if data.shape[0] != batch:
-                raise ValueError(
+                raise InputError(
                     f"data has {data.shape[0]} rows but batch={batch} was requested"
                 )
         else:
-            raise ValueError(
+            raise InputError(
                 f"data must be 1-d or 2-d (batch, n), got shape {data.shape}"
             )
 
@@ -176,19 +180,19 @@ def _plan_quality(
     untouched, keeping the default facade byte-identical to v2.0.
     """
     if mode not in ("auto", "exact", "approx"):
-        raise ValueError(
+        raise InputError(
             f"mode must be 'auto', 'exact' or 'approx', got {mode!r}"
         )
     if min_recall is not None and not 0.0 <= min_recall <= 1.0:
-        raise ValueError(f"min_recall must be in [0, 1], got {min_recall!r}")
+        raise InputError(f"min_recall must be in [0, 1], got {min_recall!r}")
     if mode == "exact":
         if min_recall is not None:
-            raise ValueError(
+            raise InputError(
                 "min_recall conflicts with mode='exact': exact results "
                 "always have recall 1.0 — drop one of the two"
             )
         if algo != "auto" and not get_algorithm(algo, params=params).exact:
-            raise ValueError(
+            raise InputError(
                 f"mode='exact' conflicts with approximate algo={algo!r}"
             )
         return algo, params, None
@@ -219,14 +223,14 @@ def _plan_quality(
         return plan.algo, merged or None, dispatch
     instance = get_algorithm(algo, params=params)
     if mode == "approx" and instance.exact:
-        raise ValueError(
+        raise InputError(
             f"mode='approx' conflicts with exact algo={algo!r}"
         )
     if min_recall is not None and not instance.exact:
         required = 1.0 - (1.0 - min_recall) / 2.0
         expected = instance.expected_recall(n, k)
         if expected < required:
-            raise ValueError(
+            raise InputError(
                 f"algo={algo!r} has expected recall {expected:.4f} for "
                 f"n={n}, k={k}, below the min_recall={min_recall} target "
                 f"(safety-margin threshold {required:.4f})"

@@ -43,7 +43,6 @@ __all__ = [
     "partition_sizes",
     "plan_buckets",
     "plan_twostage",
-    "predict_approx_time",
     "recall_floor",
     "stage1_workload",
     "stage2_workload",
@@ -114,7 +113,6 @@ _PLANNER_EXPORTS = {
     "QualityPlan",
     "choose_plan",
     "candidate_plans",
-    "predict_approx_time",
 }
 
 

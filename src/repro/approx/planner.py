@@ -33,7 +33,6 @@ __all__ = [
     "QualityPlan",
     "candidate_plans",
     "choose_plan",
-    "predict_approx_time",
 ]
 
 
@@ -53,13 +52,6 @@ class QualityPlan:
     recall_floor: float = 1.0
     #: whether the plan guarantees the exact top-k
     exact: bool = True
-
-
-def predict_approx_time(algo: str, *, n: int, k: int, batch: int = 1, spec=None):
-    """Predicted time of one approximate method at its default config."""
-    if algo not in APPROX_ALGORITHMS:
-        raise KeyError(f"not an approximate algorithm: {algo!r}")
-    return predict_topk_time(algo, n=n, k=k, batch=batch, spec=spec)
 
 
 def _approx_plan(algo: str, n: int, k: int, batch: int, spec) -> QualityPlan:

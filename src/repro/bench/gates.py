@@ -130,7 +130,10 @@ ENVELOPE_SCHEMA = {
 }
 
 
-def _validate(snapshot: dict) -> None:
+def validate_snapshot(snapshot: dict) -> None:
+    """Raise :class:`~repro.obs.SchemaError` unless ``snapshot`` is a valid
+    envelope: its named bench's body schema, and each verdict agreeing
+    with its own value."""
     validate(snapshot, ENVELOPE_SCHEMA)
     body_schema = bench_module(snapshot["bench"]).BODY_SCHEMA
     validate(snapshot, {"properties": {"body": body_schema}})
@@ -157,7 +160,7 @@ def make_snapshot(
         ],
         "body": body,
     }
-    _validate(snapshot)
+    validate_snapshot(snapshot)
     return snapshot
 
 
@@ -168,7 +171,7 @@ def checks(snapshot: dict) -> list[GateCheck]:
 
 def write_snapshot(snapshot: dict, path: Path | str) -> Path:
     """Validate and write the snapshot JSON to ``path``."""
-    _validate(snapshot)
+    validate_snapshot(snapshot)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
@@ -179,7 +182,7 @@ def load_snapshot(path: Path | str) -> dict:
     """Read and validate a gate-bench snapshot: envelope, the named
     bench's body schema, and each verdict against its own value."""
     payload = json.loads(Path(path).read_text())
-    _validate(payload)
+    validate_snapshot(payload)
     return payload
 
 

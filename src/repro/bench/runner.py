@@ -120,6 +120,25 @@ class SweepResult:
         return sorted(out)
 
 
+def trace_sim_streams(run, point_span) -> None:
+    """With tracing on, add a :class:`~repro.perf.SimulatedRun`'s simulated
+    device streams to the trace, re-based onto the wall clock at the
+    start of ``point_span`` (the host span that ran it) so the merged
+    trace shows them inside that span's gap, on lanes labelled by the
+    point."""
+    if not tracing_enabled():
+        return
+    label = f"sim {run.algo} {run.distribution} n={run.n} k={run.k} b={run.batch}"
+    get_tracer().extend(
+        timeline_spans(
+            run.device.timeline,
+            lane_prefix=label,
+            base_us=point_span.start_us,
+            device=run.device,
+        )
+    )
+
+
 def run_point(
     algo: str,
     *,
@@ -167,18 +186,7 @@ def run_point(
                 detail=str(exc),
             )
         point_span.set(status="ok", mode=run.mode, sim_time_s=run.time)
-        if tracing_enabled():
-            # re-base the point's simulated streams onto the wall clock so
-            # the merged trace shows them inside this host span's gap
-            label = f"sim {algo} {distribution} n={n} k={k} b={batch}"
-            get_tracer().extend(
-                timeline_spans(
-                    run.device.timeline,
-                    lane_prefix=label,
-                    base_us=point_span.start_us,
-                    device=run.device,
-                )
-            )
+        trace_sim_streams(run, point_span)
     return BenchPoint(
         algo=algo,
         distribution=distribution,

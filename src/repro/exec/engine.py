@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..bench.runner import ALL_ALGORITHMS, BenchPoint, SweepResult
 from ..device import A100, GPUSpec
+from ..errors import InputError
 from ..obs.drift import record_point_drift
 from ..obs.metrics import get_metrics, metrics_enabled
 from ..obs.spans import get_tracer, span, tracing_enabled
@@ -142,7 +143,7 @@ def fanout(
     slices.  Results always come back in item order.
     """
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise InputError(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     from multiprocessing.pool import ThreadPool
@@ -176,9 +177,9 @@ def sweep(
     :class:`ProgressEvent` per finished point.
     """
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise InputError(f"workers must be >= 1, got {workers}")
     if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
+        raise InputError(f"timeout must be positive, got {timeout}")
     traced = tracing_enabled()
     metered = metrics_enabled()
     slots = build_grid(

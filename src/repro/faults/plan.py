@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..errors import InputError
 from ..obs.schema import validate
 
 #: every fault kind the injector understands (see docs/faults.md for the
@@ -180,7 +181,12 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultPlan":
-        return cls.from_payload(json.loads(Path(path).read_text()))
+        """Read a plan file; a missing, non-JSON or invalid plan raises
+        :class:`~repro.errors.InputError` naming ``path``."""
+        try:
+            return cls.from_payload(json.loads(Path(path).read_text()))
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot load fault plan {path}: {exc}") from exc
 
 
 def validate_fault_plan(payload: object) -> None:

@@ -20,7 +20,8 @@ pay nothing (pinned by tests/test_obs.py).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import logging
+from contextlib import ExitStack, contextmanager
 
 from .drift import (
     DriftSummary,
@@ -77,6 +78,28 @@ from .spans import (
     trace_session,
     tracing_enabled,
 )
+
+logger = logging.getLogger(__name__)
+
+
+@contextmanager
+def telemetry_session(*, trace=None, metrics=None):
+    """Trace and/or meter the ``with`` body into the files given.
+
+    ``trace`` and ``metrics`` are output paths (None skips that kind).
+    Yields ``(tracer | None, registry | None)``; on clean exit each
+    requested artifact is schema-validated and written.
+    """
+    with ExitStack() as stack:
+        tracer = stack.enter_context(trace_session()) if trace else None
+        registry = stack.enter_context(metrics_session()) if metrics else None
+        yield tracer, registry
+        if tracer is not None:
+            path = write_trace(tracer.events, trace)
+            logger.info("wrote trace (%d spans) to %s", len(tracer), path)
+        if registry is not None:
+            path = registry.write(metrics)
+            logger.info("wrote %d metrics to %s", len(registry), path)
 
 
 @contextmanager
@@ -146,6 +169,7 @@ __all__ = [
     "record_point_drift",
     "render_serve_report",
     "span",
+    "telemetry_session",
     "trace_session",
     "tracing_enabled",
     "validate",

@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..errors import InputError
 from .metrics import Histogram, count
 from .schema import validate_serve_report, validate_slo_spec
 from .spans import SpanEvent
@@ -191,7 +192,7 @@ class ServeTelemetry:
 
     def __init__(self, *, window_s: float = 0.25, trace: bool = False) -> None:
         if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
+            raise InputError(f"window_s must be positive, got {window_s}")
         self.window_s = float(window_s)
         self.trace = bool(trace)
         self.windows: dict[int, WindowAccum] = {}

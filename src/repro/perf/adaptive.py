@@ -43,6 +43,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..errors import InputError
+
 SCHEMA_ID = "repro.perf.corrections/v1"
 
 CORRECTIONS_SCHEMA = {
@@ -357,10 +359,15 @@ class CorrectionStore:
 
     @classmethod
     def load(cls, path) -> "CorrectionStore":
+        """Read a saved store; a missing, non-JSON or schema-invalid file
+        raises :class:`~repro.errors.InputError` naming ``path``."""
         from ..obs.schema import validate
 
-        payload = json.loads(Path(path).read_text())
-        validate(payload, CORRECTIONS_SCHEMA)
+        try:
+            payload = json.loads(Path(path).read_text())
+            validate(payload, CORRECTIONS_SCHEMA)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot load correction store {path}: {exc}") from exc
         store = cls(min_window=payload["min_window"])
         store.epoch = int(payload["epoch"])
         store.folds = int(payload["folds"])

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..errors import check_problem
 from . import calibration as cal
 
 
@@ -733,8 +734,7 @@ def predict_topk_time(algo: str, *, n: int, k: int, batch: int = 1, spec=None) -
 
     Analytic only — see :func:`rank_algorithms` for corrected ranking.
     """
-    if n <= 0 or batch <= 0 or not 1 <= k <= n:
-        raise ValueError(f"invalid problem: n={n}, k={k}, batch={batch}")
+    check_problem(n, k, batch)
     if spec is None:
         from ..device import A100  # lazy: device imports this module
 

@@ -34,6 +34,7 @@ import numpy as np
 from ..algos import TopKResult, UnsupportedProblem, get_algorithm
 from ..datagen import generate
 from ..device import Device, GPUSpec, A100
+from ..errors import InputError, check_problem
 
 #: default cap on materialised elements per run (batch * n)
 DEFAULT_EXACT_CAP = 1 << 20
@@ -72,10 +73,9 @@ def scale_factors(
     Returns ``(n_s, k_s, scale)`` with ``scale = n / n_s`` and ``k_s``
     shrunk by the same ratio (clamped to [1, n_s]).
     """
-    if n <= 0 or batch <= 0 or not 1 <= k <= n:
-        raise ValueError(f"invalid problem: n={n}, k={k}, batch={batch}")
+    check_problem(n, k, batch)
     if cap <= 0:
-        raise ValueError(f"cap must be positive, got {cap}")
+        raise InputError(f"cap must be positive, got {cap}")
     per_row_cap = max(MIN_SCALED_N, cap // batch)
     if n <= per_row_cap:
         return n, k, 1.0

@@ -22,8 +22,11 @@ that
   retries, hedged duplicates, a result-cache circuit breaker and
   degraded-mode merges with recall bounds (:mod:`.sharder`,
   :mod:`.service`);
-* ships a **closed-loop load generator** and latency report for
-  ``repro-topk serve-bench`` (:mod:`.loadgen`).
+* ships an **open-loop load generator** and latency report for
+  ``repro-topk serve-bench`` (:mod:`.loadgen`) — arrivals are drawn
+  independently of completions — and :func:`serve_bench`, the whole
+  command as one call: telemetry, fault plan, correction store, SLO
+  grading, serve report and manifest (:mod:`.bench`).
 
 All timing is in the repository's simulated-time domain: arrivals are
 drawn on a virtual clock and service times come from the simulated
@@ -32,6 +35,7 @@ milliseconds of host time.
 """
 
 from .batcher import GroupKey, MicroBatcher, quality_class
+from .bench import serve_bench
 from .cache import DispatchPlan, LRUCache, ServeCache, fingerprint
 from .loadgen import (
     LoadSpec,
@@ -73,6 +77,7 @@ __all__ = [
     "quality_class",
     "run_serve_bench",
     "sequential_baseline",
+    "serve_bench",
     "shard_bounds",
     "sharded_topk",
     "uniform_arrivals",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import InputError
 from .request import Request
 
 
@@ -61,14 +62,14 @@ class MicroBatcher:
 
     def __init__(self, *, max_batch: int, max_delay_s: float) -> None:
         if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+            raise InputError(f"max_batch must be >= 1, got {max_batch}")
         if max_delay_s < 0:
-            raise ValueError(f"max_delay_s must be >= 0, got {max_delay_s}")
+            raise InputError(f"max_delay_s must be >= 0, got {max_delay_s}")
         self.max_batch = int(max_batch)
         self.max_delay_s = float(max_delay_s)
         self._groups: dict[GroupKey, list[Request]] = {}
         #: optional ``observer(event, key, pending)`` callback fired after
-        #: every mutation ("add" / "pop" / "drop") — the service hangs its
+        #: every mutation ("add" / "pop") — the service hangs its
         #: queue-depth telemetry here so depth is sampled at every
         #: admission and flush, not just between batches
         self.observer = None
@@ -124,20 +125,6 @@ class MicroBatcher:
             self._groups[key] = rest
         self._notify("pop", key)
         return take
-
-    def drop(self, key: GroupKey, rid: int) -> Request | None:
-        """Remove one request (e.g. it timed out while queued)."""
-        group = self._groups.get(key)
-        if not group:
-            return None
-        for i, request in enumerate(group):
-            if request.rid == rid:
-                group.pop(i)
-                if not group:
-                    del self._groups[key]
-                self._notify("drop", key)
-                return request
-        return None
 
     def groups(self) -> dict[GroupKey, list[Request]]:
         return self._groups

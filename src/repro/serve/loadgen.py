@@ -1,11 +1,12 @@
-"""Closed-loop load generator and latency report for serve-bench.
+"""Open-loop load generator and latency report for serve-bench.
 
 Builds a deterministic virtual-time request trace (Poisson or uniform
-arrivals), drives a :class:`TopKService` over it, runs the sequential
-per-request baseline the paper's batched regime is measured against, and
-condenses everything into a :class:`ServeBenchReport` — the p50/p95/p99
-latency table and served/shed/timeout tallies that
-``repro-topk serve-bench`` prints.
+arrivals, drawn independently of completions, so the offered load never
+backs off when the service falls behind), drives a :class:`TopKService`
+over it, runs the sequential per-request baseline the paper's batched
+regime is measured against, and condenses everything into a
+:class:`ServeBenchReport` — the p50/p95/p99 latency table and
+served/shed/timeout tallies that ``repro-topk serve-bench`` prints.
 
 Payloads are drawn from a bounded pool (``LoadSpec.payload_pool``): real
 serving traffic repeats hot queries, and a finite pool is what gives the
@@ -24,6 +25,7 @@ import numpy as np
 
 from ..bench.report import REPORT_QUANTILES
 from ..datagen import generate
+from ..errors import InputError, check_problem
 from .request import Request
 from .service import ServeConfig, ServeStats, TopKService
 
@@ -62,7 +64,8 @@ def uniform_arrivals(qps: float, duration_s: float) -> np.ndarray:
 
 @dataclass
 class LoadSpec:
-    """One serve-bench workload."""
+    """One serve-bench workload; out-of-range fields raise
+    :class:`~repro.errors.InputError` at construction."""
 
     qps: float = 200.0
     duration_s: float = 2.0
@@ -84,15 +87,32 @@ class LoadSpec:
     approx_fraction: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.qps <= 0 or self.duration_s <= 0:
+            raise InputError(
+                f"qps and duration must be positive, got {self.qps}, {self.duration_s}"
+            )
+        check_problem(self.n, self.k)
+        if self.arrival not in ARRIVALS:
+            raise InputError(f"arrival must be one of {ARRIVALS}, got {self.arrival!r}")
+        if self.payload_pool < 1:
+            raise InputError(f"payload_pool must be >= 1, got {self.payload_pool}")
+        if self.deadline_s is not None and self.deadline_s < 0:
+            raise InputError(f"deadline_s must be >= 0, got {self.deadline_s}")
+        if not 0.0 <= self.approx_fraction <= 1.0:
+            raise InputError(
+                f"approx_fraction must be in [0, 1], got {self.approx_fraction}"
+            )
+        if (
+            self.min_recall is not None
+            and self.approx_fraction > 0
+            and not 0.0 < self.min_recall <= 1.0
+        ):
+            raise InputError(f"min_recall must be in (0, 1], got {self.min_recall}")
+
 
 def build_requests(spec: LoadSpec) -> list[Request]:
     """Materialise the virtual-time request trace of a :class:`LoadSpec`."""
-    if spec.arrival not in ARRIVALS:
-        raise ValueError(f"arrival must be one of {ARRIVALS}, got {spec.arrival!r}")
-    if spec.payload_pool < 1:
-        raise ValueError(f"payload_pool must be >= 1, got {spec.payload_pool}")
-    if not 1 <= spec.k <= spec.n:
-        raise ValueError(f"k must be in [1, n={spec.n}], got k={spec.k}")
     if spec.arrival == "poisson":
         arrivals = poisson_arrivals(spec.qps, spec.duration_s, seed=spec.seed)
     else:
@@ -112,10 +132,6 @@ def build_requests(spec: LoadSpec) -> list[Request]:
     # or payload draws above — a quality-off trace stays byte-identical
     quality = np.zeros(len(arrivals), dtype=bool)
     if spec.min_recall is not None and spec.approx_fraction > 0:
-        if not 0.0 < spec.min_recall <= 1.0:
-            raise ValueError(
-                f"min_recall must be in (0, 1], got {spec.min_recall}"
-            )
         if spec.approx_fraction >= 1.0:
             quality[:] = True
         else:
@@ -197,6 +213,9 @@ class ServeBenchReport:
     baseline: SequentialBaseline
     #: simulated-latency percentiles of served requests, {q: seconds}
     latency: dict = field(default_factory=dict)
+    #: the windowed, SLO-graded ``repro.obs.serve_report/v1`` payload;
+    #: set by :func:`repro.serve.serve_bench` when it built one
+    serve_report: dict | None = None
 
     @property
     def speedup(self) -> float:

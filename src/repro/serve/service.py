@@ -51,6 +51,7 @@ from functools import partial
 import numpy as np
 
 from ..api import resolve_device, topk
+from ..errors import InputError
 from ..faults import CircuitBreaker, FaultPlan, HedgePolicy, RetryPolicy
 from ..obs import get_metrics, tracing_enabled
 from ..obs.metrics import count, gauge, observe
@@ -68,7 +69,8 @@ _OCCUPANCY_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 @dataclass
 class ServeConfig:
-    """Policy knobs of one serving node."""
+    """Policy knobs of one serving node; out-of-range counts and deadlines
+    raise :class:`~repro.errors.InputError` at construction."""
 
     #: registry algorithm; "auto" consults the cost model via the plan cache
     algo: str = "auto"
@@ -130,6 +132,18 @@ class ServeConfig:
     #: optional pre-built :class:`repro.perf.adaptive.CorrectionStore`
     #: shared across services (cluster nodes) or loaded from a prior run
     corrections: object = None
+
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise InputError(f"shards must be >= 1, got {self.shards}")
+        if self.workers < 1:
+            raise InputError(f"workers must be >= 1, got {self.workers}")
+        if self.queue_limit < 0:
+            raise InputError(f"queue_limit must be >= 0, got {self.queue_limit}")
+        if self.default_deadline_s is not None and self.default_deadline_s < 0:
+            raise InputError(
+                f"default_deadline_s must be >= 0, got {self.default_deadline_s}"
+            )
 
 
 @dataclass

@@ -30,6 +30,7 @@ import numpy as np
 from ..algos import TopKResult, get_algorithm
 from ..api import resolve_device
 from ..device import Device, streaming_grid
+from ..errors import check_problem
 from ..exec import fanout
 from ..faults import HedgePolicy, RetryPolicy, recall_bound
 from ..perf import calibration as cal
@@ -108,8 +109,7 @@ def sharded_topk(
             f"data must be 1-d or 2-d (batch, n), got shape {data.shape}"
         )
     n = data.shape[1]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, n={n}], got k={k}")
+    check_problem(n, k)
     run_device, spec = resolve_device(device)
     if run_device is not None:
         raise ValueError(

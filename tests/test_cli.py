@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import InputError
 from repro.cli import _size, _size_range, build_parser, main
+from repro.serve import LoadSpec, ServeConfig
 from tests.test_golden_cli import golden_stdout, normalise
 
 
@@ -433,3 +435,97 @@ class TestInspectCommand:
         other = tmp_path / "x.json"
         other.write_text("{}")
         assert main(["inspect", str(other)]) == 1
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"schema": ["x"]}'])
+    def test_inspect_unknown_marker_shape(self, tmp_path, content):
+        other = tmp_path / "x.json"
+        other.write_text(content)
+        assert main(["inspect", str(other)]) == 1
+
+    @pytest.mark.parametrize("content", [None, "not json", '{"schema": "repro.obs.manifest/v1"}'],
+                             ids=["missing", "json", "schema"])
+    def test_inspect_unreadable_file_exits_1_with_one_error_line(
+        self, tmp_path, capsys, content
+    ):
+        path = tmp_path / "manifest.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["inspect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "cannot read", str(path))
+
+
+class TestInputBoundary:
+    """Bad input exits 2 with one ERROR line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["topk", "--n", "100", "--k", "1000"],
+        ["topk", "--batch", "0"],
+        ["topk", "--cap", "0"],
+        ["auto", "--n", "100", "--k", "1000"],
+        ["compare", "--n", "100", "--k", "1000"],
+        ["sweep", "--timeout", "-1"],
+        ["table2", "--workers", "0"],
+        ["serve-bench", "--qps", "0"],
+        ["serve-bench", "--max-batch", "0"],
+        ["serve-bench", "--min-recall", "2"],
+        ["serve-bench", "--window-ms", "0"],
+        ["serve-bench", "--max-delay-ms", "-1"],
+        ["serve-bench", "--pool", "0"],
+        ["serve-bench", "--n", "10", "--k", "20"],
+        ["serve-bench", "--adaptive", "--algo", "sort"],
+    ], ids=" ".join)
+    def test_bad_input_exits_2(self, capsys, argv):
+        assert main(argv + ["-q"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # e.g. compare prints no table
+        assert_one_error_line(captured.err)
+
+    def test_k_above_n_reads_like_admission(self, capsys):
+        assert main(["topk", "--n", "100", "--k", "1000", "-q"]) == 2
+        assert_one_error_line(
+            capsys.readouterr().err, "k must be in [1, n=100], got k=1000"
+        )
+
+    @pytest.mark.parametrize("make, argv", [
+        (lambda: ServeConfig(shards=0), ["--shards", "0"]),
+        (lambda: ServeConfig(shards=-3), ["--shards", "-3"]),
+        (lambda: ServeConfig(workers=0), ["--serve-workers", "0"]),
+        (lambda: ServeConfig(queue_limit=-1), ["--queue-limit", "-1"]),
+        (lambda: LoadSpec(deadline_s=-0.005), ["--deadline-ms", "-5"]),
+        (lambda: ServeConfig(default_deadline_s=-0.005), ["--deadline-ms", "-5"]),
+        (lambda: LoadSpec(min_recall=0.9, approx_fraction=2.0),
+         ["--min-recall", "0.9", "--approx-fraction", "2"]),
+        (lambda: LoadSpec(approx_fraction=-0.5), ["--approx-fraction", "-0.5"]),
+    ], ids=["shards-0", "shards-neg", "workers", "queue-limit", "deadline",
+            "default-deadline", "approx-fraction", "approx-fraction-neg"])
+    def test_serve_values_rejected_at_construction(self, capsys, make, argv):
+        with pytest.raises(InputError):
+            make()
+        capsys.readouterr()
+        assert main(["serve-bench", "--duration", "0.1", *argv, "-q"]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_internal_value_error_still_raises(self, monkeypatch):
+        import repro.cli as cli
+
+        def broken(args):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setitem(cli.COMMANDS, "topk", (broken, *cli.COMMANDS["topk"][1:]))
+        with pytest.raises(ValueError, match="a bug"):
+            main(["topk", "-q"])
+
+    def test_serve_bench_keywords_are_its_flags(self):
+        import inspect
+
+        from repro.serve import serve_bench
+
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        actions = {a.dest: a for a in sub.choices["serve-bench"]._actions}
+        for name, param in inspect.signature(serve_bench).parameters.items():
+            assert param.kind is inspect.Parameter.KEYWORD_ONLY, name
+            assert name in actions, name
+            assert actions[name].default == param.default, name

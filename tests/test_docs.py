@@ -99,3 +99,16 @@ class TestExamples:
         text = (ROOT / "examples" / f"{name}.py").read_text()
         assert "def main()" in text
         assert '__main__' in text
+
+
+class TestApiDoc:
+    def test_command_block_lists_every_subcommand(self):
+        """docs/API.md's command-line block names every CLI subcommand."""
+        from repro.cli import COMMANDS
+
+        text = read("docs/API.md")
+        block = re.search(
+            r"## Command line\n\n```\n(.*?)```", text, re.DOTALL
+        ).group(1)
+        listed = set(re.findall(r"python -m repro ([\w-]+)", block))
+        assert set(COMMANDS) <= listed, set(COMMANDS) - listed
