@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import topk
+from repro import obs, topk
 from repro.datagen import generate
+from repro.device import timeline_spans
 
 N = 1 << 23
 K = 2048
@@ -63,11 +64,15 @@ def test_fig8_timelines(benchmark, runs, out_dir):
         + "\n"
     )
     # chrome://tracing / Perfetto artifacts, the runnable analogue of the
-    # paper's profiler screenshot
-    from repro.device import write_chrome_trace
-
-    write_chrome_trace(radix.device, out_dir / "fig8_radix_select.trace.json")
-    write_chrome_trace(air.device, out_dir / "fig8_air_topk.trace.json")
+    # paper's profiler screenshot, written (and schema-checked) by the
+    # exporter every other trace goes through
+    for algo, run in (("radix_select", radix), ("air_topk", air)):
+        obs.write_trace(
+            timeline_spans(
+                run.device.timeline, lane_prefix=f"sim {algo}", device=run.device
+            ),
+            out_dir / f"fig8_{algo}.trace.json",
+        )
 
     # observation 1: white space vs tight
     radix_idle = sum(b - a for a, b in radix.device.timeline.idle_gaps("gpu"))

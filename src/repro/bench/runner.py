@@ -122,20 +122,15 @@ class SweepResult:
 
 def trace_sim_streams(run, point_span) -> None:
     """With tracing on, add a :class:`~repro.perf.SimulatedRun`'s simulated
-    device streams to the trace, re-based onto the wall clock at the
-    start of ``point_span`` (the host span that ran it) so the merged
-    trace shows them inside that span's gap, on lanes labelled by the
-    point."""
+    device streams to the trace, shifted onto the wall clock at the start
+    of ``point_span`` (the host span that ran it) so the merged trace
+    shows them inside that span's gap, on lanes labelled by the point."""
     if not tracing_enabled():
         return
     label = f"sim {run.algo} {run.distribution} n={run.n} k={run.k} b={run.batch}"
     get_tracer().extend(
-        timeline_spans(
-            run.device.timeline,
-            lane_prefix=label,
-            base_us=point_span.start_us,
-            device=run.device,
-        )
+        timeline_spans(run.device.timeline, lane_prefix=label, device=run.device),
+        base_us=point_span.start_us,
     )
 
 

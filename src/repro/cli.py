@@ -197,7 +197,7 @@ SERVE = (
          help="enable online adaptive dispatch: fold each batch's measured "
          "time back into per-regime cost-model corrections and explore "
          "alternative algorithms epsilon-greedily (needs --algo auto and "
-         "--metrics/--trace telemetry; see docs/adaptive.md)"),
+         "--metrics; see docs/adaptive.md)"),
     _opt("--corrections", metavar="PATH",
          help="with --adaptive: persist the learned correction store "
          "(repro.perf.corrections/v1) here after the run; if the file "
@@ -546,14 +546,17 @@ def cmd_serve_bench(args) -> int:
     print(report.format())
     if args.adaptive:
         s = report.stats
-        print(
-            f"adaptation: observations={s.adapt_observations} "
-            f"folds={s.adapt_folds} explored={s.adapt_explored}"
-            + (
-                ""
-                if s.adapt_observations
+        idle = ""
+        if not s.adapt_observations:
+            idle = (
+                "  (inactive: sharded, degraded and approximate batches are "
+                "not fed to the learner)"
+                if args.metrics
                 else "  (inactive: no metrics session — pass --metrics)"
             )
+        print(
+            f"adaptation: observations={s.adapt_observations} "
+            f"folds={s.adapt_folds} explored={s.adapt_explored}{idle}"
         )
     if not args.slo:
         return 0

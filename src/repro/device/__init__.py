@@ -9,7 +9,7 @@ from .counters import DeviceCounters, KernelStats, aggregate_counters
 from .timeline import Timeline, TraceEvent, STREAMS
 from .device import Device
 from .launch import Occupancy, occupancy, streaming_grid, ceil_div, next_pow2
-from .tracing import chrome_trace, timeline_spans, write_chrome_trace
+from .tracing import timeline_spans
 
 __all__ = [
     "GPUSpec",
@@ -31,7 +31,5 @@ __all__ = [
     "ceil_div",
     "next_pow2",
     "aggregate_counters",
-    "chrome_trace",
     "timeline_spans",
-    "write_chrome_trace",
 ]

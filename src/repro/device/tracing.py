@@ -1,98 +1,32 @@
-"""Chrome-trace export of simulated timelines.
+"""Simulated timelines as trace events.
 
 The paper's Fig. 8 is a profiler screenshot; the closest runnable artifact
-is a `chrome://tracing` / Perfetto file.  This module converts a
-:class:`repro.device.Timeline` into the Trace Event Format (the
-``traceEvents`` JSON consumed by chrome://tracing, Perfetto and speedscope),
-with one track per simulated stream.
+is a `chrome://tracing` / Perfetto file.  :func:`timeline_spans` turns a
+:class:`repro.device.Timeline` into :class:`repro.obs.SpanEvent` records,
+one lane per simulated stream, which the one exporter
+(:func:`repro.obs.write_trace`) writes as a Trace-Event-Format file.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from .device import Device
-from .timeline import STREAMS, Timeline
-
-#: display order and human names of the tracks
-_TRACK_NAMES = {
-    "gpu": "GPU stream",
-    "cpu": "Host thread",
-    "pcie_h2d": "PCIe H2D",
-    "pcie_d2h": "PCIe D2H",
-}
-
-
-def chrome_trace(timeline: Timeline, *, device: Device | None = None) -> dict:
-    """Build a Trace-Event-Format dict from a timeline.
-
-    Durations are emitted in microseconds (the format's native unit).
-    When a ``device`` is given, its per-kernel counters are attached as
-    event ``args`` so the trace viewer shows bytes/FLOPs on hover.
-    """
-    events: list[dict] = []
-    for tid, stream in enumerate(STREAMS):
-        events.append(
-            {
-                "ph": "M",
-                "pid": 0,
-                "tid": tid,
-                "name": "thread_name",
-                "args": {"name": _TRACK_NAMES.get(stream, stream)},
-            }
-        )
-        for event in timeline.stream_events(stream):
-            entry = {
-                "ph": "X",
-                "pid": 0,
-                "tid": tid,
-                "name": event.name,
-                "ts": event.start * 1e6,
-                "dur": event.duration * 1e6,
-                "cat": stream,
-            }
-            args = dict(event.args) if event.args else {}
-            if device is not None and event.name in device.kernel_stats:
-                stats = device.kernel_stats[event.name]
-                args.update(
-                    launches=stats.launches,
-                    bytes_read=stats.bytes_read,
-                    bytes_written=stats.bytes_written,
-                    flops=stats.flops,
-                )
-            if args:
-                entry["args"] = args
-            events.append(entry)
-    return {"traceEvents": events, "displayTimeUnit": "ns"}
-
-
-def write_chrome_trace(
-    device: Device, path: str | Path
-) -> Path:
-    """Write a device's full trace as chrome://tracing JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = chrome_trace(device.timeline, device=device)
-    path.write_text(json.dumps(payload, indent=1))
-    return path
+from .timeline import Timeline
 
 
 def timeline_spans(
     timeline: Timeline,
     *,
     lane_prefix: str,
-    base_us: float = 0.0,
     device: Device | None = None,
 ):
-    """Re-base a simulated timeline onto the host wall clock as obs spans.
+    """A simulated timeline as obs spans, at simulated time 0.
 
-    Simulated event times start at 0 for every run; shifting them by
-    ``base_us`` — the wall-clock start of the host span that executed the
-    point — lets one merged Trace-Event file show each point's simulated
-    GPU/CPU/PCIe streams in the gap its host worker actually occupied.
     Lanes are ``"<lane_prefix>/<stream>"`` so the exporter renders the
-    point as its own process with one thread per stream.
+    run as its own process with one thread per stream, and categories are
+    ``sim.<stream>``.  When a ``device`` is given, its per-kernel byte and
+    FLOP counters fill in any of those args an event does not carry.  To
+    show the streams inside the host span that ran them, merge the spans
+    with :meth:`repro.obs.SpanTracer.extend` at that span's start.
     """
     from ..obs.spans import SpanEvent
 
@@ -108,7 +42,7 @@ def timeline_spans(
             SpanEvent(
                 name=event.name,
                 cat=f"sim.{event.stream}",
-                ts_us=base_us + event.start * 1e6,
+                ts_us=event.start * 1e6,
                 dur_us=event.duration * 1e6,
                 lane=f"{lane_prefix}/{event.stream}",
                 args=args,

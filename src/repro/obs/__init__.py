@@ -3,8 +3,10 @@
 The package has four coordinated pieces (see docs/observability.md):
 
 * :mod:`.spans` — wall-clock span tracer with per-worker buffers; host
-  execution (engine, pool workers, retries) and re-based simulated device
-  timelines share one Trace-Event-Format file (:mod:`.export`);
+  execution (engine, pool workers, retries), simulated device timelines
+  and the serving layer's virtual time are one event record, shifted
+  onto the wall clock in one place and written by one Trace-Event-Format
+  exporter (:mod:`.export`);
 * :mod:`.metrics` — labelled counters/gauges/histograms fed by the
   algorithms, runner and engine, merged across workers, dumped as
   ``metrics.json``;
@@ -35,8 +37,6 @@ from .manifest import build_manifest, counters_payload, versions, write_manifest
 from .metrics import (
     MetricsRegistry,
     count,
-    disable_metrics,
-    enable_metrics,
     get_metrics,
     metrics_enabled,
     metrics_session,
@@ -71,8 +71,6 @@ from .spans import (
     NULL_SPAN,
     SpanEvent,
     SpanTracer,
-    disable_tracing,
-    enable_tracing,
     get_tracer,
     span,
     trace_session,
@@ -104,7 +102,7 @@ def telemetry_session(*, trace=None, metrics=None):
 
 @contextmanager
 def local_session(*, trace: bool = False, metrics: bool = False, lane: str = DEFAULT_LANE):
-    """Install fresh tracer/registry for one worker's chunk of work.
+    """Install fresh tracer/registry — or none — for one worker's chunk.
 
     Pool workers call this instead of :func:`trace_session` /
     :func:`metrics_session` directly so fork-copied parent buffers are
@@ -112,22 +110,9 @@ def local_session(*, trace: bool = False, metrics: bool = False, lane: str = DEF
     ``(tracer | None, registry | None)``; the worker ships both back with
     its chunk result and the engine merges them into the parent session.
     """
-    from . import metrics as _metrics
-    from . import spans as _spans
-
-    prev_tracer = _spans._ACTIVE
-    prev_registry = _metrics._ACTIVE
-    tracer = enable_tracing(SpanTracer(default_lane=lane)) if trace else None
-    if not trace:
-        disable_tracing()
-    registry = enable_metrics(MetricsRegistry()) if metrics else None
-    if not metrics:
-        disable_metrics()
-    try:
-        yield tracer, registry
-    finally:
-        _spans._ACTIVE = prev_tracer
-        _metrics._ACTIVE = prev_registry
+    with trace_session(default_lane=lane, enabled=trace) as tracer:
+        with metrics_session(enabled=metrics) as registry:
+            yield tracer, registry
 
 
 __all__ = [
@@ -152,11 +137,7 @@ __all__ = [
     "chrome_trace",
     "count",
     "counters_payload",
-    "disable_metrics",
-    "disable_tracing",
     "drift_report",
-    "enable_metrics",
-    "enable_tracing",
     "evaluate_slos",
     "get_metrics",
     "get_tracer",

@@ -1,16 +1,19 @@
-"""Merged Trace-Event-Format export of host spans + simulated timelines.
+"""The one Trace-Event-Format exporter, for every clock.
 
-One file, two clock faces: host spans carry wall-clock timestamps (the
-engine, the pool workers, retries, timeouts); simulated device events are
-re-based so each point's GPU/CPU/PCIe streams start at the wall-clock
-moment its host span began (see ``repro.bench.runner.run_point``).  The
-result loads in Perfetto / chrome://tracing with:
+Every ``--trace`` file and the Fig. 8 timelines are written here, from
+:class:`~repro.obs.spans.SpanEvent` records.  The category prefix tags
+each event's clock: ``sim.*`` is simulated device time, ``serve.*`` the
+serving layer's virtual time, anything else the host wall clock.  A
+merged trace has already shifted the first two onto the wall clock
+(:meth:`~repro.obs.spans.SpanTracer.extend`), so each traced point's
+GPU/CPU/PCIe streams sit in the gap its host span occupied.  The result
+loads in Perfetto / chrome://tracing with:
 
 * a ``host`` process whose threads are the main process and each pool
-  worker (``ProgressEvent``-level work becomes visible as lanes);
+  worker;
 * one process per traced point, whose threads are the simulated streams
-  (``gpu``, ``cpu``, ``pcie_h2d``, ``pcie_d2h``) — the same tracks
-  :func:`repro.device.chrome_trace` renders for a single run.
+  (``gpu``, ``cpu``, ``pcie_h2d``, ``pcie_d2h``) that ran;
+* ``serve:req`` / ``serve:node`` processes for a traced serving run.
 
 Lane convention: ``"<process label>/<track label>"``.  Process labels map
 to ``pid``, full lanes to ``tid``; both get name-metadata events so the

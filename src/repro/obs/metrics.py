@@ -219,18 +219,6 @@ def get_metrics() -> MetricsRegistry | None:
     return _ACTIVE
 
 
-def enable_metrics(registry: MetricsRegistry | None = None) -> MetricsRegistry:
-    """Install (and return) the process-global registry."""
-    global _ACTIVE
-    _ACTIVE = registry if registry is not None else MetricsRegistry()
-    return _ACTIVE
-
-
-def disable_metrics() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
 def count(name: str, amount: float = 1.0, **labels) -> None:
     """Increment a counter on the active registry; no-op when disabled."""
     registry = _ACTIVE
@@ -253,12 +241,13 @@ def gauge(name: str, value: float) -> None:
 
 
 @contextmanager
-def metrics_session():
-    """Install a fresh registry for the ``with`` body; yields it."""
+def metrics_session(*, enabled: bool = True):
+    """Install a fresh registry — or, with ``enabled=False``, none — for
+    the ``with`` body, restoring the previous one afterwards; yields it."""
     global _ACTIVE
     previous = _ACTIVE
-    registry = enable_metrics(MetricsRegistry())
+    _ACTIVE = MetricsRegistry() if enabled else None
     try:
-        yield registry
+        yield _ACTIVE
     finally:
         _ACTIVE = previous

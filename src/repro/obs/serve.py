@@ -9,10 +9,11 @@ capabilities (docs/serving-observability.md):
 * **request-scoped tracing** — :class:`ServeTelemetry` buffers a
   virtual-time span tree per request (admission → queued → batch →
   shard → merge → finish, with retry/hedge/fault/breaker annotations)
-  plus node-level batch lanes, and re-bases them onto the wall clock
-  (:meth:`ServeTelemetry.spans`) exactly the way simulated device
-  timelines are re-based, so one ``--trace`` file opens in Perfetto with
-  per-request lanes alongside the device streams;
+  plus node-level batch lanes as :class:`~repro.obs.spans.SpanEvent`
+  records in µs since virtual time 0; a tracer merges them onto the wall
+  clock exactly as it does simulated device timelines
+  (:meth:`~repro.obs.spans.SpanTracer.extend`), so one ``--trace`` file
+  opens in Perfetto with per-request lanes alongside the device streams;
 * **windowed time-series metrics** — outcomes, queue-depth samples,
   batch occupancy, cache lookups and fault/recovery events are folded
   into fixed ``window_s`` buckets of virtual time as they happen
@@ -199,7 +200,8 @@ class ServeTelemetry:
         #: overall latency histogram of every answered request (the
         #: percentile source once the raw sample list hits its cap)
         self.latency_hist = Histogram(bounds=LATENCY_EDGES)
-        self._spans: list[tuple] = []
+        #: buffered spans, in µs since virtual time 0 (while tracing)
+        self.events: list[SpanEvent] = []
         self.fault_kinds: dict[str, int] = {}
 
     # -- window feed ----------------------------------------------------- #
@@ -286,38 +288,16 @@ class ServeTelemetry:
     ) -> None:
         """Buffer one virtual-time span; no-op unless tracing is on."""
         if self.trace:
-            self._spans.append((name, cat, lane, ts_s, dur_s, args))
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def spans(self, base_us: float = 0.0) -> list[SpanEvent]:
-        """The buffered request/node spans as wall-clock SpanEvents.
-
-        ``base_us`` is the wall-clock moment virtual time 0 maps to
-        (callers pass the start of their enclosing host span, the same
-        re-basing convention as :func:`repro.device.timeline_spans`), so
-        the serve lanes line up with the host lanes in one trace file.
-        """
-        return [
-            SpanEvent(
-                name=name,
-                cat=cat,
-                ts_us=base_us + ts_s * 1e6,
-                dur_us=max(0.0, dur_s * 1e6),
-                lane=lane,
-                args=dict(args),
+            self.events.append(
+                SpanEvent(
+                    name=name,
+                    cat=cat,
+                    ts_us=ts_s * 1e6,
+                    dur_us=max(0.0, dur_s * 1e6),
+                    lane=lane,
+                    args=args,
+                )
             )
-            for name, cat, lane, ts_s, dur_s, args in self._spans
-        ]
-
-    def traced_requests(self) -> set[int]:
-        """rids that have a root ``request`` span in the buffer."""
-        return {
-            args["rid"]
-            for name, _cat, _lane, _ts, _dur, args in self._spans
-            if name == "request" and "rid" in args
-        }
 
 
 # --------------------------------------------------------------------------- #

@@ -3,10 +3,14 @@
 The simulated device already records *simulated* time (its
 :class:`repro.device.Timeline`); this module records *real* time — what
 the engine, the workers and the CLI actually did, when, and for how long.
-Both clock domains meet in :mod:`repro.obs.export`, which renders spans
-and per-point device timelines into one Trace-Event-Format file: a
-parallel sweep opens in Perfetto with one lane per pool worker alongside
-the simulated GPU/CPU/PCIe streams of each point.
+Every clock emits the one :class:`SpanEvent` record: simulated device
+timelines (:func:`repro.device.timeline_spans`) and the serving layer's
+virtual time (:class:`repro.obs.ServeTelemetry`) start at their own 0,
+and :meth:`SpanTracer.extend` shifts them onto the wall clock.  The one
+exporter, :mod:`repro.obs.export`, renders the buffer as a
+Trace-Event-Format file: a parallel sweep opens in Perfetto with one lane
+per pool worker alongside the simulated GPU/CPU/PCIe streams of each
+point.
 
 Concurrency model: **per-worker buffers, merged by the engine.**  There
 is one process-global active tracer (installed by :func:`trace_session`);
@@ -36,7 +40,13 @@ DEFAULT_LANE = "host/main"
 
 @dataclass(frozen=True)
 class SpanEvent:
-    """One completed span, in microseconds on the shared wall clock.
+    """One completed span, in microseconds.
+
+    The category prefix tags the clock: ``sim.*`` is simulated device
+    time, ``serve.*`` the serving layer's virtual time, anything else the
+    host wall clock.  A span recorded here is on the wall clock; the
+    other two start at their own 0 until :meth:`SpanTracer.extend`
+    shifts them.
 
     ``lane`` is ``"<process label>/<track label>"`` — the exporter maps
     the process label to a Trace-Event ``pid`` and the full lane to a
@@ -131,15 +141,25 @@ class SpanTracer:
         dur_us: float,
         **args,
     ) -> SpanEvent:
-        """Record an already-timed span (e.g. re-based simulated events)."""
+        """Record an already-timed span on this tracer's wall clock."""
         event = SpanEvent(
             name=name, cat=cat, ts_us=ts_us, dur_us=dur_us, lane=lane, args=args
         )
         self._events.append(event)
         return event
 
-    def extend(self, events: Iterable[SpanEvent]) -> None:
-        """Merge a worker's buffered events into this tracer."""
+    def extend(self, events: Iterable[SpanEvent], *, base_us: float = 0.0) -> None:
+        """Merge buffered events into this tracer: a pool worker's, or
+        those of a foreign clock starting at 0 (a simulated device
+        timeline, the serving layer's virtual time), shifted so that
+        their 0 lands on the wall-clock moment ``base_us``.
+
+        This is the one place a foreign clock meets the wall clock."""
+        if base_us:
+            events = (
+                SpanEvent(e.name, e.cat, e.ts_us + base_us, e.dur_us, e.lane, e.args)
+                for e in events
+            )
         self._events.extend(events)
 
     # ------------------------------------------------------------------ #
@@ -177,19 +197,6 @@ def get_tracer() -> SpanTracer | None:
     return _ACTIVE
 
 
-def enable_tracing(tracer: SpanTracer | None = None) -> SpanTracer:
-    """Install (and return) the process-global tracer."""
-    global _ACTIVE
-    _ACTIVE = tracer if tracer is not None else SpanTracer()
-    return _ACTIVE
-
-
-def disable_tracing() -> None:
-    """Remove the global tracer; :func:`span` reverts to the no-op handle."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
 def span(name: str, *, cat: str = "host", lane: str | None = None, **args):
     """Record a span on the active tracer, or do nothing when disabled.
 
@@ -206,13 +213,14 @@ def span(name: str, *, cat: str = "host", lane: str | None = None, **args):
 
 
 @contextmanager
-def trace_session(*, default_lane: str = DEFAULT_LANE):
-    """Install a fresh tracer for the ``with`` body, restoring the previous
-    one (usually None) afterwards.  Yields the tracer."""
+def trace_session(*, default_lane: str = DEFAULT_LANE, enabled: bool = True):
+    """Install a fresh tracer — or, with ``enabled=False``, none — for the
+    ``with`` body, restoring the previous one (usually None) afterwards.
+    Yields the installed tracer."""
     global _ACTIVE
     previous = _ACTIVE
-    tracer = enable_tracing(SpanTracer(default_lane=default_lane))
+    _ACTIVE = SpanTracer(default_lane=default_lane) if enabled else None
     try:
-        yield tracer
+        yield _ACTIVE
     finally:
         _ACTIVE = previous

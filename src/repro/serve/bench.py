@@ -119,10 +119,8 @@ def serve_bench(
         ) as serve_span:
             result, service = run_serve_bench(spec, config)
         if tracer is not None:
-            # re-base the virtual-time request/node lanes onto the wall
-            # clock of the enclosing span, same convention as the
-            # simulated device timelines
-            tracer.extend(service.telemetry_spans(base_us=serve_span.start_us))
+            # virtual time 0 is the start of the enclosing host span
+            tracer.extend(service.telemetry.events, base_us=serve_span.start_us)
     wall = time.perf_counter() - started
     if adaptive and corrections and service.adaptation is not None:
         path = service.adaptation.corrections.save(corrections)

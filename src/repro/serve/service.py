@@ -401,12 +401,6 @@ class TopKService:
                     rid=rid, batch_id=batch_id, kind=kind,
                 )
 
-    def telemetry_spans(self, base_us: float = 0.0):
-        """The run's virtual-time request/node spans re-based onto the
-        wall clock for trace export (same convention as
-        :func:`repro.device.timeline_spans`)."""
-        return self.telemetry.spans(base_us)
-
     # -- outcome bookkeeping -------------------------------------------- #
     def _finish(self, outcome: Outcome, min_recall: float | None = None) -> Outcome:
         """Book one terminal outcome: the shared ledger, the node's

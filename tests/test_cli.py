@@ -256,6 +256,28 @@ class TestServeBenchCommand:
         assert code == 0
         assert "served=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--shards", "4", "--metrics", "{tmp}/m.json"],
+             "sharded, degraded and approximate batches are not fed"),
+            (["--trace", "{tmp}/t.json"], "no metrics session — pass --metrics"),
+        ],
+    )
+    def test_idle_adaptation_names_its_cause(self, tmp_path, capsys, flags, reason):
+        flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
+        code = main(
+            ["serve-bench", "--qps", "300", "--duration", "0.5", "--seed", "7",
+             "--adaptive", *flags, "-q"]
+        )
+        assert code == 0
+        (line,) = [
+            l for l in capsys.readouterr().out.splitlines()
+            if l.startswith("adaptation:")
+        ]
+        assert "observations=0" in line
+        assert f"(inactive: {reason}" in line
+
     def test_serve_bench_faults_reports_availability(self, tmp_path, capsys):
         import json
 

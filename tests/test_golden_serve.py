@@ -107,7 +107,7 @@ def serve_pins(name: str) -> dict:
     report = obs.build_serve_report(service.telemetry, stats, config={"run": name})
     return {
         "report": _report_text(report),
-        "trace_sha256": _sha256(obs.chrome_trace(service.telemetry_spans())),
+        "trace_sha256": _sha256(obs.chrome_trace(service.telemetry.events)),
         "metrics_sha256": _sha256(serve_metrics),
     }
 

@@ -269,14 +269,19 @@ class TestExport:
             bytes_read=1024.0,
             span_args={"note": "hello"},
         )
-        spans = timeline_spans(
-            device.timeline, lane_prefix="sim test", base_us=500.0, device=device
-        )
+        spans = timeline_spans(device.timeline, lane_prefix="sim test", device=device)
         assert spans, "kernel launch must produce at least one span"
-        for span in spans:
-            assert span.lane.startswith("sim test/")
-            assert span.ts_us >= 500.0
-        gpu = [s for s in spans if s.lane == "sim test/gpu"]
+        # emitted at simulated time 0; the tracer shifts them on merge
+        assert [s.ts_us for s in spans] == [
+            e.start * 1e6 for e in device.timeline.events
+        ]
+        tracer = obs.SpanTracer()
+        tracer.extend(spans, base_us=500.0)
+        for at_zero, rebased in zip(spans, tracer.events, strict=True):
+            assert rebased.lane.startswith("sim test/")
+            assert rebased.ts_us == at_zero.ts_us + 500.0
+            assert rebased.dur_us == at_zero.dur_us
+        gpu = [s for s in tracer.events if s.lane == "sim test/gpu"]
         assert gpu[0].args["note"] == "hello"
         assert gpu[0].args["bytes_read"] == pytest.approx(1024.0)
 

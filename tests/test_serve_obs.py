@@ -170,13 +170,12 @@ class TestNoOpPin:
         requests = unique_requests(24)
         plain = TopKService(serve_config())
         plain_stats = plain.run([Request(**vars(r)) for r in requests])
-        assert len(plain.telemetry) == 0
-        assert plain.telemetry_spans() == []
+        assert plain.telemetry.events == []
 
         with obs.trace_session():
             traced = TopKService(serve_config())
             traced_stats = traced.run([Request(**vars(r)) for r in requests])
-        assert len(traced.telemetry) > 0
+        assert traced.telemetry.events
 
         # tracing is pure observation: byte-identical outcomes
         assert plain_stats.latencies_s == traced_stats.latencies_s
@@ -227,16 +226,18 @@ class TestRequestTracing:
         requests = unique_requests(30)
         service, stats = self.run_traced(requests)
         assert stats.total == 30
-        traced = service.telemetry.traced_requests()
+        traced = {
+            e.args["rid"] for e in service.telemetry.events if e.name == "request"
+        }
         coverage = len(traced) / stats.total
         assert coverage >= 0.95  # the PR acceptance floor (here: exactly 1.0)
         assert traced == set(range(30))
 
         by_rid: dict[int, set] = {}
-        for name, _cat, lane, _ts, _dur, _args in service.telemetry._spans:
-            if lane.startswith("serve:req/"):
-                rid = int(lane.rsplit("/r", 1)[1])
-                by_rid.setdefault(rid, set()).add(name)
+        for e in service.telemetry.events:
+            if e.lane.startswith("serve:req/"):
+                rid = int(e.lane.rsplit("/r", 1)[1])
+                by_rid.setdefault(rid, set()).add(e.name)
         served = {o.rid for o in service.outcomes if o.status == "served"}
         for rid in served:
             assert {"admission", "queued", "batch", "finish", "request"} <= by_rid[rid]
@@ -245,29 +246,31 @@ class TestRequestTracing:
 
     def test_node_lanes_carry_batches_and_shards(self):
         service, _stats = self.run_traced(unique_requests(12))
-        lanes = {lane for _n, _c, lane, _t, _d, _a in service.telemetry._spans}
+        lanes = {e.lane for e in service.telemetry.events}
         assert "serve:node/device" in lanes
         assert {"serve:node/shard0", "serve:node/shard1"} <= lanes
         batches = [
-            args
-            for name, _c, lane, _t, _d, args in service.telemetry._spans
-            if name == "batch" and lane == "serve:node/device"
+            e.args
+            for e in service.telemetry.events
+            if e.name == "batch" and e.lane == "serve:node/device"
         ]
         assert len(batches) == service.stats.batches
         assert all("algo" in a and "size" in a for a in batches)
 
     def test_unsharded_run_emits_execute_spans(self):
         service, _stats = self.run_traced(unique_requests(8), shards=1)
-        names = {n for n, *_ in service.telemetry._spans}
+        names = {e.name for e in service.telemetry.events}
         assert "execute" in names
         assert "shards" not in names and "merge" not in names
 
     def test_spans_rebase_onto_wall_clock(self):
         service, _stats = self.run_traced(unique_requests(6))
         base = 5_000_000.0
-        spans = service.telemetry_spans(base_us=base)
+        tracer = obs.SpanTracer()
+        tracer.extend(service.telemetry.events, base_us=base)
+        spans = tracer.events
         assert spans and all(s.ts_us >= base for s in spans)
-        zero = service.telemetry_spans()
+        zero = service.telemetry.events
         assert spans[0].ts_us - zero[0].ts_us == pytest.approx(base)
         roots = [s for s in spans if s.name == "request"]
         for root in roots:
@@ -276,8 +279,9 @@ class TestRequestTracing:
 
     def test_trace_export_is_perfetto_valid(self, tmp_path):
         service, _stats = self.run_traced(unique_requests(10))
-        spans = service.telemetry_spans(base_us=1000.0)
-        path = obs.write_trace(spans, tmp_path / "serve_trace.json")
+        tracer = obs.SpanTracer()
+        tracer.extend(service.telemetry.events, base_us=1000.0)
+        path = obs.write_trace(tracer.events, tmp_path / "serve_trace.json")
         payload = json.loads(path.read_text())
         obs.validate_trace(payload)  # raises on contract violations
         names = {e["name"] for e in payload["traceEvents"] if e["ph"] == "X"}
@@ -294,7 +298,7 @@ class TestRequestTracing:
             service = TopKService(serve_config(faults=plan, batch_retries=3))
             stats = service.run(requests)
         assert stats.retries > 0
-        names = {n for n, *_ in service.telemetry._spans}
+        names = {e.name for e in service.telemetry.events}
         assert "retry" in names
         assert "fault:worker_crash" in names
         windows = service.telemetry.windows.values()

@@ -1,4 +1,9 @@
-"""Tests for the chrome-trace exporter."""
+"""Tests for the Trace-Event export of a simulated device timeline.
+
+A run's timeline goes through :func:`repro.device.timeline_spans` and
+the one exporter, :func:`repro.obs.chrome_trace` /
+:func:`repro.obs.write_trace` — the path the Fig. 8 traces take.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +12,14 @@ import json
 import numpy as np
 import pytest
 
-from repro import topk
-from repro.device import STREAMS, chrome_trace, write_chrome_trace
+from repro import obs, topk
+from repro.device import STREAMS, timeline_spans
+
+
+def trace_spans(run):
+    return timeline_spans(
+        run.device.timeline, lane_prefix="sim radix_select", device=run.device
+    )
 
 
 class TestChromeTrace:
@@ -18,26 +29,32 @@ class TestChromeTrace:
         return topk(data, 128, algo="radix_select")
 
     def test_event_structure(self, run):
-        payload = chrome_trace(run.device.timeline, device=run.device)
+        payload = obs.chrome_trace(trace_spans(run))
         events = payload["traceEvents"]
         slices = [e for e in events if e["ph"] == "X"]
         metas = [e for e in events if e["ph"] == "M"]
-        assert len(metas) == len(STREAMS)
+        streams = {event.stream for event in run.device.timeline.events}
+        # one process for the run, one track per stream that ran
+        assert len(metas) == 1 + len(streams)
         assert len(slices) == len(run.device.timeline.events)
         for e in slices:
             assert e["dur"] >= 0
             assert e["ts"] >= 0
-            assert e["cat"] in STREAMS
+            assert e["cat"] in {f"sim.{stream}" for stream in STREAMS}
 
     def test_timestamps_in_microseconds(self, run):
-        payload = chrome_trace(run.device.timeline)
+        payload = obs.chrome_trace(trace_spans(run))
         last_end = max(
             e["ts"] + e["dur"] for e in payload["traceEvents"] if e["ph"] == "X"
         )
-        assert last_end == pytest.approx(run.device.elapsed * 1e6, rel=0.01)
+        # the exporter starts the trace at the earliest event
+        first = min(event.start for event in run.device.timeline.events)
+        assert last_end == pytest.approx(
+            (run.device.elapsed - first) * 1e6, rel=0.01
+        )
 
     def test_kernel_args_attached(self, run):
-        payload = chrome_trace(run.device.timeline, device=run.device)
+        payload = obs.chrome_trace(trace_spans(run))
         kernel_events = [
             e
             for e in payload["traceEvents"]
@@ -47,15 +64,15 @@ class TestChromeTrace:
         assert "bytes_read" in kernel_events[0]["args"]
 
     def test_write_roundtrip(self, run, tmp_path):
-        path = write_chrome_trace(run.device, tmp_path / "deep" / "trace.json")
+        path = obs.write_trace(trace_spans(run), tmp_path / "deep" / "trace.json")
         payload = json.loads(path.read_text())
+        obs.validate_trace(payload)
         assert payload["traceEvents"]
 
     def test_streams_are_separate_tracks(self, run):
-        payload = chrome_trace(run.device.timeline)
+        payload = obs.chrome_trace(trace_spans(run))
         tids = {
             e["cat"]: e["tid"] for e in payload["traceEvents"] if e["ph"] == "X"
         }
-        assert tids["gpu"] != tids["cpu"]
+        assert tids["sim.gpu"] != tids["sim.cpu"]
         assert len(set(tids.values())) == len(tids)
-
