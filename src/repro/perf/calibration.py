@@ -186,3 +186,10 @@ SHARED_QUEUE_LEN = 32
 BLOCK_SELECT_WARPS = 4
 #: items per thread assumed when sizing streaming grids
 STREAM_ITEMS_PER_THREAD = 8
+#: partition family (BucketSelect, QuickSelect, SampleSelect): candidate
+#: count at or below which one single-block sort finishes a row
+PARTITION_TERMINAL_SIZE = 1024
+#: buckets of one BucketSelect / SampleSelect split
+PARTITION_BUCKETS = 256
+#: SampleSelect's per-row splitter sample
+SAMPLE_SIZE = 1024
