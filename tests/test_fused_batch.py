@@ -29,6 +29,7 @@ from repro.bench import ALL_ALGORITHMS
 from repro.device import Device, get_spec
 from repro.perf import calibration as cal
 from repro.serve import sharded_topk
+from repro.verify import check_topk
 
 settings.register_profile("batched", deadline=None, max_examples=25)
 settings.load_profile("batched")
@@ -167,3 +168,36 @@ class TestSharderFusedBatchCosts:
         )
         result = sharded_topk(data, 16, shards=2, algo=algo)
         assert result.meta["batched_execution"] is expected
+
+
+def _wide_rows(dtype: str, batch: int, n: int, seed: int) -> np.ndarray:
+    """Rows of 64-bit values whose encoded keys differ in the high word."""
+    rng = np.random.default_rng(seed)
+    if dtype == "float64":
+        return rng.standard_normal((batch, n))
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, size=(batch, n), dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", ("float64", "int64", "uint64"))
+class TestWideKeys:
+    """64-bit keys through the fused partition steps: pivots and splitter
+    searches must compare whole keys, not their low 32 bits."""
+
+    def test_quick_select_pivots_split_wide_keys(self, dtype):
+        data = _wide_rows(dtype, 1, 2**14, 3)
+        dev = Device(SPEC)
+        res = get_algorithm("quick_select").select(data, 32, device=dev)
+        check_topk(data, res.values, res.indices)
+        # median-of-3 pivots halve 2^14 candidates to the 1,024 terminal
+        # size in a handful of levels, not the 128-level cap
+        assert dev.kernel_stats["QuickSelectCount"].launches < 16
+
+    def test_sample_select_flat_search_keeps_rows_apart(self, dtype):
+        # 2,000 copies of each row's minimum keep more than the terminal
+        # size alive after iteration 0, so every row reaches the flat
+        # splitter search together
+        data = _wide_rows(dtype, 3, 2**13, 4)
+        data[:, :2000] = data.min(axis=1, keepdims=True)
+        res = get_algorithm("sample_select").select(data, 16)
+        check_topk(data, res.values, res.indices)
