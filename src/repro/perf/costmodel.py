@@ -325,7 +325,7 @@ def _predict_quick_select(
     is paid once per *level*, not once per row; the expected survivor
     fraction of a median-of-three pivot is 1/2.
     """
-    terminal = 1024.0
+    terminal = float(cal.PARTITION_TERMINAL_SIZE)
     t = cal.HOST_ALLOC_SECONDS
     count = float(n)
     while count > max(terminal, float(k)):
@@ -355,16 +355,17 @@ def _predict_sample_select(
     """Fused batched SampleSelect: per iteration, one block-per-row sample
     sort, a splitter-search histogram over the flat candidates, a batched
     histogram PCIe transfer + host scan, an offset scan and the filtering
-    scatter — 256 splitter buckets shrink the survivors by ~1/256."""
-    buckets = 256
-    terminal = 1024.0
-    sample_comps = _sort_comparators(1024.0)
+    scatter — the splitter buckets shrink the survivors by ~1/256."""
+    buckets = cal.PARTITION_BUCKETS
+    terminal = float(cal.PARTITION_TERMINAL_SIZE)
+    sample = float(cal.SAMPLE_SIZE)
+    sample_comps = _sort_comparators(sample)
     t = cal.HOST_ALLOC_SECONDS
     count = float(n)
     while count > max(terminal, float(k)):
         total = count * batch
         shape = _stream_shape(spec, total)
-        s = min(1024.0, count)
+        s = min(sample, count)
         t += model.price(  # SampleGatherSort: one block per row
             LaunchShape(batch, 256),
             bytes_read=4.0 * s * batch,
@@ -407,8 +408,8 @@ def _predict_bucket_select(
     once per row — the kernels stream the concatenated candidates of every
     still-active row, so only the device-side traffic scales with batch.
     """
-    buckets = 256
-    terminal = 1024.0
+    buckets = cal.PARTITION_BUCKETS
+    terminal = float(cal.PARTITION_TERMINAL_SIZE)
     t = cal.HOST_ALLOC_SECONDS
     count = float(n)
     while count > max(terminal, float(k)):
