@@ -1,10 +1,11 @@
 """Flat (segment-encoded) multi-row helpers for fused batched execution.
 
-The fused batched paths (BucketSelect, QuickSelect, SampleSelect) keep
-every row's surviving candidates in one flat row-major array plus a
-parallel array of row ids — mirroring how a fused GPU kernel keeps the
-whole batch resident in a single launch instead of replaying per-row
-kernels.  These helpers are the segment algebra those paths share:
+The partition family's fused driver (:mod:`repro.algos.partition_common`,
+running BucketSelect, QuickSelect and SampleSelect) keeps every row's
+surviving candidates in one flat row-major array plus a parallel array of
+row ids — mirroring how a fused GPU kernel keeps the whole batch resident
+in a single launch instead of replaying per-row kernels.  These helpers
+are the segment algebra of its flat view:
 
 * :func:`segment_offsets` — CSR-style offsets from per-segment counts;
 * :func:`flat_histogram` — per-segment digit histograms of a flat array
@@ -20,7 +21,8 @@ kernels.  These helpers are the segment algebra those paths share:
 
 All helpers are exact (integer arithmetic only); the fused paths that use
 them are pinned byte-identical to stacked single-row runs by
-``tests/test_differential.py::TestBatchedDifferential``.
+``tests/test_differential.py::TestBatchedDifferential``, and the
+partition family byte for byte by ``tests/test_golden_partition.py``.
 """
 
 from __future__ import annotations
