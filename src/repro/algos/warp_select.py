@@ -15,86 +15,25 @@ sort/merge work form a serial dependency chain.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .base import RunContext, TopKAlgorithm
-from .queue_common import QueueStats, emulate_queue_select
+from .queue_common import QueueSelect
 from ..perf import calibration as cal
 
 
-class _ThreadQueueSelect(TopKAlgorithm):
-    """Common machinery for the per-thread-queue Faiss methods."""
-
-    category = "partial sorting"
-    library = "Faiss"
-    max_k = 2048
-    on_the_fly = True
-    batched_execution = True  # Faiss launches one block per batch problem
-
-    #: lockstep lanes per problem (32 = one warp, 128 = 4-warp block)
-    lanes: int = 32
-
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        batch, n = ctx.keys.shape
-        result = emulate_queue_select(
-            ctx.keys,
-            ctx.k,
-            lanes=self.lanes,
-            mode="thread",
-            queue_len=cal.THREAD_QUEUE_LEN,
-        )
-        self._account(ctx, result.stats)
-        return result.keys, result.indices
-
-    def _account(self, ctx: RunContext, stats: QueueStats) -> None:
-        batch, n = ctx.keys.shape
-        device = ctx.device
-        k = ctx.k
-        # per-problem critical path: every problem has the same round count,
-        # and problems run concurrently on separate blocks
-        rounds_per_problem = -(-n // self.lanes)
-        flushes_per_problem = stats.flushes / batch
-        flush_comps = stats.merge_comparators / max(1, stats.flushes)
-        dependent_cycles = (
-            rounds_per_problem * cal.ROUND_CYCLES_THREAD_QUEUE
-            # a flush stalls the whole block; comparators execute lanes-wide
-            + flushes_per_problem
-            * (flush_comps / self.lanes)
-            * cal.FLUSH_CYCLES_PER_LANE_COMPARATOR
-        )
-        device.launch_kernel(
-            self.kernel_name,
-            grid_blocks=batch,
-            block_threads=self.lanes,
-            bytes_read=4.0 * batch * n,
-            bytes_written=8.0 * batch * k,
-            flops=(
-                cal.THREAD_QUEUE_OPS_PER_ELEM
-                * cal.queue_k_ops_factor(ctx.nominal_k)
-                * batch
-                * n
-                + cal.OPS_PER_COMPARATOR * stats.merge_comparators
-            ),
-            dependent_cycles=dependent_cycles,
-            fixed_dependent_cycles=cal.QUEUE_KERNEL_FIXED_CYCLES
-            + batch * cal.QUEUE_PER_PROBLEM_CYCLES,
-            warp_efficiency=cal.WARP_EFFICIENCY_THREAD_QUEUE,
-        )
-
-    @property
-    def kernel_name(self) -> str:
-        return f"{self.name}_kernel"
-
-
-class WarpSelect(_ThreadQueueSelect):
+class WarpSelect(QueueSelect):
     """One warp per problem, 32 private thread queues (Faiss)."""
 
     name = "warp_select"
+    library = "Faiss"
     lanes = 32
+    cost_record = "faiss_thread"
+    kernel_name = "warp_select_kernel"
 
 
-class BlockSelect(_ThreadQueueSelect):
+class BlockSelect(QueueSelect):
     """One 4-warp block per problem — Faiss' extension of WarpSelect."""
 
     name = "block_select"
+    library = "Faiss"
     lanes = 32 * cal.BLOCK_SELECT_WARPS
+    cost_record = "faiss_thread"
+    kernel_name = "block_select_kernel"

@@ -23,41 +23,33 @@ top-k of everything seen so far); see :class:`GridSelectStream`.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from ..algos.base import RunContext, TopKAlgorithm
-from ..algos.queue_common import (
-    QueueStats,
-    best_first,
-    emulate_queue_select,
-    sentinel_for,
-    slice_rows,
-)
-from ..device import Device, GPUSpec, A100, ceil_div, next_pow2
-from ..obs.metrics import get_metrics, metrics_enabled
+from ..algos.queue_common import QueueSelect, QueueStats, best_first, sentinel_for
+from ..device import Device, GPUSpec, A100, ceil_div
+from ..obs.metrics import count, get_metrics, metrics_enabled
 from ..obs.spans import tracing_enabled
 from ..perf import calibration as cal
-from ..primitives import comparator_count_sort
 
 
-class GridSelect(TopKAlgorithm):
+class GridSelect(QueueSelect):
     """Multi-block shared-queue k-selection (this paper)."""
 
     name = "grid_select"
     library = "this paper"
-    category = "partial sorting"
-    max_k = 2048
-    on_the_fly = True
-    batched_execution = True
-
     #: threads per block (4 warps, matching BlockSelect's block shape)
-    block_threads = 32 * cal.BLOCK_SELECT_WARPS
+    lanes = block_threads = 32 * cal.BLOCK_SELECT_WARPS
+    kernel_name = "GridSelectKernel"
+    merge_name = "GridSelectMerge"
 
     def __init__(self, *, queue: str = "shared") -> None:
         """``queue='thread'`` is the per-thread-queue ablation of Fig. 11."""
         if queue not in ("shared", "thread"):
             raise ValueError(f"queue must be 'shared' or 'thread', got {queue!r}")
         self.queue = queue
+        self.cost_record = f"grid_{queue}"
 
     def num_blocks(self, spec, nominal_n: int) -> int:
         """Blocks per problem: enough to cover N, capped at 2 waves."""
@@ -65,116 +57,13 @@ class GridSelect(TopKAlgorithm):
         needed = ceil_div(nominal_n, self.block_threads * per_thread)
         return max(1, min(needed, 2 * spec.sm_count))
 
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        batch, n = ctx.keys.shape
-        device = ctx.device
-        blocks = self.num_blocks(device.spec, ctx.nominal_n)
-
-        slices, offsets = slice_rows(ctx.keys, blocks)
-        # real elements per slice: trailing slices of a row may be padded
-        per = slices.shape[1]
-        starts = np.tile(np.arange(blocks, dtype=np.int64) * per, batch)
-        lengths = np.clip(n - starts, 0, per)
-        if self.queue == "shared":
-            result = emulate_queue_select(
-                slices,
-                ctx.k,
-                lanes=self.block_threads,
-                mode="shared",
-                queue_len=cal.SHARED_QUEUE_LEN,
-                valid_lengths=lengths,
-            )
-        else:
-            result = emulate_queue_select(
-                slices,
-                ctx.k,
-                lanes=self.block_threads,
-                mode="thread",
-                queue_len=cal.THREAD_QUEUE_LEN,
-                valid_lengths=lengths,
-            )
-        # local slice positions -> original row positions
-        block_idx = np.where(
-            result.indices >= 0, result.indices + offsets[:, None], -1
-        )
-        block_keys = result.keys.reshape(batch, blocks * ctx.k)
-        block_idx = block_idx.reshape(batch, blocks * ctx.k)
-
-        self._account_main(ctx, result.stats, blocks)
-
-        # final merge kernel: one block per problem reduces the per-block
-        # top-k candidates to the global top-k; with a single block the
-        # block result already is the answer and the kernel is skipped
-        out_keys, out_idx = best_first(block_keys, block_idx, ctx.k)
-        if blocks > 1:
-            merge_elems = batch * blocks * ctx.k
-            device.launch_kernel(
-                "GridSelectMerge",
-                grid_blocks=batch,
-                block_threads=self.block_threads,
-                bytes_read=8.0 * merge_elems,
-                bytes_written=8.0 * batch * ctx.k,
-                flops=cal.OPS_PER_COMPARATOR
-                * batch
-                * comparator_count_sort(next_pow2(max(2, blocks * ctx.k))),
-            )
-        return out_keys, out_idx
-
-    def _account_main(self, ctx: RunContext, stats: QueueStats, blocks: int) -> None:
-        batch, n = ctx.keys.shape
-        device = ctx.device
-        slice_len = -(-n // blocks)
-        rounds_per_block = -(-slice_len // self.block_threads)
-        total_slices = batch * blocks
-        flushes_per_block = stats.flushes / total_slices
-        flush_comps = stats.merge_comparators / max(1, stats.flushes)
-        if self.queue == "shared":
-            round_cycles = cal.ROUND_CYCLES_SHARED_QUEUE
-            elem_ops = cal.SHARED_QUEUE_OPS_PER_ELEM
-            warp_eff = cal.WARP_EFFICIENCY_SHARED_QUEUE
-        else:
-            round_cycles = cal.ROUND_CYCLES_THREAD_QUEUE
-            elem_ops = cal.THREAD_QUEUE_OPS_PER_ELEM_GRID
-            warp_eff = cal.WARP_EFFICIENCY_THREAD_QUEUE_GRID
-        span_args = None
+    def _telemetry(self, stats: QueueStats) -> dict | None:
+        """Count ``gridselect.*`` metrics; the queue stats as span args."""
+        count("gridselect.flushes", stats.flushes, queue=self.queue)
+        count("gridselect.inserts", stats.inserts, queue=self.queue)
         if tracing_enabled():
-            span_args = {
-                "queue": self.queue,
-                "rounds": stats.rounds,
-                "inserts": stats.inserts,
-                "flushes": stats.flushes,
-                "merge_comparators": stats.merge_comparators,
-            }
-        if metrics_enabled():
-            registry = get_metrics()
-            registry.counter("gridselect.flushes", queue=self.queue).inc(
-                stats.flushes
-            )
-            registry.counter("gridselect.inserts", queue=self.queue).inc(
-                stats.inserts
-            )
-        dependent_cycles = (
-            rounds_per_block * round_cycles
-            + flushes_per_block
-            * (flush_comps / self.block_threads)
-            * cal.FLUSH_CYCLES_PER_LANE_COMPARATOR
-        )
-        device.launch_kernel(
-            "GridSelectKernel",
-            grid_blocks=total_slices,
-            block_threads=self.block_threads,
-            bytes_read=4.0 * batch * n,
-            bytes_written=8.0 * total_slices * ctx.k,
-            flops=(
-                elem_ops * cal.queue_k_ops_factor(ctx.nominal_k) * batch * n
-                + cal.OPS_PER_COMPARATOR * stats.merge_comparators
-            ),
-            dependent_cycles=dependent_cycles,
-            fixed_dependent_cycles=cal.GRID_KERNEL_FIXED_CYCLES
-            + batch * cal.QUEUE_PER_PROBLEM_CYCLES,
-            warp_efficiency=warp_eff,
-            span_args=span_args,
-        )
+            return {"queue": self.queue, **dataclasses.asdict(stats)}
+        return None
 
 
 class GridSelectStream:

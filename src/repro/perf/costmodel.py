@@ -454,82 +454,50 @@ def _predict_bucket_select(
     return t + spec.kernel_launch_latency + spec.sync_latency
 
 
-def _predict_thread_queue(
-    model: KernelCostModel, spec, n: int, k: int, batch: int, *, lanes: int
-) -> float:
-    """WarpSelect / BlockSelect: one ``lanes``-thread block per problem."""
-    shape = LaunchShape(batch, lanes)
-    inserts = _expected_inserts(n, k) * batch
-    flushes = inserts / (lanes * cal.THREAD_QUEUE_LEN)
-    flush_comps = _sort_comparators(2 ** math.ceil(math.log2(max(2, 2 * k))))
-    rounds = -(-n // lanes)
-    dependent = (
-        rounds * cal.ROUND_CYCLES_THREAD_QUEUE
-        + (flushes / batch) * (flush_comps / lanes)
-        * cal.FLUSH_CYCLES_PER_LANE_COMPARATOR
-        + cal.QUEUE_KERNEL_FIXED_CYCLES
-        + batch * cal.QUEUE_PER_PROBLEM_CYCLES
-    )
-    kernel = model.price(
-        shape,
-        bytes_read=4.0 * batch * n,
-        bytes_written=8.0 * batch * k,
-        flops=(
-            cal.THREAD_QUEUE_OPS_PER_ELEM
-            * cal.queue_k_ops_factor(k)
-            * batch
-            * n
-            + cal.OPS_PER_COMPARATOR * flushes * flush_comps
-        ),
-        dependent_cycles=dependent,
-        warp_efficiency=cal.WARP_EFFICIENCY_THREAD_QUEUE,
-    )
-    return kernel.duration + spec.kernel_launch_latency + spec.sync_latency
-
-
 def _grid_select_blocks(spec, n: int) -> int:
-    """Blocks per problem used by GridSelect (mirrors GridSelect.num_blocks)."""
+    """Blocks per problem the predictor prices for GridSelect.
+
+    It sizes 256-thread blocks, where ``GridSelect.num_blocks`` sizes the
+    kernel's 128-thread ones: below the two-wave cap it prices about half
+    the blocks the kernel launches (2 against 4 at n = 2^16 on an A100).
+    """
     per_block = 256 * cal.STREAM_ITEMS_PER_THREAD * 16
     needed = -(-n // int(per_block))
     return max(1, min(needed, 2 * spec.sm_count))
 
 
-def _predict_grid_select(
-    model: KernelCostModel, spec, n: int, k: int, batch: int
+def _predict_queue_select(
+    model: KernelCostModel, spec, n: int, k: int, batch: int, *,
+    blocks: int, lanes: int, flush_capacity: int, costs: cal.QueueCost,
 ) -> float:
-    blocks = _grid_select_blocks(spec, n)
-    shape = LaunchShape(batch * blocks, 256)
+    """Queue select: ``blocks`` blocks of ``lanes`` threads per problem, a
+    flush per ``flush_capacity`` inserts, and a merge across the blocks."""
+    shape = LaunchShape(batch * blocks, lanes)
     slice_len = -(-n // blocks)
     inserts = _expected_inserts(slice_len, min(k, slice_len)) * blocks * batch
-    flushes = inserts / cal.SHARED_QUEUE_LEN
+    flushes = inserts / flush_capacity
     flush_comps = _sort_comparators(2 ** math.ceil(math.log2(max(2, 2 * k))))
     dependent = (
-        (-(-slice_len // 256)) * cal.ROUND_CYCLES_SHARED_QUEUE
-        + (flushes / (batch * blocks)) * (flush_comps / 256)
+        (-(-slice_len // lanes)) * costs.round_cycles
+        + (flushes / (batch * blocks)) * (flush_comps / lanes)
         * cal.FLUSH_CYCLES_PER_LANE_COMPARATOR
-        + cal.GRID_KERNEL_FIXED_CYCLES
+        + costs.fixed_cycles
         + batch * cal.QUEUE_PER_PROBLEM_CYCLES
     )
     t = model.price(
         shape,
         bytes_read=4.0 * batch * n,
         bytes_written=8.0 * batch * blocks * k,
-        flops=(
-            cal.SHARED_QUEUE_OPS_PER_ELEM
-            * cal.queue_k_ops_factor(k)
-            * batch
-            * n
-            + cal.OPS_PER_COMPARATOR * flushes * flush_comps
-        ),
+        flops=costs.ops_per_elem * cal.queue_k_ops_factor(k) * batch * n
+        + cal.OPS_PER_COMPARATOR * flushes * flush_comps,
         dependent_cycles=dependent,
-        warp_efficiency=cal.WARP_EFFICIENCY_SHARED_QUEUE,
+        warp_efficiency=costs.warp_efficiency,
     ).duration
     t += spec.kernel_launch_latency
     if blocks > 1:
-        merge_elems = batch * blocks * k
         t += model.price(
-            LaunchShape(batch, 256),
-            bytes_read=8.0 * merge_elems,
+            LaunchShape(batch, lanes),
+            bytes_read=8.0 * batch * blocks * k,
             bytes_written=8.0 * batch * k,
             flops=cal.OPS_PER_COMPARATOR
             * batch
@@ -701,14 +669,19 @@ def _predict(algo: str, model: KernelCostModel, spec, n: int, k: int, batch: int
         return _predict_bucket_select(model, spec, n, k, batch)
     if algo == "sample_select":
         return _predict_sample_select(model, spec, n, k, batch)
-    if algo == "warp_select":
-        return _predict_thread_queue(model, spec, n, k, batch, lanes=32)
-    if algo == "block_select":
-        return _predict_thread_queue(
-            model, spec, n, k, batch, lanes=32 * cal.BLOCK_SELECT_WARPS
+    if algo in ("warp_select", "block_select"):
+        lanes = 32 if algo == "warp_select" else 32 * cal.BLOCK_SELECT_WARPS
+        return _predict_queue_select(
+            model, spec, n, k, batch, blocks=1, lanes=lanes,
+            flush_capacity=lanes * cal.THREAD_QUEUE_LEN,
+            costs=cal.queue_cost("faiss_thread"),
         )
     if algo == "grid_select":
-        return _predict_grid_select(model, spec, n, k, batch)
+        return _predict_queue_select(
+            model, spec, n, k, batch, blocks=_grid_select_blocks(spec, n),
+            lanes=256, flush_capacity=cal.SHARED_QUEUE_LEN,
+            costs=cal.queue_cost("grid_shared"),
+        )
     if algo == "air_topk":
         return _predict_air_topk(model, spec, n, k, batch)
     if algo == "bitonic_topk":
