@@ -45,13 +45,8 @@ class BucketSelect(BucketPartition):
         span = (np.uint64(1) + np.asarray(hi, dtype=np.uint64) - lo64).astype(
             np.float64
         )
-        # a row spanning the full uint64 range wraps span to 0; every key
-        # then lands in bucket 0 (the terminal cap still finishes the row)
-        scale = np.where(
-            span > 0.0,
-            np.float64(self.num_buckets) / np.maximum(span, 1.0),
-            0.0,
-        )
+        # a row spanning the whole uint64 range wraps its span to 0: 2^64
+        scale = np.float64(self.num_buckets) / np.where(span > 0.0, span, 2.0**64)
         rel = (keys.astype(np.uint64) - lo64).astype(np.float64)
         raw = (rel * scale).astype(np.uint32)
         return np.minimum(raw, np.uint32(self.num_buckets - 1))

@@ -193,6 +193,23 @@ class TestWideKeys:
         # size in a handful of levels, not the 128-level cap
         assert dev.kernel_stats["QuickSelectCount"].launches < 16
 
+    def test_bucket_select_splits_a_row_spanning_every_key(self, dtype):
+        # both extremes of the dtype in one row: for 64-bit integers the
+        # encoded keys span the whole uint64 range, whose bucket width
+        # 1 + hi - lo wraps to 0 in uint64
+        data = _wide_rows(dtype, 1, 2**14, 5)
+        if dtype == "float64":
+            data[0, :2] = -np.inf, np.inf
+        else:
+            data[0, :2] = np.iinfo(dtype).min, np.iinfo(dtype).max
+        dev = Device(SPEC)
+        algo = get_algorithm("bucket_select")
+        res = algo.select(data, 32, device=dev)
+        check_topk(data, res.values, res.indices)
+        # 256 linear buckets shrink 2^14 candidates to the terminal size in
+        # a few iterations, far below the cap
+        assert dev.kernel_stats["MinMaxReduce"].launches < algo.max_iterations // 8
+
     def test_sample_select_flat_search_keeps_rows_apart(self, dtype):
         # 2,000 copies of each row's minimum keep more than the terminal
         # size alive after iteration 0, so every row reaches the flat
