@@ -37,13 +37,13 @@ tests/test_adaptive.py).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import InputError
+from ..faults import fault_draw
 
 SCHEMA_ID = "repro.perf.corrections/v1"
 
@@ -96,15 +96,10 @@ def _bucket(value: int) -> int:
 
 
 def explore_draw(seed: int, site: str, *key: object) -> float:
-    """The uniform [0, 1) draw behind one exploration decision.
-
-    Pure and stateless — the same sha256 construction as
-    :func:`repro.faults.injector.fault_draw`, under its own ``kind`` so
-    exploration and fault streams can never collide.
-    """
-    text = ":".join([str(seed), "explore", site, *[str(part) for part in key]])
-    digest = hashlib.sha256(text.encode()).digest()
-    return int.from_bytes(digest[:8], "little") / float(1 << 64)
+    """The uniform [0, 1) draw behind one exploration decision: a
+    :func:`repro.faults.fault_draw` of its own kind, ``"explore"``, so
+    exploration and fault streams can never collide."""
+    return fault_draw(seed, "explore", site, *key)
 
 
 @dataclass(frozen=True)
