@@ -132,6 +132,21 @@ class TestMetrics:
         assert h.min == -0.5 and h.max == 5.0
         assert h.mean == pytest.approx(5.75 / 4)
 
+    @pytest.mark.parametrize(
+        "bounds", [(-1.0, 0.0, 0.0, 1e-3, 1.0, 5.0), DEFAULT_BOUNDS, (2.0,)]
+    )
+    def test_histogram_bucket_is_first_bound_at_or_above(self, bounds):
+        """NaN, ±inf, −0.0 and values equal to a bound land where a walk
+        over the bounds puts them; NaN is above every bound."""
+        nan, inf = float("nan"), float("inf")
+        values = [*bounds, nan, inf, -inf, -0.0, -5.0, 0.5, 4.999, 1e300]
+        values += [b * (1 + 1e-12) for b in bounds]
+        for value in values:
+            h = Histogram(bounds=bounds)
+            h.observe(value)
+            want = next((i for i, b in enumerate(bounds) if value <= b), len(bounds))
+            assert h.counts == [int(i == want) for i in range(len(bounds) + 1)]
+
     def test_histogram_rejects_unsorted_bounds(self):
         with pytest.raises(ValueError):
             Histogram(bounds=(1.0, 0.0))

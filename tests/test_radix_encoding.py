@@ -243,6 +243,20 @@ class TestDigitLayout:
         p0 = digit_layout(32, 4)[0]
         assert p0.extract(keys)[0] == 0b1010
 
+    @pytest.mark.parametrize("total_bits", [16, 32, 64])
+    @pytest.mark.parametrize("digit_bits", [8, 11, 16])
+    def test_extract_is_shift_and_mask(self, total_bits, digit_bits, rng):
+        """Every pass's digits are ``(keys >> shift) & mask``, as uint32."""
+        dtype = np.dtype(f"u{total_bits // 8}")
+        keys = rng.integers(0, np.iinfo(dtype).max, size=512, dtype=dtype, endpoint=True)
+        keys[:2] = (0, np.iinfo(dtype).max)
+        for p in digit_layout(total_bits, digit_bits):
+            mask = dtype.type((1 << p.width) - 1)
+            want = (keys >> dtype.type(p.shift)) & mask
+            got = p.extract(keys)
+            assert got.dtype == np.uint32
+            assert np.array_equal(got, want)
+
     def test_digit_reassembly(self, rng):
         """Concatenating extracted digits MSB-first reconstructs the key."""
         keys = rng.integers(0, 2**32, size=64, dtype=np.uint32)

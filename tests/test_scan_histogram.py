@@ -82,6 +82,33 @@ class TestHistogram:
         with pytest.raises(ValueError):
             digit_histogram(np.array([-1]), 4)
 
+    @pytest.mark.parametrize("dtype", ["u1", "u2", "u4", "u8", "i4", "i8"])
+    def test_too_large_digit_rejected_for_every_dtype(self, dtype):
+        digits = np.array([0, 3, 4, 1], dtype=dtype)
+        with pytest.raises(
+            ValueError, match=r"^digit values outside \[0, 4\): min=0, max=4$"
+        ):
+            digit_histogram(digits, 4)
+
+    @pytest.mark.parametrize("dtype", ["u1", "u2", "u8", "i8"])
+    def test_dtype_maximum_rejected(self, dtype):
+        """Digits far past the buckets: some wrap negative in bincount's
+        index type, some would need an impossible allocation."""
+        top = np.iinfo(dtype).max
+        digits = np.array([1, top], dtype=dtype)
+        with pytest.raises(
+            ValueError, match=rf"^digit values outside \[0, 4\): min=1, max={top}$"
+        ):
+            digit_histogram(digits, 4)
+
+    @pytest.mark.parametrize("dtype", ["i4", "i8"])
+    def test_negative_digit_rejected_for_signed_dtypes(self, dtype):
+        digits = np.array([2, -1, 3], dtype=dtype)
+        with pytest.raises(
+            ValueError, match=r"^digit values outside \[0, 4\): min=-1, max=3$"
+        ):
+            digit_histogram(digits, 4)
+
     def test_batched_matches_per_row(self, rng):
         digits = rng.integers(0, 16, size=(5, 200)).astype(np.uint32)
         batched = batched_digit_histogram(digits, 16)

@@ -357,6 +357,29 @@ class TestMicroBatcher:
         assert [r.rid for r in popped] == [0, 1]
         assert b.pending == 3
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bookkeeping_matches_a_walk_over_the_queue(self, seed):
+        """Random adds (arrivals out of order, ties included) and pops:
+        ``pending`` and ``next_flush_time`` equal a walk over every
+        queued request."""
+        rng = np.random.default_rng(seed)
+        b = MicroBatcher(max_batch=3, max_delay_s=0.01)
+        for rid in range(400):
+            if b.groups() and rng.random() < 0.3:
+                keys = list(b.groups())
+                b.pop(keys[rng.integers(len(keys))])
+            else:
+                arrival = float(rng.integers(0, 50)) / 8.0
+                b.add(make_request(rid, arrival, k=int(rng.integers(1, 4))))
+            groups = b.groups()
+            assert b.pending == len(b) == sum(len(g) for g in groups.values())
+            want = None
+            for key, group in groups.items():
+                deadline = min(r.arrival_s for r in group) + b.max_delay_s
+                if want is None or deadline < want[0]:
+                    want = (deadline, key)
+            assert b.next_flush_time() == want
+
 
 # --------------------------------------------------------------------------- #
 # caches
