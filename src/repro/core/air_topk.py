@@ -309,7 +309,7 @@ class AIRTopK(TopKAlgorithm):
     # ------------------------------------------------------------------ #
     def _load_and_filter(
         self, state: _RowState, row_keys: np.ndarray, traffic: _KernelTraffic
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Read this kernel's input and apply the lagged filter.
 
         Returns the candidates through boundary ``passes_done - 1`` (i.e.
@@ -323,7 +323,9 @@ class AIRTopK(TopKAlgorithm):
             n = row_keys.shape[0]
             traffic.bytes_read += 4.0 * n
             traffic.elements += n
-            return row_keys, np.arange(n, dtype=np.int64)
+            # the first kernel filters nothing and never buffers, so its
+            # candidates' indices are never read: it materialises none
+            return row_keys, None
 
         prev = self.passes[p - 1]
         prev_target = state.targets[-1]
@@ -335,6 +337,8 @@ class AIRTopK(TopKAlgorithm):
             prev_digits = prev.extract(cand_keys)
             win = prev_digits < prev_target
             keep = prev_digits == prev_target
+            win_idx, keep_idx = cand_idx[win], cand_idx[keep]
+            win_keys, keep_keys = cand_keys[win], cand_keys[keep]
         else:
             n = row_keys.shape[0]
             traffic.bytes_read += 4.0 * n
@@ -352,15 +356,17 @@ class AIRTopK(TopKAlgorithm):
                 prefix2 = state.prefix >> prev.width
                 match2 = (row_keys >> kt(prev2.shift)) == kt(prefix2)
                 win = match2 & (shifted < kt(state.prefix))
-            cand_keys = row_keys
-            cand_idx = np.arange(n, dtype=np.int64)
+            # a rescan's candidates are input positions: the masks' set
+            # bits are their indices
+            win_idx, keep_idx = np.flatnonzero(win), np.flatnonzero(keep)
+            win_keys, keep_keys = row_keys[win_idx], row_keys[keep_idx]
 
-        n_win = int(win.sum())
+        n_win = len(win_idx)
         if n_win:
-            state.out_keys.append(cand_keys[win])
-            state.out_idx.append(cand_idx[win])
+            state.out_keys.append(win_keys)
+            state.out_idx.append(win_idx)
             traffic.bytes_written += cal.SCATTER_WRITE_PENALTY * 8.0 * n_win
-        return cand_keys[keep], cand_idx[keep]
+        return keep_keys, keep_idx
 
     # ------------------------------------------------------------------ #
     def _fused_iteration(

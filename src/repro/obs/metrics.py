@@ -19,6 +19,7 @@ documented in docs/observability.md.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,11 +83,11 @@ class Histogram:
         self.sum += value
         self.min = min(self.min, value)
         self.max = max(self.max, value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # the first bound >= value; NaN is above every bound
+        if value != value:
+            self.counts[-1] += 1
+        else:
+            self.counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:

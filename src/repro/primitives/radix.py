@@ -133,8 +133,11 @@ class DigitPass:
 
     def extract(self, keys: np.ndarray) -> np.ndarray:
         """Digits of the encoded keys for this pass, as small unsigned ints."""
-        mask = keys.dtype.type((1 << self.width) - 1)
-        digits = (keys >> keys.dtype.type(self.shift)) & mask
+        kt = keys.dtype.type
+        digits = keys >> kt(self.shift)
+        # the top digit's shift already clears every bit above it
+        if self.shift + self.width != keys.dtype.itemsize * 8:
+            digits &= kt((1 << self.width) - 1)
         return digits.astype(np.uint32, copy=False)
 
 
