@@ -68,20 +68,27 @@ class ClusterNode:
         deadline_s: float | None = None,
         slo: tuple | None = None,
         orphan: bool = False,
+        content_key=None,
     ) -> int:
-        """Enqueue one sub-query; returns its node-local rid."""
+        """Enqueue one sub-query; returns its node-local rid.
+
+        ``content_key`` is the router's identity of ``data``: the whole
+        payload's ``payload_key``, with the slice bounds for a partition.
+        The node's result cache keys the sub-query's entry by it instead
+        of pinning a copy of the slice.
+        """
         rid = len(self.requests)
-        self.requests.append(
-            Request(
-                rid=rid,
-                data=data,
-                k=k,
-                largest=largest,
-                arrival_s=arrival_s,
-                deadline_s=deadline_s,
-                slo=slo,
-            )
+        request = Request(
+            rid=rid,
+            data=data,
+            k=k,
+            largest=largest,
+            arrival_s=arrival_s,
+            deadline_s=deadline_s,
+            slo=slo,
         )
+        request._content_key = content_key
+        self.requests.append(request)
         if orphan:
             self.orphans.add(rid)
         return rid

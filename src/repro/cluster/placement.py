@@ -44,9 +44,9 @@ def payload_key(data: np.ndarray) -> str:
     Frozen on purpose.  Every hashing policy derives replica sets from
     this key, so changing one bit of it moves every payload to other
     nodes: node caches go cold, and under a fault plan the failover and
-    hedge counts of a replay change.  It is separate from the result
-    cache's :func:`repro.serve.cache.fingerprint`, which may change
-    freely because its keys never leave one service.
+    hedge counts of a replay change.  Node result caches key their
+    entries off it too (see :mod:`repro.serve.cache`), so a cluster
+    request is hashed once, here.
     """
     arr = np.ascontiguousarray(data)
     digest = hashlib.blake2b(digest_size=16)

@@ -275,6 +275,9 @@ class ClusterRouter:
         for p, (start, end) in enumerate(bounds):
             part = _Partition(index=p, start=start, end=end)
             data = request.data[start:end] if count > 1 else request.data
+            # node caches key the sub-query by the placement hash: a slice
+            # is named by its whole payload, so it is never hashed again
+            content = (key, start, end) if count > 1 else key
             k_p = min(request.k, end - start)
             replicas = self.placement.replica_set(key, p)
             for node_id in replicas:
@@ -297,6 +300,7 @@ class ClusterRouter:
                         deadline_s=request.deadline_s,
                         slo=request.slo if count == 1 else None,
                         orphan=True,
+                        content_key=content,
                     )
                     self.stats.wasted_dispatches += 1
                     part.failovers += 1
@@ -309,6 +313,7 @@ class ClusterRouter:
                     arrival,
                     deadline_s=request.deadline_s,
                     slo=request.slo if count == 1 else None,
+                    content_key=content,
                 )
                 part.refs.append(_SubRef(node_id=node_id, node_rid=rid))
                 self.placement.record(node_id, float(end - start))

@@ -11,9 +11,11 @@ that
 * **shards** large-N problems across simulated devices with per-shard
   selection and a hierarchical k-way merge of (value, index) candidates,
   the Dr. Top-k delegate decomposition (:mod:`.sharder`, :mod:`.merge`);
-* **caches** results and cost-model dispatch plans in an LRU keyed on
-  (data fingerprint, n, k, distribution hints) so the ``auto``
-  dispatcher's ranking is reused across requests (:mod:`.cache`);
+* **caches** results, keyed on the payload's identity (its bytes, or
+  a cluster node's placement key) plus (k, largest, quality class), and
+  cost-model dispatch plans, keyed on the problem shape, so repeated
+  payloads skip the device and the ``auto`` dispatcher's ranking is
+  reused across batches (:mod:`.cache`);
 * applies **backpressure** — bounded queues, per-request deadlines and
   load shedding — reporting served / degraded / shed / timeout / failed
   outcomes with full ``serve.*`` telemetry (:mod:`.service`);

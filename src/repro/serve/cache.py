@@ -9,9 +9,8 @@ Two things are worth remembering between requests:
   power of two (the cost model's batch sensitivity is coarse, and
   bucketing keeps the table small under jittery occupancy).
 * **Results** — identical payloads recur in real serving traffic (hot
-  queries, retries).  Served (values, indices) are keyed on a
-  content fingerprint of the payload (a 128-bit SHA-256 prefix, see
-  :func:`fingerprint`) plus (n, k, largest) — the hints that change the
+  queries, retries).  Served (values, indices) are keyed on the
+  payload's identity plus (k, largest) — the hints that change the
   answer — plus the request's *quality class*: an approximate-tier
   answer and the exact answer for the same payload are different results
   and must never alias (an exact caller getting a cached approximate
@@ -19,25 +18,25 @@ Two things are worth remembering between requests:
   dict (``exact``, ``recall_bound``, ``algo``) so a cache hit reproduces
   the original outcome's quality annotations.
 
-Hashing a large payload costs far more than comparing it, so a lookup
-does not start from the fingerprint.  A side index maps a cheap *probe*
-— dtype (byte order included), shape, 64 evenly strided payload elements
-and (k, largest, quality) — to the live entries under it:
+The result cache hashes no payload.  A payload's identity is one of:
 
-* no entry under the probe: a miss, and nothing is hashed;
-* an entry whose *pinned* payload copy is bitwise equal to the request's
-  payload: a hit, and nothing is hashed;
-* otherwise the payload is fingerprinted and looked up as usual, and a
-  hit pins a private, read-only copy of the payload to its entry (so
-  does an insert under a key that is already live).
+* **its bytes** — an insert pins a private, read-only copy of the
+  payload to its entry, and a side index maps a cheap *probe* — dtype
+  (byte order included), shape, 64 evenly strided payload elements and
+  (k, largest, quality) — to the live entries under it.  A lookup is the
+  probe followed by a bitwise compare against those entries' pins; a
+  re-insert of a live payload finds its entry the same way and refreshes
+  it.  A pin lives and dies with its entry, so the extra memory is at
+  most capacity × payload bytes.
+* **a content key** — a cluster node's sub-queries carry the router's
+  frozen :func:`repro.cluster.placement.payload_key` of the whole
+  request payload (plus the slice bounds for a partition), a strong
+  hash the router has already paid for.  The entry is keyed by it
+  directly: no probe and no pin.  Only
+  :meth:`repro.cluster.ClusterNode.dispatch` attaches such a key.
 
-So a payload is hashed when it is inserted and on its first hit, and
-every later hit costs one comparison.  Copies are pinned only for
-payloads that repeat; a pin lives and dies with its entry, so the extra
-memory is at most capacity × payload bytes.  Every hit hands out its own
-copy of the stored values, indices and meta.
-
-Both sit behind :class:`ServeCache`, a pair of bounded
+Every hit hands out its own copy of the stored values, indices and
+meta.  Both caches sit behind :class:`ServeCache`, a pair of bounded
 :class:`LRUCache` maps with hit/miss counters the service exports as
 ``serve.cache`` metrics.
 """
@@ -45,6 +44,7 @@ Both sit behind :class:`ServeCache`, a pair of bounded
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -59,12 +59,9 @@ def fingerprint(data: np.ndarray) -> str:
     """Content hash of an array: the first 16 bytes of SHA-256, as 32 hex
     characters, over its dtype (byte order included), shape and bytes.
 
-    The result cache calls it on every insert and on an entry's first
-    hit.  SHA-256 because on CPUs with SHA instructions (x86 SHA
-    extensions, ARMv8 crypto) OpenSSL's SHA-256 is the fastest
-    128-bit-strong hash in :mod:`hashlib`.  The key never leaves the
-    process, so the hash can change without moving any answer.  Cluster
-    placement does not use it: replica sets hang off the frozen
+    A standalone helper: the result cache does not call it (entries are
+    found by a pinned copy or a cluster content key, see the module
+    docstring), and cluster placement uses the frozen
     :func:`repro.cluster.placement.payload_key`.
     """
     arr = np.ascontiguousarray(data)
@@ -162,9 +159,11 @@ class ServeCache:
     def __init__(self, *, result_capacity: int = 256, plan_capacity: int = 64):
         self.results = LRUCache(result_capacity)
         self.plans = LRUCache(plan_capacity)
-        #: probe -> {result key: pinned payload bits, or None until the
-        #: entry's first verified hit}, over live result entries only
-        self._probes: dict[tuple, dict[tuple, np.ndarray | None]] = {}
+        #: probe -> {result key: pinned payload bits}, over the live
+        #: result entries stored without a content key
+        self._probes: dict[tuple, dict[int, np.ndarray]] = {}
+        #: result keys of pinned entries
+        self._serials = itertools.count()
         #: optional :class:`repro.perf.adaptive.CorrectionStore`; when set,
         #: plan keys carry the regime's correction epoch, so a folded-in
         #: correction invalidates exactly the plans whose cost-model
@@ -302,39 +301,38 @@ class ServeCache:
             quality,
         )
 
-    @staticmethod
-    def _result_key(digest: str, probe: tuple) -> tuple:
-        """The LRU key: (fingerprint, n, k, largest, quality class)."""
-        return (digest, probe[1][-1], *probe[3:])
+    def _locate(
+        self,
+        data: np.ndarray,
+        k: int,
+        largest: bool,
+        quality: float | None,
+        content_key,
+    ) -> tuple:
+        """``(key, probe)`` of this payload's entry.
 
-    def _find(
-        self, data: np.ndarray, k: int, largest: bool, quality: float | None
-    ) -> tuple | None:
-        """Key of the live entry for this payload, or None.
-
-        Nothing is hashed when no live entry shares the payload's probe,
-        or when one's pinned payload copy is bitwise equal to ``data``.
-        Otherwise ``data`` is fingerprinted, and an entry found that way
-        (its first verified hit) pins a copy of it.
+        With a ``content_key`` the key is derived from it and ``probe`` is
+        None: keyed entries are never indexed or pinned.  Otherwise
+        ``key`` is the live entry under the payload's probe whose pinned
+        copy is bitwise equal to ``data``, or None.
         """
+        if content_key is not None:
+            return (content_key, int(k), bool(largest), quality), None
         probe = self._probe(data, k, largest, quality)
         live = self._probes.get(probe)
-        if not live:
-            return None
-        bits = _bits(data)
-        for key, pinned in live.items():
-            # same shape: the probe holds it
-            if pinned is not None and (pinned == bits).all():
-                return key
-        key = self._result_key(fingerprint(data), probe)
-        if key not in live:
-            return None
-        live[key] = _pin(data)
-        return key
+        if live:
+            bits = _bits(data)
+            for key, pinned in live.items():
+                # same shape: the probe holds it
+                if (pinned == bits).all():
+                    return key, probe
+        return None, probe
 
-    def _unindex(self, key: tuple, entry: tuple) -> None:
-        """Drop an evicted or repaired entry from the side index."""
+    def _unindex(self, key, entry: tuple) -> None:
+        """Drop an evicted or repaired entry's pin from the side index."""
         probe = entry[-1]
+        if probe is None:
+            return
         live = self._probes[probe]
         del live[key]
         if not live:
@@ -355,6 +353,7 @@ class ServeCache:
         quality: float | None = None,
         *,
         corrupt=None,
+        content_key=None,
     ):
         """The cached ``(values, indices, meta)``, or None on miss *or*
         when the stored entry fails its integrity checksum.
@@ -367,9 +366,12 @@ class ServeCache:
         seam, see :meth:`corrupt_result`).  A corrupt entry (bit-rot or an
         injected fault) is counted, evicted (the *repair* half of the
         circuit-breaker policy) and reported as a miss, never served.
+        ``content_key`` is the cluster node's payload identity (see the
+        module docstring); the service passes the one
+        :meth:`repro.cluster.ClusterNode.dispatch` attached, else None.
         """
-        key = self._find(data, k, largest, quality)
-        if key is None:
+        key, _ = self._locate(data, k, largest, quality, content_key)
+        if key not in self.results:  # None is never a key
             self.results.misses += 1
             self._fire("result_miss")
             return None
@@ -394,17 +396,18 @@ class ServeCache:
         indices: np.ndarray,
         quality: float | None = None,
         meta: dict | None = None,
+        *,
+        content_key=None,
     ) -> None:
+        """Store one answer.  A payload without a ``content_key`` is
+        pinned on its first insert; a re-insert while its entry is live
+        refreshes that entry."""
         if self.results.capacity <= 0:
             return
-        # hash first: it streams the payload through the CPU cache, so the
-        # probe's strided reads that follow are cache hits
-        digest = fingerprint(data)
-        probe = self._probe(data, k, largest, quality)
-        key = self._result_key(digest, probe)
-        live = self._probes.setdefault(probe, {})
-        # a re-insert proves the payload repeats: pin it, as a first hit would
-        live[key] = _pin(data) if key in live else None
+        key, probe = self._locate(data, k, largest, quality, content_key)
+        if key is None:
+            key = next(self._serials)
+            self._probes.setdefault(probe, {})[key] = _pin(data)
         values = np.array(values, copy=True)
         indices = np.array(indices, copy=True)
         evicted = self.results.put(
@@ -415,7 +418,7 @@ class ServeCache:
         for old_key, old_entry in evicted:
             self._unindex(old_key, old_entry)
 
-    def _corrupt(self, key: tuple) -> None:
+    def _corrupt(self, key) -> None:
         values, *rest = self.results._data[key]
         corrupted = np.array(values, copy=True)
         corrupted.view(np.uint8).reshape(-1)[0] ^= 0xFF
@@ -432,7 +435,7 @@ class ServeCache:
         True when an entry was there to corrupt.  The stored checksum is
         left intact, so the next :meth:`get_result` detects and repairs
         the damage."""
-        key = self._find(data, k, largest, quality)
+        key, _ = self._locate(data, k, largest, quality, None)
         if key is not None:
             self._corrupt(key)
         return key is not None

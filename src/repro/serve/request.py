@@ -54,6 +54,13 @@ class Request:
     #: batched/cached separately from exact traffic (see GroupKey and
     #: ServeCache).
     slo: tuple | None = None
+    #: the payload's cluster identity, which the node's result cache keys
+    #: its entry by (see :mod:`repro.serve.cache`).  Never a constructor
+    #: argument: only :meth:`repro.cluster.ClusterNode.dispatch` sets it,
+    #: from the router's ``payload_key``
+    _content_key: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:

@@ -454,6 +454,7 @@ class TopKService:
             request.largest,
             quality_class(request.min_recall),
             corrupt=corrupt,
+            content_key=request._content_key,
         )
         if self.cache.corruptions > before:
             # the cache hook already counted the result_corrupt event
@@ -790,6 +791,7 @@ class TopKService:
                 indices,
                 quality_class(request.min_recall),
                 meta,
+                content_key=request._content_key,
             )
         self._finish(
             Outcome(

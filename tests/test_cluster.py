@@ -26,7 +26,7 @@ from repro.cluster import (
     make_placement,
     payload_key,
 )
-from repro.serve import Request, ServeConfig
+from repro.serve import Request, ServeConfig, TopKService
 
 ALL_DTYPES = (
     "float16",
@@ -293,6 +293,85 @@ class TestClusterDifferential:
         for outcome in router.outcomes:
             assert np.array_equal(outcome.values, single.values)
             assert np.array_equal(outcome.indices, single.indices)
+
+
+class TestNodeCacheKeys:
+    """Node result caches key each sub-query off the router's
+    ``payload_key`` of the whole payload (plus the slice bounds of a
+    partition): nothing is pinned or hashed on the node."""
+
+    @staticmethod
+    def node_cache(router):
+        # one node: every partition of every request lands on it
+        (node,) = router.nodes
+        return node.service.cache
+
+    def test_shared_slice_misses_node_cache(self):
+        a = unique_data(PARTITIONED_N, "float32", seed=23)
+        b = a.copy()
+        b[-1] = PARTITIONED_N  # the new maximum, in the second slice only
+        router = make_router(nodes=1, partitions=2)
+        router.run([
+            Request(rid=rid, data=data, k=32, largest=True, arrival_s=0.2 * rid)
+            for rid, data in enumerate((a, b))
+        ])
+        cache = self.node_cache(router)
+        # b's first slice equals a's byte for byte, but names another payload
+        assert np.array_equal(a[: PARTITIONED_N // 2], b[: PARTITIONED_N // 2])
+        assert cache.results.hits == 0 and cache.results.misses == 4
+        assert len(cache.results) == 4 and not cache._probes
+        for data, outcome in zip((a, b), router.outcomes):
+            single = topk(data, 32, largest=True)
+            assert np.array_equal(outcome.values, single.values)
+            assert np.array_equal(outcome.indices, single.indices)
+
+    def test_whole_and_partitioned_never_alias(self, monkeypatch):
+        data = unique_data(PARTITIONED_N, "float32", seed=29)
+        single = topk(data, 32, largest=True)
+        router = make_router(nodes=1, partitions=2)
+        # even rids route whole, odd rids in two partitions
+        monkeypatch.setattr(
+            router, "_partition_count", lambda request: 1 + request.rid % 2
+        )
+        router.run([
+            Request(rid=rid, data=data, k=32, largest=True, arrival_s=0.2 * rid)
+            for rid in range(4)
+        ])
+        assert [o.algo.startswith("cluster:") for o in router.outcomes] == [
+            False, True, False, True
+        ]
+        cache = self.node_cache(router)
+        # the whole answer and the two slice answers are three entries;
+        # each repeat finds its own
+        assert cache.results.misses == 3 and cache.results.hits == 3
+        assert [o.cache_hit for o in router.outcomes] == [
+            False, False, True, True
+        ]
+        for outcome in router.outcomes:
+            assert np.array_equal(outcome.values, single.values)
+            assert np.array_equal(outcome.indices, single.indices)
+
+    def test_callers_cannot_supply_a_content_key(self):
+        data = unique_data(1 << 10, "float32", seed=31)
+        with pytest.raises(TypeError):
+            Request(rid=0, data=data, k=8, largest=True, arrival_s=0.0,
+                    _content_key="forged")
+        with pytest.raises(TypeError):
+            ServeConfig(_content_key="forged")
+        # a standalone service pins the payload: its entry is found by
+        # comparing bytes, not by any key a caller could name
+        service = TopKService(ServeConfig(algo="sort", max_delay_s=0.0))
+        requests = [
+            Request(rid=rid, data=data.copy(), k=8, largest=True,
+                    arrival_s=0.2 * rid)
+            for rid in range(2)
+        ]
+        service.run(requests)
+        assert all(request._content_key is None for request in requests)
+        assert service.outcomes[1].cache_hit
+        (live,) = service.cache._probes.values()
+        (pin,) = live.values()
+        assert np.array_equal(pin, data.view(np.uint32))
 
 
 # --------------------------------------------------------------------------- #

@@ -488,9 +488,9 @@ def repeated_payload_requests(count=8, pool=3, n=256):
 
 
 class TestFingerprintCounts:
-    """A payload is hashed when its entry is inserted and on the entry's
-    first hit; every later hit is checked against the entry's pinned copy
-    of the payload, with no hash."""
+    """The result cache hashes no payload: an insert pins a copy of it,
+    and every hit is checked against an entry's pinned copy.  Cluster
+    node caches key slices off the router's one ``payload_key``."""
 
     CONFIG = dict(algo="sort", max_batch=4, max_delay_s=0.0)
 
@@ -503,10 +503,11 @@ class TestFingerprintCounts:
         assert stats.served == len(requests)
         assert stats.cache["result_hits"] == 5
         assert fingerprint_calls["insert"] == 3
-        assert fingerprint_calls["fingerprint"] == 3 + 3
+        assert fingerprint_calls["fingerprint"] == 0
         # a replay starts from an empty cache: nothing carries over
         TopKService(ServeConfig(**self.CONFIG)).run(requests)
-        assert fingerprint_calls["fingerprint"] == 2 * (3 + 3)
+        assert fingerprint_calls["fingerprint"] == 0
+        assert fingerprint_calls["insert"] == 2 * 3
 
     def test_none_per_repeat_hit(self, fingerprint_calls):
         cache = ServeCache()
@@ -514,23 +515,23 @@ class TestFingerprintCounts:
         assert cache.get_result(data, 8, False) is None
         assert not fingerprint_calls["fingerprint"]  # a miss, no hash
         cache.put_result(data, 8, False, data[:8], np.arange(8))
-        cache.get_result(data, 8, False)  # first hit: verified and pinned
-        assert fingerprint_calls["fingerprint"] == 2
+        cache.get_result(data, 8, False)  # first hit: compared with the pin
+        assert fingerprint_calls["fingerprint"] == 0
         for _ in range(5):
             values, _, _ = cache.get_result(data.copy(), 8, False)
             assert np.array_equal(values, data[:8])
-        assert fingerprint_calls["fingerprint"] == 2
+        assert fingerprint_calls["fingerprint"] == 0
         assert cache.results.hits == 6 and cache.results.misses == 1
 
     def test_reinsert_pins(self, fingerprint_calls):
         # a payload inserted again while its entry is live (duplicates in
-        # one batch) is pinned then, so its first hit needs no hash
+        # one batch) finds that entry by its pin and refreshes it
         cache = ServeCache()
         data = unique_data(1 << 12, "float32")
         for _ in range(2):
             cache.put_result(data, 8, False, data[:8], np.arange(8))
         assert cache.get_result(data.copy(), 8, False) is not None
-        assert fingerprint_calls["fingerprint"] == 2
+        assert fingerprint_calls["fingerprint"] == 0
         assert len(cache.results) == 1
 
     def test_one_per_insert_and_verified_lookup_under_cache_corruption(
@@ -546,12 +547,10 @@ class TestFingerprintCounts:
         stats = service.run(requests)
         assert stats.faults.get("cache_corruption", 0) >= 1
         # every entry found is corrupted before its first hit is served:
-        # it is hashed to verify it, then evicted (and, until the breaker
-        # opens, recomputed and inserted again)
+        # it is found by its pin, then evicted (and, until the breaker
+        # opens, recomputed and inserted again), all without a hash
         assert service.cache.corruptions >= 1
-        assert fingerprint_calls["fingerprint"] == (
-            fingerprint_calls["insert"] + service.cache.corruptions
-        )
+        assert fingerprint_calls["fingerprint"] == 0
 
     def test_none_with_the_result_cache_off(self, fingerprint_calls):
         requests = repeated_payload_requests()
@@ -580,10 +579,10 @@ class TestFingerprintCounts:
         assert stats.answered == len(requests)
         sub_dispatches = sum(len(node.requests) for node in router.nodes)
         assert sub_dispatches == 3 * len(requests)
-        # placement hashes once per cluster request, each node's result
-        # cache at most once per sub-dispatch
+        # placement hashes once per cluster request; node result caches
+        # key each sub-dispatch off that hash and hash nothing themselves
         assert fingerprint_calls["payload_key"] == len(requests)
-        assert fingerprint_calls["fingerprint"] <= sub_dispatches
+        assert fingerprint_calls["fingerprint"] == 0
 
 
 def probe_twins(n=256):
@@ -597,8 +596,8 @@ def probe_twins(n=256):
 
 
 class TestResultVerification:
-    """Repeat hits are verified bitwise against the pinned payload copy:
-    the probe only narrows the search, it never decides a hit."""
+    """Hits are verified bitwise against the pinned payload copy: the
+    probe only narrows the search, it never decides a hit."""
 
     @pytest.mark.parametrize("capacity", [1, 2])
     def test_probe_twins_never_cross_hit(self, capacity):
@@ -626,9 +625,9 @@ class TestResultVerification:
         cache.put_result(data, 8, False, data[:8], np.arange(8))
         data[1] += 1000.0  # after the insert, outside the probe sample
         assert cache.get_result(data, 8, False) is None
-        cache.put_result(data, 8, False, data[:8], np.arange(8))
-        assert cache.get_result(data, 8, False) is not None  # pins
-        assert cache.get_result(data, 8, False) is not None  # pinned hit
+        cache.put_result(data, 8, False, data[:8], np.arange(8))  # new pin
+        assert cache.get_result(data, 8, False) is not None
+        assert cache.get_result(data, 8, False) is not None
         data[1] += 1000.0  # after the pin
         assert cache.get_result(data, 8, False) is None
         data[0] += 1000.0  # inside the probe sample
@@ -642,8 +641,8 @@ class TestResultVerification:
         for _ in range(3):
             assert cache.get_result(data.copy(), 8, False) is not None
         assert cache.results.hits == 3
-        # the repeat hits matched the pinned copy: NaN compares as bytes
-        assert fingerprint_calls["fingerprint"] == 2
+        # the hits matched the pinned copy: NaN compares as bytes
+        assert fingerprint_calls["fingerprint"] == 0
 
     @pytest.mark.parametrize(
         "stored,probed",
@@ -671,8 +670,8 @@ class TestResultVerification:
     def test_never_alias(self, stored, probed):
         cache = ServeCache()
         cache.put_result(stored, 2, False, stored.reshape(-1)[:2], np.arange(2))
-        assert cache.get_result(stored, 2, False) is not None  # pins
         assert cache.get_result(stored, 2, False) is not None  # pinned hit
+        assert cache.get_result(stored, 2, False) is not None  # again
         assert cache.get_result(probed, 2, False) is None
         assert cache.results.hits == 2 and cache.results.misses == 1
 
@@ -682,15 +681,15 @@ class TestResultVerification:
         assert not view.flags.c_contiguous
         cache = ServeCache()
         cache.put_result(view.copy(), 8, False, view[:8], np.arange(8))
-        assert cache.get_result(view, 8, False) is not None  # hashed, pins
         assert cache.get_result(view, 8, False) is not None  # pinned hit
+        assert cache.get_result(view, 8, False) is not None  # again
         assert cache.results.hits == 2
 
     def test_corrupt_pinned_entry_is_detected_and_repaired(self):
         data = unique_data(256, "float32")
         cache = ServeCache()
         cache.put_result(data, 8, False, data[:8], np.arange(8))
-        assert cache.get_result(data, 8, False) is not None  # pins
+        assert cache.get_result(data, 8, False) is not None  # pinned hit
         assert cache.corrupt_result(data, 8, False)
         assert cache.get_result(data, 8, False) is None  # detected, evicted
         assert cache.corruptions == 1
@@ -732,6 +731,138 @@ class TestResultVerification:
         assert np.array_equal(last.values, expected.values)
         assert np.array_equal(last.indices, expected.indices)
         assert np.array_equal(second.values, expected.values)
+
+
+def model_payloads(n=256):
+    """The result-cache model's payload pool: five dtypes, NaNs, both
+    signed zeros, a byte-swapped copy and probe twins."""
+    base = unique_data(n, "float32", seed=11)
+    twin = base.copy()
+    twin[1] = -1.0  # outside the probe sample
+    nan = base.copy()
+    nan[2::3] = np.nan
+    zeros = np.zeros(n, np.float32)
+    zeros_twin = zeros.copy()
+    zeros_twin[1] = -0.0
+    return [
+        base, twin, nan, zeros, zeros_twin, -zeros,
+        base.astype(">f4"),
+        base.astype(np.float16),
+        base.astype(np.float64),
+        unique_data(n, "int32", seed=12),
+        unique_data(n, "uint64", seed=13),
+    ]
+
+
+#: lookup variants of one payload: (k, largest, quality class, whether
+#: the lookup carries a cluster content key)
+CACHE_VARIANTS = (
+    (8, False, None, False),
+    (4, True, None, False),
+    (8, False, 0.9, False),
+    (8, False, None, True),
+)
+
+CACHE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "get", "corrupt", "mutate"]),
+        st.integers(0, len(model_payloads()) - 1),
+        st.integers(0, len(CACHE_VARIANTS) - 1),
+        st.integers(0, 255),  # the element a mutation flips a bit of
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+
+class TestResultCacheModel:
+    """Random put/get/corrupt/mutate sequences against a reference LRU
+    keyed on each payload's full bytes (or on its content key)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(capacity=st.integers(1, 6), ops=CACHE_OPS)
+    def test_matches_byte_keyed_reference(self, capacity, ops):
+        payloads = model_payloads()
+        #: a content key names a payload version, as the router's
+        #: payload_key would after the payload changed
+        versions = [0] * len(payloads)
+        cache = ServeCache(result_capacity=capacity)
+        reference = LRUCache(capacity)
+        corrupted, corruptions = set(), 0
+
+        def reference_key(i, variant):
+            k, largest, quality, keyed = CACHE_VARIANTS[variant]
+            data = payloads[i]
+            content_key = (i, versions[i]) if keyed else None
+            if keyed:
+                identity = ("keyed", content_key)
+            else:
+                identity = (data.dtype.str, data.shape, data.tobytes())
+            return (*identity, k, largest, quality), content_key
+
+        def lookup(i, variant):
+            nonlocal corruptions
+            k, largest, quality, _ = CACHE_VARIANTS[variant]
+            key, content_key = reference_key(i, variant)
+            got = cache.get_result(payloads[i].copy(), k, largest, quality,
+                                   content_key=content_key)
+            want = reference.get(key)
+            if key in corrupted:
+                del reference._data[key]
+                corrupted.discard(key)
+                corruptions += 1
+                want = None
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got[0], want)
+
+        for step, (op, i, variant, pos) in enumerate(ops):
+            data = payloads[i]
+            k, largest, quality, keyed = CACHE_VARIANTS[variant]
+            key, content_key = reference_key(i, variant)
+            if op == "mutate":
+                # in place, after any insert of it: pins are private
+                # copies, so no entry of the old bytes may answer it
+                data.view(np.uint8)[pos * data.itemsize] ^= 1
+                versions[i] += 1
+                lookup(i, variant)
+            elif op == "put":
+                values = np.full(k, step)
+                cache.put_result(data, k, largest, values, np.arange(k),
+                                 quality, content_key=content_key)
+                for old_key, _ in reference.put(key, values):
+                    corrupted.discard(old_key)
+                corrupted.discard(key)  # the put stored fresh values
+            elif op == "corrupt" and not keyed:
+                live = key in reference
+                assert cache.corrupt_result(data, k, largest, quality) == live
+                if live:
+                    corrupted ^= {key}  # a second flip restores the byte
+            elif op == "get":
+                lookup(i, variant)
+            self.check_pins(cache, capacity, payloads)
+        for counter in ("hits", "misses", "evictions"):
+            assert getattr(cache.results, counter) == getattr(reference, counter)
+        assert cache.corruptions == corruptions
+
+    @staticmethod
+    def check_pins(cache, capacity, payloads):
+        """One pin per live entry stored without a content key, none for
+        keyed entries, so pinned bytes stay within capacity × payload."""
+        pins = {
+            key: pinned
+            for live in cache._probes.values()
+            for key, pinned in live.items()
+        }
+        unkeyed = [
+            key for key, entry in cache.results._data.items()
+            if entry[-1] is not None  # the entry's probe
+        ]
+        assert len(pins) == sum(len(live) for live in cache._probes.values())
+        assert sorted(pins) == sorted(unkeyed)
+        assert all(live for live in cache._probes.values())
+        biggest = max(p.nbytes for p in payloads)
+        assert sum(p.nbytes for p in pins.values()) <= capacity * biggest
 
 
 #: malformed requests next to valid 64-element ones: (payload from a valid
@@ -791,7 +922,7 @@ class TestAdmissionValidation:
         assert server.stats.failed == 1
         if kind == "service":
             assert fingerprint_calls["insert"] == len(clean)
-            assert fingerprint_calls["fingerprint"] == fingerprint_calls["insert"]
+            assert fingerprint_calls["fingerprint"] == 0
             assert server.stats.batches == clean_server.stats.batches
         else:
             assert fingerprint_calls["payload_key"] == len(clean)
