@@ -238,6 +238,7 @@ class ClusterRouter:
         #: per request: its partitions, or the failed outcome of a
         #: malformed request that was never routed
         self._routes: list[tuple[Request, list[_Partition], Outcome | None]] = []
+        self._ran = False
 
     # -- phase 1: routing ------------------------------------------------ #
     def _node_down(self, kind: str, node_id: int, t_s: float) -> bool:
@@ -469,7 +470,16 @@ class ClusterRouter:
         (collected in :attr:`outcomes`, submission order), mirroring the
         single-node service contract, and is booked through the same
         :class:`~repro.obs.serve.ServeLedger` rules as a node's.
+
+        A router serves one trace: its nodes keep every sub-query they
+        were dispatched, so a second call raises ``RuntimeError``.
         """
+        if self._ran:
+            raise RuntimeError(
+                "ClusterRouter.run serves one trace; build a new "
+                "ClusterRouter to serve another"
+            )
+        self._ran = True
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
         self._routes = []
         for request in ordered:

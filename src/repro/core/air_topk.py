@@ -39,18 +39,26 @@ degenerates to a gather and the remaining launches exit immediately.
 Implementation note: where Algorithm 1's pseudo-code compares only the
 previous iteration's digit when reloading from the original input, the
 production RAFT kernel compares the full processed-bit prefix against the
-accumulated target prefix (``kth_value_bits``); we implement the RAFT
-semantics, which is the correct one when an early digit repeats later in
-the key.
+accumulated target prefix (``kth_value_bits``), which is the correct test
+when an early digit repeats later in the key.  The host emulation keeps
+exactly that candidate set: each pass splits the previous pass's
+survivors, so they are the elements whose processed prefix equals the
+target prefix.
 
-A batch shares every launch: each pass advances the rows one after
-another on the host and charges a single launch, whose traffic is the sum
+Host emulation.  Pass 0 runs row by row: each full row gets its dense
+digit histogram and target digit, then one split writes its winners to
+the output and keeps its survivors.  Every later pass, and the last
+filter, runs over all live rows at once, on survivors held flat and
+grouped by ascending row (:mod:`repro.primitives.batched`).  The host
+always holds the survivors; whether the modelled next kernel reads them
+from the candidate buffer or rescans the input only changes what that
+kernel is charged.  A batch shares every launch, whose traffic is the sum
 over the rows, so ``batched_execution`` holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,33 +72,10 @@ from ..primitives import (
     digit_histogram,
     digit_layout,
     find_target_bucket,
+    head_mask,
     inclusive_scan,
+    segment_target_digits,
 )
-
-
-@dataclass
-class _RowState:
-    """Per-problem state carried across fused iterations (device-resident)."""
-
-    #: results still to be found among the current candidates
-    k_cand: int
-    #: current candidate count (histogram[target] of the last pass)
-    count: int
-    #: accumulated target prefix over processed digits (RAFT kth_value_bits)
-    prefix: int = 0
-    #: number of passes folded into ``prefix``
-    passes_done: int = 0
-    #: target digit chosen by each completed pass
-    targets: list[int] = field(default_factory=list)
-    #: buffered candidates through boundary ``passes_done - 2`` (the input
-    #: of the upcoming kernel), or None when it must rescan the input
-    buf_keys: np.ndarray | None = None
-    buf_idx: np.ndarray | None = None
-    #: all remaining candidates are results; only a gather is left
-    done: bool = False
-    gathered: bool = False
-    out_keys: list = field(default_factory=list)
-    out_idx: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -115,12 +100,25 @@ class PassRecord:
 
 @dataclass
 class _KernelTraffic:
-    """Work aggregated over the batch for one fused-kernel launch."""
+    """Work aggregated over the batch for one launch."""
 
     bytes_read: float = 0.0
     bytes_written: float = 0.0
     flops: float = 0.0
-    elements: float = 0.0
+
+
+@dataclass
+class _Live:
+    """Survivors of the rows still selecting, flat and grouped by ascending
+    row (input order within a row), with per-row Python scalars."""
+
+    keys: np.ndarray
+    idx: np.ndarray
+    rows: list[int]
+    #: survivors per row (histogram[target] of its last pass)
+    counts: list[int]
+    #: results still to be found among each row's survivors
+    k_rem: list[int]
 
 
 class AIRTopK(TopKAlgorithm):
@@ -168,19 +166,18 @@ class AIRTopK(TopKAlgorithm):
         #: per-pass trace of the most recent run (list of PassRecord)
         self.last_trace: list[PassRecord] = []
 
-    def _pass_telemetry(self, pass_index: int) -> dict | None:
+    def _pass_telemetry(self, records: list[PassRecord]) -> dict | None:
         """Behavioural telemetry for one fused launch, when enabled.
 
-        Feeds the metrics stream (pass/buffer/early-stop counters) and
-        returns ``span_args`` for the launch's timeline event; returns
-        None — without touching ``last_trace`` — when telemetry is off, so
-        plain runs pay only two flag checks per launch.
+        Feeds the metrics stream (pass/buffer/early-stop counters) from
+        the pass's records and returns ``span_args`` for the launch's
+        timeline event; returns None when telemetry is off, so plain runs
+        pay only two flag checks per launch.
         """
         traced = tracing_enabled()
         metered = metrics_enabled()
         if not (traced or metered):
             return None
-        records = [r for r in self.last_trace if r.pass_index == pass_index]
         buffered = sum(1 for r in records if r.buffered)
         stopped = sum(1 for r in records if r.early_stopped)
         if metered:
@@ -209,66 +206,17 @@ class AIRTopK(TopKAlgorithm):
         return digit_layout(key_width, self.digit_bits)
 
     # ------------------------------------------------------------------ #
-    # launch emission: one launch per pass for the whole batch
+    # launch emission: one launch per kernel for the whole batch
     # ------------------------------------------------------------------ #
-    def _launch_pass(
-        self, device, grid: int, batch: int, num_buckets: int,
-        index: int, traffic: _KernelTraffic,
+    def _launch(
+        self, ctx: RunContext, kernels: list[_KernelTraffic],
+        records: list[list[PassRecord]],
     ) -> None:
-        device.launch_kernel(
-            f"iteration_fused_kernel({index + 1})",
-            grid_blocks=grid,
-            block_threads=256,
-            bytes_read=traffic.bytes_read,
-            bytes_written=traffic.bytes_written,
-            flops=traffic.flops,
-            # histogram privatisation writes plus the fused block scan
-            # and target-digit search: constant in N, never scaled
-            fixed_bytes_written=batch * num_buckets * 4.0,
-            fixed_flops=batch * block_scan_ops(num_buckets),
-            fixed_dependent_cycles=batch * cal.AIR_PER_PROBLEM_CYCLES,
-            span_args=self._pass_telemetry(index),
-        )
-
-    def _launch_final(
-        self, device, grid: int, batch: int, num_buckets: int,
-        traffic: _KernelTraffic, pending: _KernelTraffic | None,
-    ) -> None:
-        if pending is not None:
-            device.launch_kernel(
-                f"iteration_fused_kernel({len(self.passes)})+last_filter",
-                grid_blocks=grid,
-                block_threads=256,
-                bytes_read=pending.bytes_read + traffic.bytes_read,
-                bytes_written=pending.bytes_written + traffic.bytes_written,
-                flops=pending.flops + traffic.flops,
-                fixed_bytes_written=batch * num_buckets * 4.0,
-                fixed_flops=batch * block_scan_ops(num_buckets),
-                fixed_dependent_cycles=batch * cal.AIR_PER_PROBLEM_CYCLES,
-                span_args=self._pass_telemetry(len(self.passes) - 1),
-            )
-        else:
-            device.launch_kernel(
-                "last_filter_kernel",
-                grid_blocks=grid,
-                block_threads=256,
-                bytes_read=traffic.bytes_read,
-                bytes_written=traffic.bytes_written,
-                flops=traffic.flops,
-                fixed_dependent_cycles=batch * cal.AIR_PER_PROBLEM_CYCLES,
-            )
-
-    # ------------------------------------------------------------------ #
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        self.passes = self.passes_for(ctx.keys.dtype)
-        self.last_trace = []
-        batch, n = ctx.keys.shape
         device = ctx.device
-        states = [_RowState(k_cand=ctx.k, count=n) for _ in range(batch)]
+        batch = ctx.batch
         num_buckets = self.passes[0].num_buckets
-
-        # the host enqueues every kernel up front; nothing below synchronises
-        # the host sizes every grid from the only quantity it knows — the
+        # the host enqueues every kernel up front; nothing synchronises.
+        # The host sizes every grid from the only quantity it knows — the
         # nominal input size; candidate counts live in device memory, so
         # later kernels launch the same grid and surplus blocks exit early
         grid = streaming_grid(
@@ -276,211 +224,268 @@ class AIRTopK(TopKAlgorithm):
             ctx.nominal_n * batch,
             items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
         )
-        pending: _KernelTraffic | None = None
-        for dpass in self.passes:
-            traffic = _KernelTraffic()
-            for row in range(batch):
-                self._fused_iteration(
-                    states[row], ctx.keys[row], dpass, traffic, row=row
-                )
-            if self.fuse_last_filter and dpass.index == len(self.passes) - 1:
-                pending = traffic  # launched below, merged with the filter
-                continue
-            self._launch_pass(
-                device, grid, batch, num_buckets, dpass.index, traffic
+        last = len(self.passes) - 1
+        for p in range(last + 1):
+            name = f"iteration_fused_kernel({p + 1})"
+            if self.fuse_last_filter and p == last:
+                name += "+last_filter"
+            device.launch_kernel(
+                name,
+                grid_blocks=grid,
+                block_threads=256,
+                bytes_read=kernels[p].bytes_read,
+                bytes_written=kernels[p].bytes_written,
+                flops=kernels[p].flops,
+                # histogram privatisation writes plus the fused block scan
+                # and target-digit search: constant in N, never scaled
+                fixed_bytes_written=batch * num_buckets * 4.0,
+                fixed_flops=batch * block_scan_ops(num_buckets),
+                fixed_dependent_cycles=batch * cal.AIR_PER_PROBLEM_CYCLES,
+                span_args=self._pass_telemetry(records[p]),
+            )
+        if not self.fuse_last_filter:
+            device.launch_kernel(
+                "last_filter_kernel",
+                grid_blocks=grid,
+                block_threads=256,
+                bytes_read=kernels[-1].bytes_read,
+                bytes_written=kernels[-1].bytes_written,
+                flops=kernels[-1].flops,
+                fixed_dependent_cycles=batch * cal.AIR_PER_PROBLEM_CYCLES,
             )
 
-        traffic = _KernelTraffic()
+    # ------------------------------------------------------------------ #
+    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+        passes = self.passes = self.passes_for(ctx.keys.dtype)
+        batch, n = ctx.keys.shape
+        # kernels[p] is fused kernel p and kernels[-1] the last filter,
+        # which the fused variant folds into the last fused kernel
+        kernels = [_KernelTraffic() for _ in passes]
+        kernels.append(kernels[-1] if self.fuse_last_filter else _KernelTraffic())
+        records: list[list[PassRecord]] = [[] for _ in passes]
         out_keys = np.empty((batch, ctx.k), dtype=ctx.keys.dtype)
         out_idx = np.empty((batch, ctx.k), dtype=np.int64)
-        for row in range(batch):
-            rk, ri = self._last_filter(ctx, states[row], ctx.keys[row], traffic)
-            out_keys[row] = rk
-            out_idx[row] = ri
-        self._launch_final(device, grid, batch, num_buckets, traffic, pending)
+        fill = [0] * batch
+        live = self._first_pass(ctx, kernels, records[0], out_keys, out_idx, fill)
+        for dpass in passes[1:]:
+            if live is None:
+                break
+            live = self._flat_pass(
+                live, dpass, n, kernels, records[dpass.index],
+                out_keys, out_idx, fill,
+            )
+        if fill != [ctx.k] * batch:
+            raise AssertionError(
+                f"AIR Top-K produced {fill} results per row, expected {ctx.k}"
+            )
+        self.last_trace = [rec for pass_records in records for rec in pass_records]
+        self._launch(ctx, kernels, records)
         # two candidate buffers (double buffering), each bounded by N/alpha
         # when the adaptive strategy is on (Sec. 3.2), by N otherwise
         bound = max(1.0, n / self.alpha) if self.adaptive else float(n)
-        device.allocate_workspace(batch * 2 * 8.0 * bound)
+        ctx.device.allocate_workspace(batch * 2 * 8.0 * bound)
         return out_keys, out_idx
 
     # ------------------------------------------------------------------ #
-    # loading: candidates through boundary (passes_done - 2), winners split
-    # ------------------------------------------------------------------ #
-    def _load_and_filter(
-        self, state: _RowState, row_keys: np.ndarray, traffic: _KernelTraffic
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Read this kernel's input and apply the lagged filter.
+    def _book(
+        self, kernels: list[_KernelTraffic], n: int, row: int, p: int,
+        candidates_in: int, target: int, below: int, count: int, k_rem: int,
+    ) -> PassRecord:
+        """One row's pass: its trace record and the traffic it models.
 
-        Returns the candidates through boundary ``passes_done - 1`` (i.e.
-        survivors of the previous pass's target digit) after writing the
-        winners at that boundary to the output.  Accounts read traffic for
-        either the buffer (8 B per element) or an input rescan (4 B per
-        element over all of N).
+        Kernel ``p`` histograms the pass's candidates and, when the
+        adaptive strategy says so, stores them to the buffer.  Kernel
+        ``p+1`` loads them again — 8 B each from the buffer, or a rescan
+        of the row's whole input — and scatters the winners below the
+        target; when the row is finished it also writes the results (an
+        early-stopped row's kernel degenerates to one gather).
         """
-        p = state.passes_done
-        if p == 0:
-            n = row_keys.shape[0]
-            traffic.bytes_read += 4.0 * n
-            traffic.elements += n
-            # the first kernel filters nothing and never buffers, so its
-            # candidates' indices are never read: it materialises none
-            return row_keys, None
-
-        prev = self.passes[p - 1]
-        prev_target = state.targets[-1]
-        if state.buf_keys is not None:
-            cand_keys, cand_idx = state.buf_keys, state.buf_idx
-            traffic.bytes_read += 8.0 * cand_keys.shape[0]
-            traffic.elements += cand_keys.shape[0]
-            traffic.flops += cal.FILTER_OPS_PER_ELEM * cand_keys.shape[0]
-            prev_digits = prev.extract(cand_keys)
-            win = prev_digits < prev_target
-            keep = prev_digits == prev_target
-            win_idx, keep_idx = cand_idx[win], cand_idx[keep]
-            win_keys, keep_keys = cand_keys[win], cand_keys[keep]
-        else:
-            n = row_keys.shape[0]
-            traffic.bytes_read += 4.0 * n
-            traffic.elements += n
-            # every loaded element pays the fused filter's prefix test
-            traffic.flops += cal.FUSED_KERNEL_OPS_PER_ELEM * n
-            # full-prefix candidacy (RAFT kth_value_bits semantics)
-            kt = row_keys.dtype.type
-            shifted = row_keys >> kt(prev.shift)
-            keep = shifted == kt(state.prefix)
-            if p == 1:
-                win = shifted < kt(state.prefix)
-            else:
-                prev2 = self.passes[p - 2]
-                prefix2 = state.prefix >> prev.width
-                match2 = (row_keys >> kt(prev2.shift)) == kt(prefix2)
-                win = match2 & (shifted < kt(state.prefix))
-            # a rescan's candidates are input positions: the masks' set
-            # bits are their indices
-            win_idx, keep_idx = np.flatnonzero(win), np.flatnonzero(keep)
-            win_keys, keep_keys = row_keys[win_idx], row_keys[keep_idx]
-
-        n_win = len(win_idx)
-        if n_win:
-            state.out_keys.append(win_keys)
-            state.out_idx.append(win_idx)
-            traffic.bytes_written += cal.SCATTER_WRITE_PENALTY * 8.0 * n_win
-        return keep_keys, keep_idx
-
-    # ------------------------------------------------------------------ #
-    def _fused_iteration(
-        self,
-        state: _RowState,
-        row_keys: np.ndarray,
-        dpass,
-        traffic: _KernelTraffic,
-        row: int = -1,
-    ) -> None:
-        """One fused filter+histogram iteration for one problem row."""
-        if state.done:
-            self._gather_if_pending(state, row_keys, traffic)
-            return
-
-        cand_keys, cand_idx = self._load_and_filter(state, row_keys, traffic)
-        if cand_keys.shape[0] != state.count:
-            raise AssertionError(
-                f"candidate bookkeeping drifted: have {cand_keys.shape[0]}, "
-                f"histogram said {state.count}"
-            )
-
-        digits = dpass.extract(cand_keys)
-        hist = digit_histogram(digits, dpass.num_buckets)
-        traffic.flops += cal.FUSED_KERNEL_OPS_PER_ELEM * cand_keys.shape[0]
-        psum = inclusive_scan(hist)
-        target = int(find_target_bucket(psum, state.k_cand))
-        below = int(psum[target - 1]) if target > 0 else 0
-
-        # adaptive buffering: store the survivors (this kernel's candidate
-        # set) only when they are few enough to be worth the scatter.  The
-        # first kernel never buffers: its candidate set is the whole input
-        # (no filtering has happened yet), so even the classic pipeline only
-        # starts writing buffers from the second kernel's fused filter.
-        n = row_keys.shape[0]
-        final_pass = dpass.index == len(self.passes) - 1
-        use_buffer = state.passes_done > 0 and (
+        final = p == len(self.passes) - 1
+        # the first kernel never buffers: its candidate set is the whole
+        # input.  The fused final filter reads the candidate list after its
+        # internal sync, so it must exist whatever the adaptive rule says
+        buffered = p > 0 and (
             (not self.adaptive)
-            or (state.count < n / self.alpha)
-            # the fused final filter reads the candidate list after its
-            # internal sync; it must exist, whatever the adaptive rule says
-            or (self.fuse_last_filter and final_pass)
+            or candidates_in < n / self.alpha
+            or (self.fuse_last_filter and final)
         )
-        if use_buffer:
-            state.buf_keys = cand_keys
-            state.buf_idx = cand_idx
-            traffic.bytes_written += (
-                cal.ATOMIC_SCATTER_PENALTY * 8.0 * cand_keys.shape[0]
-            )
+        stopped = self.early_stop and k_rem == count
+        here, after = kernels[p], kernels[p + 1]
+        here.flops += cal.FUSED_KERNEL_OPS_PER_ELEM * candidates_in
+        if buffered:
+            here.bytes_written += cal.ATOMIC_SCATTER_PENALTY * 8.0 * candidates_in
+            after.bytes_read += 8.0 * candidates_in
+            after.flops += cal.FILTER_OPS_PER_ELEM * candidates_in
         else:
-            state.buf_keys = None
-            state.buf_idx = None
-
-        candidates_in = int(cand_keys.shape[0])
-        state.targets.append(target)
-        state.prefix = (state.prefix << dpass.width) | target
-        state.passes_done += 1
-        state.k_cand -= below
-        state.count = int(hist[target])
-        if self.early_stop and state.k_cand == state.count:
-            state.done = True
-        self.last_trace.append(
-            PassRecord(
-                row=row,
-                pass_index=dpass.index,
-                candidates_in=candidates_in,
-                target_digit=target,
-                candidates_out=state.count,
-                k_remaining=state.k_cand,
-                buffered=use_buffer,
-                early_stopped=state.done,
-            )
+            after.bytes_read += 4.0 * n
+            # every loaded element pays the fused filter's prefix test
+            # (RAFT kth_value_bits semantics)
+            after.flops += cal.FUSED_KERNEL_OPS_PER_ELEM * n
+        after.bytes_written += cal.SCATTER_WRITE_PENALTY * 8.0 * below
+        if stopped or final:
+            after.bytes_written += 8.0 * k_rem
+            if not stopped:
+                after.flops += cal.FILTER_OPS_PER_ELEM * count
+        return PassRecord(
+            row=row,
+            pass_index=p,
+            candidates_in=candidates_in,
+            target_digit=target,
+            candidates_out=count,
+            k_remaining=k_rem,
+            buffered=buffered,
+            early_stopped=stopped,
         )
 
-    # ------------------------------------------------------------------ #
-    def _gather_if_pending(
-        self, state: _RowState, row_keys: np.ndarray, traffic: _KernelTraffic
-    ) -> None:
-        """Early-stopped row: the next kernel degenerates to one gather."""
-        if state.gathered:
-            return
-        cand_keys, cand_idx = self._load_and_filter(state, row_keys, traffic)
-        if cand_keys.shape[0] != state.k_cand:
+    def _first_pass(
+        self, ctx: RunContext, kernels: list[_KernelTraffic],
+        records: list[PassRecord], out_keys: np.ndarray, out_idx: np.ndarray,
+        fill: list[int],
+    ) -> _Live | None:
+        """Pass 0, row by row: each full row's dense histogram picks its
+        target digit, and one split writes the winners and keeps the
+        survivors.  Returns the survivors of the rows still selecting."""
+        dpass = self.passes[0]
+        final = len(self.passes) == 1
+        batch, n = ctx.keys.shape
+        k = ctx.k
+        kernels[0].bytes_read += 4.0 * n * batch
+        rows, counts, k_rems, keys, idx = [], [], [], [], []
+        for row in range(batch):
+            row_keys = ctx.keys[row]
+            digits = dpass.extract(row_keys)
+            hist = digit_histogram(digits, dpass.num_buckets)
+            psum = inclusive_scan(hist)
+            target = int(find_target_bucket(psum, k))
+            count = int(hist[target])
+            below = int(psum[target]) - count
+            # winners and survivors in input order: digit <= target.  When
+            # every key survives (a radix-adversarial row), the row itself
+            # is the survivor set: no mask and no copy
+            if count == n:
+                sel = np.arange(n)
+            else:
+                sel = (digits <= target).nonzero()[0]
+            if below:
+                win = digits[sel] < target
+                out_idx[row, :below] = winners = sel[win]
+                out_keys[row, :below] = row_keys[winners]
+                sel = sel[~win]
+            if sel.shape[0] != count:
+                raise AssertionError(
+                    f"candidate bookkeeping drifted: have {sel.shape[0]}, "
+                    f"histogram said {count}"
+                )
+            rec = self._book(kernels, n, row, 0, n, target, below, count, k - below)
+            records.append(rec)
+            if rec.early_stopped or final:
+                # after the final pass every survivor shares the complete
+                # key: they are exact ties, any k_rem of them are results
+                sel = sel[: rec.k_remaining]
+                out_idx[row, below:] = sel
+                out_keys[row, below:] = row_keys[sel]
+                fill[row] = k
+            else:
+                fill[row] = below
+                rows.append(row)
+                counts.append(count)
+                k_rems.append(rec.k_remaining)
+                keys.append(row_keys if count == n else row_keys[sel])
+                idx.append(sel)
+            # free the row's digits before the next row allocates its own:
+            # the allocator then reuses their pages, which is measurably
+            # faster at 2^16-element rows than holding two rows at once
+            del digits
+        if not rows:
+            return None
+        if len(rows) == 1:
+            return _Live(keys[0], idx[0], rows, counts, k_rems)
+        return _Live(np.concatenate(keys), np.concatenate(idx), rows, counts, k_rems)
+
+    def _flat_pass(
+        self, live: _Live, dpass, n: int, kernels: list[_KernelTraffic],
+        records: list[PassRecord], out_keys: np.ndarray, out_idx: np.ndarray,
+        fill: list[int],
+    ) -> _Live | None:
+        """One later pass over every live row at once (the last pass also
+        does the last filter's work).  Returns the rows still selecting."""
+        final = dpass.index == len(self.passes) - 1
+        digits = dpass.extract(live.keys)
+        target, below, count = segment_target_digits(
+            digits, live.counts, live.k_rem, dpass.num_buckets
+        )
+        belows, counts = below.tolist(), count.tolist()
+        k_rems, done = [], []
+        for row, c_in, t, b, c, kr in zip(
+            live.rows, live.counts, target.tolist(), belows, counts, live.k_rem
+        ):
+            rec = self._book(kernels, n, row, dpass.index, c_in, t, b, c, kr - b)
+            records.append(rec)
+            k_rems.append(rec.k_remaining)
+            done.append(rec.early_stopped or final)
+
+        # masks index through their nonzero positions: indexing with a
+        # scattered boolean mask directly is several times slower
+        per_elem = target if len(live.rows) == 1 else np.repeat(target, live.counts)
+        if sum(belows):
+            win = (digits < per_elem).nonzero()[0]
+            _emit(out_keys, out_idx, fill, live.rows, belows,
+                  live.keys[win], live.idx[win])
+        keep = (digits == per_elem).nonzero()[0]
+        keys, idx = live.keys[keep], live.idx[keep]
+        if keys.shape[0] != sum(counts):
             raise AssertionError(
-                f"early stop expected {state.k_cand} survivors, "
-                f"got {cand_keys.shape[0]}"
+                f"candidate bookkeeping drifted: have {keys.shape[0]}, "
+                f"histograms said {sum(counts)}"
             )
-        state.out_keys.append(cand_keys)
-        state.out_idx.append(cand_idx)
-        traffic.bytes_written += 8.0 * cand_keys.shape[0]
-        state.gathered = True
-
-    def _last_filter(
-        self,
-        ctx: RunContext,
-        state: _RowState,
-        row_keys: np.ndarray,
-        traffic: _KernelTraffic,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Final filtering kernel (line 5 of Algorithm 1)."""
-        if state.done:
-            self._gather_if_pending(state, row_keys, traffic)
-        else:
-            cand_keys, cand_idx = self._load_and_filter(state, row_keys, traffic)
+        if not any(done):
+            return _Live(keys, idx, live.rows, counts, k_rems)
+        if all(done):
             # after the final pass every survivor shares the complete key:
-            # they are exact ties, any k_cand of them are valid results
-            state.out_keys.append(cand_keys[: state.k_cand])
-            state.out_idx.append(cand_idx[: state.k_cand])
-            traffic.bytes_written += 8.0 * state.k_cand
-            traffic.flops += cal.FILTER_OPS_PER_ELEM * cand_keys.shape[0]
-        keys = np.concatenate(state.out_keys)
-        idx = np.concatenate(state.out_idx)
-        if keys.shape[0] != ctx.k:
-            raise AssertionError(
-                f"AIR Top-K produced {keys.shape[0]} results, expected {ctx.k}"
-            )
-        return keys, idx
+            # any k_rem of a row's survivors are its results
+            if k_rems != counts:
+                head = head_mask(counts, k_rems)
+                keys, idx = keys[head], idx[head]
+            _emit(out_keys, out_idx, fill, live.rows, k_rems, keys, idx)
+            return None
+        # early-stopped rows hand all their survivors to the output
+        stop = np.repeat(done, counts)
+        go = (~stop).nonzero()[0]
+        stop = stop.nonzero()[0]
+        _emit(
+            out_keys, out_idx, fill,
+            [r for r, d in zip(live.rows, done) if d],
+            [c for c, d in zip(counts, done) if d],
+            keys[stop], idx[stop],
+        )
+        keep_rows = [j for j, d in enumerate(done) if not d]
+        return _Live(
+            keys[go], idx[go],
+            [live.rows[j] for j in keep_rows],
+            [counts[j] for j in keep_rows],
+            [k_rems[j] for j in keep_rows],
+        )
+
+
+def _emit(
+    out_keys: np.ndarray, out_idx: np.ndarray, fill: list[int],
+    rows: list[int], counts: list[int], keys: np.ndarray, idx: np.ndarray,
+) -> None:
+    """Append each row's segment of the flat ``keys``/``idx`` to its
+    output row, after the results the row already holds."""
+    if len(rows) == 1:
+        row = rows[0]
+        start = fill[row]
+        fill[row] = end = start + counts[0]
+        out_keys[row, start:end] = keys
+        out_idx[row, start:end] = idx
+        return
+    k = out_keys.shape[1]
+    starts, total = [], 0
+    for row, count in zip(rows, counts):
+        starts.append(row * k + fill[row] - total)
+        fill[row] += count
+        total += count
+    pos = np.repeat(starts, counts) + np.arange(total)
+    out_keys.reshape(-1)[pos] = keys
+    out_idx.reshape(-1)[pos] = idx

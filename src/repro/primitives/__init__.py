@@ -24,6 +24,7 @@ from .batched import (
     partition_topc,
     segment_min_max,
     segment_offsets,
+    segment_target_digits,
 )
 from .select import stable_topk_order
 from .histogram import batched_digit_histogram, digit_histogram
@@ -57,6 +58,7 @@ __all__ = [
     "partition_topc",
     "segment_min_max",
     "segment_offsets",
+    "segment_target_digits",
     "stable_topk_order",
     "block_scan_ops",
     "find_target_bucket",

@@ -11,6 +11,11 @@ Three families of invariants, checked over randomly generated problems:
   ``early_stop=False`` run bit for bit.
 * **The digit schedule** — 11-bit digits over 3 passes — covers all 32
   key bits exactly once, MSB first, and digit extraction is invertible.
+* **A batch is its rows** — a batched run returns, row for row, what a
+  single-row run returns, with the same pass records and exactly the
+  summed traffic: the first pass runs per row, every later pass over all
+  live rows at once, so batches mixing early-stopping, buffering and
+  rescanning rows are the risk.
 
 Every property reads the algorithm's ``last_trace`` (one
 :class:`repro.core.air_topk.PassRecord` per fused pass per row), the same
@@ -19,11 +24,14 @@ quantities the paper's figures reason about.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.air_topk import AIRTopK
+from repro.device import Device
 from repro.primitives import digit_layout, priority_keys
 from repro.verify import check_topk
 
@@ -50,6 +58,76 @@ def problems(draw):
             rng.integers(2**32 - 16, 2**32, n),
         ).astype(np.uint32)
     return data, k
+
+
+def _row(rng, kind: str, n: int) -> np.ndarray:
+    """One row of ``kind``; ``adversarial`` rows all share the top digit."""
+    if kind == "uniform":
+        return rng.integers(0, 2**32, n, dtype=np.uint32)
+    if kind == "ties":
+        return rng.integers(0, 4, n, dtype=np.uint32)
+    if kind == "extremes":
+        return np.where(
+            rng.random(n) < 0.5,
+            rng.integers(0, 16, n),
+            rng.integers(2**32 - 16, 2**32, n),
+        ).astype(np.uint32)
+    return (np.uint32(1234 << 21) | rng.integers(0, 2**21, n, dtype=np.uint32))
+
+
+@st.composite
+def batches(draw):
+    """A (batch, k) problem whose rows mix every kind of ``problems``."""
+    rows = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=8, max_value=1024))
+    k = draw(st.integers(min_value=1, max_value=n))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["uniform", "ties", "extremes", "adversarial"]),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    return np.stack([_row(rng, kind, n) for kind in kinds]), k
+
+
+#: the paper's configuration and its four ablations
+VARIANTS = (
+    {},
+    {"adaptive": False},
+    {"early_stop": False},
+    {"fuse_last_filter": True},
+    {"digit_bits": 8},
+)
+
+
+class TestBatchEqualsRows:
+    @given(batches(), st.booleans())
+    def test_batch_matches_single_row_runs(self, problem, largest):
+        data, k = problem
+        for params in VARIANTS:
+            algo = AIRTopK(**params)
+            res = algo.select(data, k, largest=largest)
+            batched = algo.last_trace
+            traffic = [0.0, 0.0, 0.0]
+            for row in range(data.shape[0]):
+                single = algo.select(data[row], k, largest=largest, device=Device())
+                assert np.array_equal(res.values[row], single.values)
+                assert np.array_equal(res.indices[row], single.indices)
+                # the batch's records of this row, renumbered to row 0
+                mine = [
+                    dataclasses.replace(rec, row=0)
+                    for rec in batched
+                    if rec.row == row
+                ]
+                assert mine == algo.last_trace
+                c = single.device.counters
+                traffic[0] += c.bytes_read
+                traffic[1] += c.bytes_written
+                traffic[2] += c.flops
+            c = res.device.counters
+            assert [c.bytes_read, c.bytes_written, c.flops] == traffic
 
 
 class TestAdaptiveBuffering:

@@ -469,6 +469,25 @@ class TestClusterConfig:
             ClusterConfig(fault_epoch_s=0.0)
 
 
+class TestSingleUse:
+    def test_second_run_raises_and_leaves_the_first_intact(self):
+        """Nodes keep every sub-query dispatched to them, so a second
+        ``run`` would re-serve the first trace and double-count it."""
+        router = make_router(nodes=2, replication=1)
+        data = unique_data(1024, "float32")
+        router.run([Request(rid=0, data=data, k=8, largest=True, arrival_s=0.0)])
+        answered = [node.stats.answered for node in router.nodes]
+        node_answered = list(router.stats.node_answered)
+        with pytest.raises(RuntimeError, match="new ClusterRouter"):
+            router.run(
+                [Request(rid=1, data=data[::-1].copy(), k=8, largest=True,
+                         arrival_s=0.0)]
+            )
+        assert [node.stats.answered for node in router.nodes] == answered
+        assert router.stats.node_answered == node_answered
+        assert len(router.outcomes) == 1
+
+
 class TestClusterObservability:
     def test_reports_validate_at_node_and_cluster_level(self):
         from repro.obs import validate_serve_report
