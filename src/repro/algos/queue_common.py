@@ -42,6 +42,13 @@ from ..primitives import comparator_count_merge, comparator_count_sort
 #: pattern 0xFFC00000).  Wider keys use :func:`sentinel_for`.
 SENTINEL = np.uint32(0xFFFFFFFF)
 
+#: fields of a packed ``key << 32 | pad << 31 | position`` merge entry
+_LOW = np.uint64(0xFFFFFFFF)
+_PAD = np.uint64(1 << 31)
+_POSITION = np.uint64((1 << 31) - 1)
+#: an entry above every packed key, padding included
+_NONE = np.uint64(0xFFFFFFFFFFFFFFFF)
+
 
 def sentinel_for(dtype) -> np.generic:
     """All-ones key of the given unsigned dtype — above every encoding."""
@@ -153,14 +160,154 @@ def best_first(
     """Each row's best ``k`` of ``(keys, idx)``, best first.
 
     Order: key first, a real element before padding (index -1), then
-    position.  Padding carries the all-ones sentinel key, which a real
+    column.  Padding carries the all-ones sentinel key, which a real
     element's key can equal on integer data (uint32 0xFFFFFFFF selected
     smallest, or 0 selected largest); such an element must still beat the
-    padding.
+    padding.  Keys of at most 32 bits are packed ``key << 32 | pad << 31 |
+    column`` into one ``uint64``, whose plain order is this order; wider
+    keys take a two-key lexsort.
     """
-    order = np.lexsort((idx < 0, keys))[:, :k]
-    order += np.arange(order.shape[0])[:, None] * keys.shape[1]
+    if keys.ndim != 2 or keys.shape != idx.shape:
+        raise ValueError(
+            f"keys and idx must be (rows, width) of one shape, "
+            f"got {keys.shape} and {idx.shape}"
+        )
+    width = keys.shape[1]
+    if not 1 <= k <= width:
+        raise ValueError(f"k must be in [1, {width}] (the row width), got k={k}")
+    if _packs(keys.dtype, width):
+        packed = keys.astype(np.uint64) << 32
+        packed[idx < 0] |= _PAD
+        packed |= np.arange(width, dtype=np.uint64)
+        order = (_smallest(packed, k) & _POSITION).astype(np.intp)
+    else:
+        order = np.lexsort((idx < 0, keys))[:, :k]
+    order += np.arange(order.shape[0])[:, None] * width
     return np.take(keys, order), np.take(idx, order)
+
+
+def _packs(dtype: np.dtype, width: int) -> bool:
+    """Whether unsigned keys and positions below ``width`` pack into 64 bits."""
+    return dtype.kind == "u" and dtype.itemsize <= 4 and width <= 1 << 31
+
+
+def _smallest(packed: np.ndarray, k: int) -> np.ndarray:
+    """Each row's ``k`` smallest packed entries, ascending.
+
+    Reorders ``packed`` in place.  A partition pays off only once the row
+    is well over ``k`` wide; a narrower row is sorted whole.
+    """
+    if packed.shape[1] > 3 * k:
+        packed.partition(k - 1, axis=1)
+        return np.sort(packed[:, :k], axis=1)
+    packed.sort(axis=1)
+    return packed[:, :k]
+
+
+def _qualified(mask: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row, column and list slot of each slice's qualified entries.
+
+    Slot j of a row holds its j-th qualified entry in position order.
+    """
+    flat = np.flatnonzero(mask)
+    rows = flat // mask.shape[1]
+    cols = flat - rows * mask.shape[1]
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    return rows, cols, slot
+
+
+class _PackedTopK:
+    """Every slice's maintained top-k, packed for keys of at most 32 bits.
+
+    An entry is the ``uint64`` ``key << 32 | pad << 31 | position`` and
+    each row stays sorted, so a merge is one partition of the row and the
+    chunk's candidates.  This is :func:`best_first`'s order: that breaks
+    key ties by column, maintained entries first, and every maintained
+    entry comes from an earlier position than any candidate and is already
+    in (key, position) order.  Padding is the sentinel key over an
+    all-ones low word; an unqualified candidate is all-ones, decodes as
+    padding and never displaces a maintained entry.
+    """
+
+    def __init__(self, num_slices: int, k: int, dtype: np.dtype) -> None:
+        self.k, self.dtype = k, dtype
+        pad = np.uint64(sentinel_for(dtype)) << np.uint64(32) | _LOW
+        self.packed = np.full((num_slices, k), pad, dtype=np.uint64)
+
+    def last(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each slice's k-th best key, and whether that entry is padding."""
+        last = self.packed[:, -1]
+        return (last >> 32).astype(self.dtype), (last & _PAD) != 0
+
+    def merge(
+        self,
+        block: np.ndarray,
+        mask: np.ndarray,
+        counts: np.ndarray,
+        maxc: int,
+        pos: int,
+    ) -> None:
+        """Merge each slice's qualified ``block`` entries into its top-k."""
+        num, c = block.shape
+        if 4 * maxc >= c:
+            # dense: pack the whole block, unqualified entries all-ones
+            cand = block.astype(np.uint64)
+            cand <<= 32
+            cand |= np.arange(pos, pos + c, dtype=np.uint64)
+            cand[~mask] = _NONE
+        else:
+            # sparse: each slice's qualified entries, padded to the longest
+            cand = np.full((num, maxc), _NONE, dtype=np.uint64)
+            rows, cols, slot = _qualified(mask, counts)
+            cand[rows, slot] = block[rows, cols].astype(np.uint64) << 32 | (
+                cols + pos
+            ).astype(np.uint64)
+        self.packed = _smallest(np.concatenate([self.packed, cand], axis=1), self.k)
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """The maintained keys and positions, -1 where padding."""
+        keys = (self.packed >> 32).astype(self.dtype)
+        low = (self.packed & _LOW).astype(np.int64)
+        return keys, np.where(low < 1 << 31, low, -1)
+
+
+class _WideTopK:
+    """Every slice's maintained top-k as (keys, positions), for 64-bit keys."""
+
+    def __init__(self, num_slices: int, k: int, dtype: np.dtype) -> None:
+        self.k = k
+        self.keys = np.full((num_slices, k), sentinel_for(dtype), dtype=dtype)
+        self.idx = np.full((num_slices, k), -1, dtype=np.int64)
+
+    def last(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each slice's k-th best key, and whether that entry is padding."""
+        return self.keys[:, -1], self.idx[:, -1] < 0
+
+    def merge(
+        self,
+        block: np.ndarray,
+        mask: np.ndarray,
+        counts: np.ndarray,
+        maxc: int,
+        pos: int,
+    ) -> None:
+        """Merge each slice's qualified ``block`` entries into its top-k."""
+        # maintained entries, then each slice's candidates in position
+        # order, padded to the longest candidate list
+        num, k = block.shape[0], self.k
+        width = k + maxc
+        all_keys = np.full((num, width), sentinel_for(block.dtype), dtype=block.dtype)
+        all_idx = np.full((num, width), -1, dtype=np.int64)
+        all_keys[:, :k] = self.keys
+        all_idx[:, :k] = self.idx
+        rows, cols, slot = _qualified(mask, counts)
+        all_keys[rows, k + slot] = block[rows, cols]
+        all_idx[rows, k + slot] = pos + cols
+        self.keys, self.idx = best_first(all_keys, all_idx, k)
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """The maintained keys and positions, -1 where padding."""
+        return self.keys, self.idx
 
 
 def emulate_queue_select(
@@ -203,12 +350,12 @@ def emulate_queue_select(
                 f"valid_lengths must have shape ({num_slices},), "
                 f"got {valid_lengths.shape}"
             )
-    sentinel = sentinel_for(slices.dtype)
     stats = QueueStats()
     stats.rounds = -(-length // lanes) * num_slices
 
-    m_keys = np.full((num_slices, k), sentinel, dtype=slices.dtype)
-    m_idx = np.full((num_slices, k), -1, dtype=np.int64)
+    top = (_PackedTopK if _packs(slices.dtype, length) else _WideTopK)(
+        num_slices, k, slices.dtype
+    )
     if mode == "shared":
         shared_fill = np.zeros(num_slices, dtype=np.int64)
     else:
@@ -224,13 +371,13 @@ def emulate_queue_select(
     while pos < length:
         c = min(chunk, length - pos)
         block = slices[:, pos : pos + c]
-        threshold = m_keys[:, -1][:, None]
+        threshold, has_pad = top.last()
+        threshold = threshold[:, None]
         mask = block < threshold
         # sentinel-keyed *real* elements tie with the initial threshold and
         # would never qualify under `<`; admit them while the maintained
-        # top-k still holds padding (index -1 — padding sorts last, so the
-        # final slot tells).  Refreshed per chunk, like the threshold.
-        has_pad = m_idx[:, -1] < 0
+        # top-k still holds padding (padding sorts last, so the final slot
+        # tells).  Refreshed per chunk, like the threshold.
         if has_pad.any():
             is_real = (
                 np.arange(pos, pos + c, dtype=np.int64)[None, :]
@@ -282,20 +429,7 @@ def emulate_queue_select(
         # --- merge qualified candidates into the maintained top-k ---------
         maxc = int(per_slice_q.max()) if num_slices else 0
         if maxc:
-            # maintained entries, then each slice's candidates in position
-            # order, padded to the longest candidate list
-            all_keys = np.full((num_slices, k + maxc), sentinel, dtype=slices.dtype)
-            all_idx = np.full((num_slices, k + maxc), -1, dtype=np.int64)
-            all_keys[:, :k] = m_keys
-            all_idx[:, :k] = m_idx
-            flat = np.flatnonzero(mask)
-            rows = flat // c
-            cols = flat - rows * c
-            first = np.cumsum(per_slice_q) - per_slice_q
-            slot = k + np.arange(flat.size) - first[rows]
-            all_keys[rows, slot] = block[rows, cols]
-            all_idx[rows, slot] = pos + cols
-            m_keys, m_idx = best_first(all_keys, all_idx, k)
+            top.merge(block, mask, per_slice_q, maxc, pos)
 
         pos += c
         # adapt: once the threshold is tight, qualified elements are rare and
@@ -309,7 +443,8 @@ def emulate_queue_select(
         registry.counter("queue.rounds", mode=mode).inc(stats.rounds)
         registry.counter("queue.inserts", mode=mode).inc(stats.inserts)
         registry.counter("queue.flushes", mode=mode).inc(stats.flushes)
-    return QueueRunResult(keys=m_keys, indices=m_idx, stats=stats)
+    keys, indices = top.result()
+    return QueueRunResult(keys=keys, indices=indices, stats=stats)
 
 
 def slice_rows(
@@ -327,11 +462,16 @@ def slice_rows(
     if num_slices <= 0:
         raise ValueError(f"num_slices must be positive, got {num_slices}")
     per = -(-n // num_slices)
-    padded = np.full(
-        (batch, num_slices * per), sentinel_for(row_keys.dtype), dtype=row_keys.dtype
-    )
-    padded[:, :n] = row_keys
-    slices = padded.reshape(batch * num_slices, per)
+    if n == num_slices * per:
+        slices = row_keys.reshape(batch * num_slices, per)
+    else:
+        padded = np.full(
+            (batch, num_slices * per),
+            sentinel_for(row_keys.dtype),
+            dtype=row_keys.dtype,
+        )
+        padded[:, :n] = row_keys
+        slices = padded.reshape(batch * num_slices, per)
     offsets = np.tile(np.arange(num_slices, dtype=np.int64) * per, batch)
     return slices, offsets
 

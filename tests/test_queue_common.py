@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import GridSelectStream
+from repro.algos import queue_common
 from repro.algos.queue_common import (
     QueueStats,
     SENTINEL,
     _thread_mode_flushes,
+    best_first,
     emulate_queue_select,
+    sentinel_for,
     slice_rows,
 )
-from repro.primitives import encode
+from repro.primitives import encode, priority_keys
 
 
 def sequential_thread_flushes(
@@ -29,6 +33,94 @@ def sequential_thread_flushes(
             flushes += 1
             fill[:] = 0
     return flushes, fill
+
+
+def lexsort_best_first(
+    keys: np.ndarray, idx: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle merge: a two-key lexsort, key first, a real element
+    before padding (index -1), then column."""
+    order = np.lexsort((idx < 0, keys))[:, :k]
+    order += np.arange(order.shape[0])[:, None] * keys.shape[1]
+    return np.take(keys, order), np.take(idx, order)
+
+
+def reference_queue_select(
+    slices: np.ndarray,
+    k: int,
+    *,
+    lanes: int,
+    mode: str,
+    queue_len: int,
+    valid_lengths: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, QueueStats]:
+    """Slice-by-slice replay of the emulation's chunk schedule.
+
+    Each slice's candidates merge through :func:`lexsort_best_first`, and
+    per-thread flushes are counted round by round.
+    """
+    num, length = slices.shape
+    keys = np.full((num, k), sentinel_for(slices.dtype), dtype=slices.dtype)
+    idx = np.full((num, k), -1, dtype=np.int64)
+    fill = np.zeros((num, lanes if mode == "thread" else 1), dtype=np.int64)
+    stats = QueueStats(rounds=-(-length // lanes) * num)
+    pos, chunk = 0, lanes * 8
+    while pos < length:
+        c = min(chunk, length - pos)
+        maxc = 0
+        for s in range(num):
+            block = slices[s, pos : pos + c]
+            mask = block < keys[s, -1]
+            if idx[s, -1] < 0:
+                real = np.arange(pos, pos + c) < valid_lengths[s]
+                mask |= real & (block == keys[s, -1])
+            q = int(mask.sum())
+            stats.inserts += q
+            maxc = max(maxc, q)
+            if mode == "shared":
+                stats.flushes += int((fill[s, 0] + q) // queue_len)
+                fill[s, 0] = (fill[s, 0] + q) % queue_len
+            else:
+                per_round = np.zeros(-(-c // lanes) * lanes, dtype=bool)
+                per_round[:c] = mask
+                f, fill[s] = sequential_thread_flushes(
+                    per_round.reshape(-1, lanes), fill[s], queue_len
+                )
+                stats.flushes += f
+            if q:
+                merged_keys = np.concatenate([keys[s], block[mask]])
+                merged_idx = np.concatenate([idx[s], pos + np.flatnonzero(mask)])
+                best_keys, best_idx = lexsort_best_first(
+                    merged_keys[None], merged_idx[None], k
+                )
+                keys[s], idx[s] = best_keys[0], best_idx[0]
+        pos += c
+        if maxc <= max(4, queue_len // 4):
+            chunk = min(chunk * 2, max(lanes * 8, 1 << 14))
+    stats.merge_comparators = stats.flushes * stats.merge_cost_comparators(
+        queue_len * (lanes if mode == "thread" else 1), k
+    )
+    return keys, idx, stats
+
+
+def ramp_rows(rng, dtype, num: int, length: int, *, ties: bool) -> np.ndarray:
+    """Rows of random noise, then an ascent, then a descent.
+
+    Once the top-k fills, the noise and the ascent qualify few elements
+    (sparse chunks), and the descent, crossing below everything seen,
+    qualifies whole chunks (dense ones).
+    """
+    top = int(sentinel_for(dtype))
+    hi = 50 if ties else min(top, 1 << 40)
+    rows = np.empty((num, length), dtype=dtype)
+    for s in range(num):
+        noise, up = np.sort(rng.integers(0, length, 2, endpoint=True))
+        upper = rng.integers(hi // 4, hi, up, endpoint=True)
+        rows[s, :up] = np.concatenate([upper[:noise], np.sort(upper[noise:])])
+        rows[s, up:] = np.sort(rng.integers(0, hi, length - up, endpoint=True))[::-1]
+    # real elements equal to the sentinel: the padding's key
+    rows[rng.random((num, length)) < 0.05] = top
+    return rows
 
 
 class TestThreadModeFlushes:
@@ -98,6 +190,27 @@ class TestSliceRows:
         slices, offsets = slice_rows(keys, 2)
         assert slices.shape == (4, 2)
         assert np.array_equal(offsets, [0, 2, 0, 2])
+
+    def test_divisible_rows_are_a_view(self):
+        keys = np.arange(24, dtype=np.uint32).reshape(2, 12)
+        slices, offsets = slice_rows(keys, 3)
+        assert np.shares_memory(slices, keys)
+        assert np.array_equal(slices, keys.reshape(6, 4))
+        assert np.array_equal(offsets, [0, 4, 8, 0, 4, 8])
+
+    def test_padded_rows_are_a_copy(self):
+        keys = np.arange(20, dtype=np.uint16).reshape(2, 10)
+        slices, offsets = slice_rows(keys, 3)
+        assert not np.shares_memory(slices, keys)
+        pad = sentinel_for(np.uint16)
+        assert np.array_equal(
+            slices,
+            [
+                [0, 1, 2, 3], [4, 5, 6, 7], [8, 9, pad, pad],
+                [10, 11, 12, 13], [14, 15, 16, 17], [18, 19, pad, pad],
+            ],
+        )
+        assert np.array_equal(offsets, [0, 4, 8, 0, 4, 8])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -222,6 +335,158 @@ class TestEmulateQueueSelect:
             emulate_queue_select(keys, 4, lanes=0, mode="shared", queue_len=32)
         with pytest.raises(ValueError):
             emulate_queue_select(keys[0], 4, lanes=32, mode="shared", queue_len=32)
+
+
+class TestBestFirst:
+    def test_rejects_k_above_width(self):
+        keys = np.zeros((2, 4), dtype=np.uint32)
+        idx = np.zeros((2, 4), dtype=np.int64)
+        with pytest.raises(ValueError, match="row width"):
+            best_first(keys, idx, 5)
+        with pytest.raises(ValueError, match="row width"):
+            best_first(keys, idx, 0)
+
+    def test_rejects_mismatched_shapes(self):
+        keys = np.zeros((2, 4), dtype=np.uint32)
+        with pytest.raises(ValueError, match="shape"):
+            best_first(keys, np.zeros((2, 5), dtype=np.int64), 2)
+        with pytest.raises(ValueError, match="shape"):
+            best_first(keys[0], np.zeros(4, dtype=np.int64), 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([np.uint16, np.uint32, np.uint64]),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_equals_lexsort_oracle(self, dtype, rows, width, k_raw, seed):
+        """Ties, real keys equal to the sentinel and padding, any k."""
+        rng = np.random.default_rng(seed)
+        k = 1 + (k_raw - 1) % width
+        top = int(sentinel_for(dtype))
+        keys = rng.integers(top - 8, top, (rows, width), dtype=dtype, endpoint=True)
+        idx = rng.permutation(rows * width).reshape(rows, width).astype(np.int64)
+        pad = rng.random((rows, width)) < 0.3
+        keys[pad], idx[pad] = top, -1
+        got = best_first(keys, idx, k)
+        want = lexsort_best_first(keys, idx, k)
+        assert got[0].dtype == want[0].dtype
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+class TestPackedMerge:
+    """The emulation's merge against a slice-by-slice lexsort replay."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([np.uint16, np.uint32, np.uint64]),
+        st.sampled_from([("thread", 2), ("thread", 3), ("shared", 32)]),
+        st.sampled_from([32, 128]),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3000),
+        # small k makes for sparse chunks
+        st.one_of(st.integers(1, 40), st.integers(1, 3000)),
+        st.booleans(),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_equals_lexsort_reference(
+        self, dtype, discipline, lanes, num, length, k_raw, ties, padded, seed
+    ):
+        mode, queue_len = discipline
+        rng = np.random.default_rng(seed)
+        k = 1 + (k_raw - 1) % length
+        slices = ramp_rows(rng, dtype, num, length, ties=ties)
+        lengths = np.full(num, length, dtype=np.int64)
+        if padded:
+            # trailing sentinel padding, as slice_rows leaves it
+            lengths = rng.integers(0, length, num, endpoint=True)
+            slices[np.arange(length) >= lengths[:, None]] = sentinel_for(dtype)
+        got = emulate_queue_select(
+            slices, k, lanes=lanes, mode=mode, queue_len=queue_len,
+            valid_lengths=lengths if padded else None,
+        )
+        keys, idx, stats = reference_queue_select(
+            slices, k, lanes=lanes, mode=mode, queue_len=queue_len,
+            valid_lengths=lengths,
+        )
+        assert got.keys.dtype == keys.dtype
+        assert np.array_equal(got.keys, keys)
+        assert np.array_equal(got.indices, idx)
+        assert got.stats == stats
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    def test_ramp_takes_both_routes(self, monkeypatch, dtype):
+        """The descent crosses the threshold late in a chunk, merged by the
+        sparse route (a scatter of the qualified); the chunks after it
+        qualify whole and take the dense route (the whole block packed)."""
+        routes = []
+        merge, qualified = queue_common._PackedTopK.merge, queue_common._qualified
+
+        def spy_merge(self, *args):
+            routes.append("dense")
+            merge(self, *args)
+
+        def spy_qualified(*args):
+            routes[-1] = "sparse"
+            return qualified(*args)
+
+        monkeypatch.setattr(queue_common._PackedTopK, "merge", spy_merge)
+        monkeypatch.setattr(queue_common, "_qualified", spy_qualified)
+        row = np.concatenate([np.arange(5000, 8000), np.arange(9900, 0, -1)])
+        got = emulate_queue_select(
+            row[None].astype(dtype), 16, lanes=32, mode="shared", queue_len=32
+        )
+        assert routes == ["dense", "sparse", "dense", "dense"]
+        assert np.array_equal(got.keys[0], np.arange(1, 17))
+        assert np.array_equal(got.indices[0], row.size - np.arange(1, 17))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([np.uint16, np.uint32, np.uint64, np.float32]),
+    st.booleans(),
+    st.integers(min_value=1, max_value=200),
+    st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_stream_pushes_equal_lexsort_oracle(dtype, largest, k, sizes, seed):
+    """After every push, a GridSelectStream holds the oracle's top-k."""
+    rng = np.random.default_rng(seed)
+    stream = GridSelectStream(k, largest=largest)
+    top = np.iinfo(dtype).max if dtype != np.float32 else 0
+    keys = idx = None
+    seen = 0
+    for size in sizes:
+        if dtype == np.float32:
+            chunk = rng.integers(-5, 5, size).astype(dtype)
+        else:
+            # few distinct values, the extremes included: ties, and real
+            # keys equal to the sentinel in either direction
+            chunk = rng.choice(np.array([0, 1, 2, top - 1, top], dtype=dtype), size)
+        stream.push(chunk)
+        if size == 0:
+            continue
+        chunk_keys = priority_keys(chunk, largest=largest)
+        if keys is None:
+            keys = np.full(k, sentinel_for(chunk_keys.dtype), dtype=chunk_keys.dtype)
+            idx = np.full(k, -1, dtype=np.int64)
+        mask = chunk_keys < keys[-1]
+        if idx[-1] < 0:
+            mask |= chunk_keys == keys[-1]
+        if mask.any():
+            best = lexsort_best_first(
+                np.concatenate([keys, chunk_keys[mask]])[None],
+                np.concatenate([idx, np.flatnonzero(mask) + seen])[None],
+                k,
+            )
+            keys, idx = best[0][0], best[1][0]
+        seen += size
+        assert np.array_equal(stream._keys, keys)
+        assert np.array_equal(stream._idx, idx)
 
 
 @settings(max_examples=50, deadline=None)
