@@ -19,6 +19,25 @@ from ..device import Device, GPUSpec, A100
 from ..errors import InputError, check_problem
 from ..primitives import priority_keys
 
+#: every key dtype the monotone encoding supports (repro.primitives.radix)
+SUPPORTED_DTYPES = (
+    "float16",
+    "float32",
+    "float64",
+    "int16",
+    "int32",
+    "int64",
+    "uint16",
+    "uint32",
+    "uint64",
+)
+
+#: the supported dtypes in either byte order: a non-native array is
+#: selected like its native copy
+KEY_DTYPES = frozenset(
+    np.dtype(name).newbyteorder(order) for name in SUPPORTED_DTYPES for order in "<>"
+)
+
 
 @dataclass
 class RunContext:
@@ -166,7 +185,9 @@ class TopKAlgorithm(abc.ABC):
             raise InputError("batch must contain at least one problem")
         if n == 0:
             raise InputError("cannot select from an empty list")
-        check_problem(n, k)
+        if data.dtype not in KEY_DTYPES:
+            raise InputError(f"unsupported radix key dtype {data.dtype}")
+        k = check_problem(n, k)
         nominal_n = n if nominal_n is None else nominal_n
         nominal_k = k if nominal_k is None else nominal_k
         if nominal_n < n or nominal_k < 1:
@@ -177,7 +198,10 @@ class TopKAlgorithm(abc.ABC):
 
         if device is None:
             device = Device(spec)
-        keys = priority_keys(np.ascontiguousarray(data), largest=largest)
+        keys = priority_keys(
+            np.ascontiguousarray(data, dtype=data.dtype.newbyteorder("=")),
+            largest=largest,
+        )
         ctx = RunContext(
             device=device,
             keys=keys,

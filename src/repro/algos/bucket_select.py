@@ -19,6 +19,7 @@ import numpy as np
 from .base import RunContext
 from .partition_common import BucketPartition, Flat, Frontier, Rect, stream_grid
 from ..perf import calibration as cal
+from ..primitives import inclusive_scan
 
 
 class BucketSelect(BucketPartition):
@@ -72,4 +73,10 @@ class BucketSelect(BucketPartition):
                 return
             lo, hi = lo[~flat], hi[~flat]
         buckets = self._bucket_of(view.keys, view.spread(lo), view.spread(hi))
-        self._split(device, f, view, buckets)
+        psum = inclusive_scan(view.histogram(buckets, self.num_buckets), axis=1)
+
+        def split(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            t = view.spread(target)
+            return buckets < t, buckets == t
+
+        self._split(device, f, view, psum, split)

@@ -20,7 +20,7 @@ import inspect
 from dataclasses import dataclass, field
 
 from .auto import AutoTopK
-from .base import TopKAlgorithm
+from .base import SUPPORTED_DTYPES, TopKAlgorithm
 from .bucket_approx import BucketApproxTopK
 from .hybrid import DrTopKHybrid
 from .twostage_approx import TwoStageApproxTopK
@@ -33,19 +33,6 @@ from .bucket_select import BucketSelect
 from .sample_select import SampleSelect
 
 _FACTORIES: dict[str, type[TopKAlgorithm] | object] = {}
-
-#: every key dtype the monotone encoding supports (repro.primitives.radix)
-SUPPORTED_DTYPES = (
-    "float16",
-    "float32",
-    "float64",
-    "int16",
-    "int32",
-    "int64",
-    "uint16",
-    "uint32",
-    "uint64",
-)
 
 
 @dataclass(frozen=True)

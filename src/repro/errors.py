@@ -10,18 +10,29 @@ still ends in a traceback.  It subclasses :class:`ValueError`, so
 
 from __future__ import annotations
 
+import operator
+
 
 class InputError(ValueError):
     """A caller passed an invalid argument; the message says which."""
 
 
-def check_problem(n: int, k: int, batch: int = 1) -> None:
-    """Raise :class:`InputError` unless ``1 <= k <= n`` and ``batch >= 1``.
+def check_problem(n: int, k, batch: int = 1) -> int:
+    """``k`` as a Python int; raise :class:`InputError` unless it is an
+    integer (a NumPy integer passes, ``bool`` does not), ``1 <= k <= n``
+    and ``batch >= 1``.
 
     The wording matches the serving layer's per-request admission check
     (:func:`repro.serve.admission_failure`).
     """
+    try:
+        if isinstance(k, bool):  # an int subclass, but never a count
+            raise TypeError
+        k = operator.index(k)
+    except TypeError:
+        raise InputError(f"k must be an integer, got k={k!r}") from None
     if not 1 <= k <= n:
         raise InputError(f"k must be in [1, n={n}], got k={k}")
     if batch < 1:
         raise InputError(f"batch must be >= 1, got {batch}")
+    return k

@@ -708,7 +708,7 @@ def predict_topk_time(algo: str, *, n: int, k: int, batch: int = 1, spec=None) -
 
     Analytic only — see :func:`rank_algorithms` for corrected ranking.
     """
-    check_problem(n, k, batch)
+    k = check_problem(n, k, batch)
     if spec is None:
         from ..device import A100  # lazy: device imports this module
 

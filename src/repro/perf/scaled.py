@@ -73,7 +73,7 @@ def scale_factors(
     Returns ``(n_s, k_s, scale)`` with ``scale = n / n_s`` and ``k_s``
     shrunk by the same ratio (clamped to [1, n_s]).
     """
-    check_problem(n, k, batch)
+    k = check_problem(n, k, batch)
     if cap <= 0:
         raise InputError(f"cap must be positive, got {cap}")
     per_row_cap = max(MIN_SCALED_N, cap // batch)

@@ -92,7 +92,7 @@ class LoadSpec:
             raise InputError(
                 f"qps and duration must be positive, got {self.qps}, {self.duration_s}"
             )
-        check_problem(self.n, self.k)
+        self.k = check_problem(self.n, self.k)
         if self.arrival not in ARRIVALS:
             raise InputError(f"arrival must be one of {ARRIVALS}, got {self.arrival!r}")
         if self.payload_pool < 1:

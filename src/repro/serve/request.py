@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..algos.registry import SUPPORTED_DTYPES
-
-#: every payload dtype the service takes, in either byte order (a
-#: non-native payload is served like its native copy)
-_DTYPES = frozenset(
-    np.dtype(name).newbyteorder(order) for name in SUPPORTED_DTYPES for order in "<>"
-)
+from ..algos.base import KEY_DTYPES
+from ..errors import InputError, check_problem
 
 #: every status an Outcome can carry.  "served" is full fidelity;
 #: "degraded" carries results that satisfy only the reported
@@ -132,25 +127,28 @@ def admission_failure(request: Request) -> Outcome | None:
     """The immediate ``failed`` outcome of a malformed request, or None.
 
     A servable request has a 1-d, non-empty numpy payload of a supported
-    dtype and ``1 <= k <= n``.  The service and the cluster router both
-    call this at admission, before the payload is hashed, batched or
-    routed; a malformed request fails on the spot with ``error`` naming
-    the problem, and no other request's outcome changes.  Messages are
-    only formatted on failure.
+    dtype and an integer ``1 <= k <= n`` (a NumPy integer ``k`` is stored
+    back as the Python int it equals; ``bool`` and non-integers fail).
+    The service and the cluster router both call this at admission,
+    before the payload is hashed, batched or routed; a malformed request
+    fails on the spot with ``error`` naming the problem, and no other
+    request's outcome changes.  Messages are only formatted on failure.
     """
-    data, k = request.data, request.k
+    data = request.data
     if not isinstance(data, np.ndarray):
         error = f"data must be a numpy array, got {type(data).__name__}"
     elif data.ndim != 1:
         error = f"data must be 1-d (n,), got shape {data.shape}"
     elif data.shape[0] == 0:
         error = "cannot select from an empty list"
-    elif data.dtype not in _DTYPES:
+    elif data.dtype not in KEY_DTYPES:
         error = f"unsupported radix key dtype {data.dtype}"
-    elif not 1 <= k <= data.shape[0]:
-        error = f"k must be in [1, n={data.shape[0]}], got k={k}"
     else:
-        return None
+        try:
+            request.k = check_problem(data.shape[0], request.k)
+            return None
+        except InputError as exc:
+            error = str(exc)
     return Outcome(
         rid=request.rid,
         status="failed",

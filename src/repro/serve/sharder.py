@@ -109,7 +109,7 @@ def sharded_topk(
             f"data must be 1-d or 2-d (batch, n), got shape {data.shape}"
         )
     n = data.shape[1]
-    check_problem(n, k)
+    k = check_problem(n, k)
     run_device, spec = resolve_device(device)
     if run_device is not None:
         raise ValueError(

@@ -59,6 +59,42 @@ class TestFacade:
         assert topk(data, 4, algo="sort", batch=4).values.shape == (4, 4)
 
 
+class TestInputBoundary:
+    """``k`` and the dtype are checked where the call enters the package."""
+
+    @pytest.mark.parametrize("algo", repro.algorithm_names())
+    def test_numpy_integer_k_is_an_int(self, rng, algo):
+        data = rng.standard_normal(4096).astype(np.float32)
+        want = topk(data, 64, algo=algo)
+        got = topk(data, np.int64(64), algo=algo)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.time == want.time
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"])
+    @pytest.mark.parametrize("algo", ["auto", "sort", "warp_select"])
+    def test_non_integer_k_is_input_error(self, rng, algo, k):
+        data = rng.standard_normal(256).astype(np.float32)
+        with pytest.raises(repro.InputError, match="k must be an integer"):
+            topk(data, k, algo=algo)
+
+    @pytest.mark.parametrize(
+        "dtype", ["bool", "int8", "uint8", "complex64", "object", "datetime64[s]"]
+    )
+    def test_unsupported_dtype_is_input_error(self, dtype):
+        data = np.zeros(256, dtype=dtype)
+        with pytest.raises(repro.InputError, match="unsupported radix key dtype"):
+            topk(data, 4, algo="sort")
+
+    @pytest.mark.parametrize("largest", [False, True])
+    def test_non_native_byte_order_is_selected_like_native(self, rng, largest):
+        data = rng.standard_normal(4096).astype(np.float32)
+        want = topk(data, 16, algo="air_topk", largest=largest)
+        got = topk(data.astype(">f4"), 16, algo="air_topk", largest=largest)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.indices, want.indices)
+
+
 class TestDeviceResolution:
     def test_default_is_a100(self):
         run_device, spec = resolve_device(None)

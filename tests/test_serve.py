@@ -871,6 +871,8 @@ BAD_REQUESTS = {
     "k_above_n": (lambda p: p, 65, "k must be in [1, n=64], got k=65"),
     "k_zero": (lambda p: p, 0, "got k=0"),
     "k_negative": (lambda p: p, -3, "got k=-3"),
+    "k_float": (lambda p: p, 2.5, "k must be an integer, got k=2.5"),
+    "k_bool": (lambda p: p, True, "k must be an integer, got k=True"),
     "empty": (lambda p: p[:0], 4, "cannot select from an empty list"),
     "two_d": (lambda p: np.stack([p, p]), 4, "must be 1-d (n,), got shape (2, 64)"),
     "scalar": (lambda p: np.asarray(p[0]), 1, "must be 1-d (n,), got shape ()"),
@@ -883,8 +885,8 @@ class TestAdmissionValidation:
     """A malformed request fails at admission with its reason, is never
     hashed, batched or routed, and leaves every other outcome as it was."""
 
-    def serve(self, kind, requests):
-        node = ServeConfig(algo="sort", max_batch=4, max_delay_s=0.01)
+    def serve(self, kind, requests, node=None):
+        node = node or ServeConfig(algo="sort", max_batch=4, max_delay_s=0.01)
         if kind == "service":
             server = TopKService(node)
         else:
@@ -937,6 +939,19 @@ class TestAdmissionValidation:
             )
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.indices, want.indices)
+
+    @pytest.mark.parametrize("kind", ["service", "cluster"])
+    def test_numpy_integer_k_is_served_as_int(self, kind):
+        config = ServeConfig(algo="warp_select", max_batch=4, max_delay_s=0.01)
+        clean, _ = self.serve(kind, self.mates(), config)
+        numpy_k = self.mates()
+        numpy_k[1].k = np.int64(4)  # batched with the int-k mates
+        outcomes, _ = self.serve(kind, numpy_k, config)
+        assert type(numpy_k[1].k) is int
+        for rid, want in clean.items():
+            assert outcomes[rid].status == "served"
+            assert np.array_equal(outcomes[rid].values, want.values)
+            assert np.array_equal(outcomes[rid].indices, want.indices)
 
     @pytest.mark.parametrize("kind", ["service", "cluster"])
     def test_non_native_byte_order_is_served(self, kind):
