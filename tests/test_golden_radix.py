@@ -1,11 +1,13 @@
-"""Golden pins of the radix family: AIR Top-K, RadixSelect, Dr. Top-K.
+"""Golden pins of the radix family (AIR Top-K, RadixSelect, Dr. Top-K)
+and of Bitonic Top-K.
 
-Seven methods run in both directions on a simulated A100 — AIR Top-K as
+Eight methods run in both directions on a simulated A100 — AIR Top-K as
 the registry builds it, its four variants (``adaptive=False``,
 ``early_stop=False``, ``fuse_last_filter=True``, ``digit_bits=8``),
-RadixSelect and the Dr. Top-K hybrid over AIR (these two replay one
-row's schedule per row, so they skip the batch-100 cases) — and each run
-is pinned byte for byte:
+RadixSelect, the Dr. Top-K hybrid over AIR and Bitonic Top-K (these
+three replay one row's schedule per row, so they skip the batch-100
+cases; Bitonic also skips every case above its ``max_k`` of 256) — and
+each run is pinned byte for byte:
 
 * the SHA-256 of the selected values and of their indices;
 * every timeline event in order — name, stream, start and duration as
@@ -68,13 +70,14 @@ METHODS = {
     "air_digit8": ("air_topk", {"digit_bits": 8}),
     "radix_select": ("radix_select", {}),
     "drtopk_hybrid": ("drtopk_hybrid", {}),
+    "bitonic_topk": ("bitonic_topk", {}),
 }
 
 AIR_METHODS = [m for m, (algo, _) in METHODS.items() if algo == "air_topk"]
 
 #: methods that replay one row's launch schedule per row: a batch-100 run
 #: would pin 100 copies of what their batch-1 and batch-3 cases pin
-PER_ROW = ("radix_select", "drtopk_hybrid")
+PER_ROW = ("radix_select", "drtopk_hybrid", "bitonic_topk")
 
 #: launch arguments pinned per kernel, in this order: every keyword but
 #: the span args
@@ -268,6 +271,9 @@ def _ids():
     for method in METHODS:
         for name, case in CASES.items():
             if method in PER_ROW and len(case.rows) > 3:
+                continue
+            max_k = _algorithm(method).max_k
+            if max_k is not None and case.k > max_k:
                 continue
             for direction in ("smallest", "largest"):
                 yield f"{method}/{name}/{direction}"
