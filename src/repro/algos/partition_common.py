@@ -49,6 +49,7 @@ from ..primitives import (
     find_target_bucket,
     flat_histogram,
     head_mask,
+    lex_order,
     segment_min_max,
     segment_offsets,
     stable_topk_order,
@@ -304,7 +305,7 @@ class PartitionSelect(TopKAlgorithm):
                 np.concatenate(c) for c in zip(*f.term)
             )
             # stable (row, key) order == per-row stable argsort by key
-            order = np.lexsort((term_keys, term_rows))
+            order = lex_order(term_rows, term_keys)
             term_rows = term_rows[order]
             seg = np.bincount(term_rows, minlength=batch)
             mask = head_mask(seg, f.term_k)

@@ -26,6 +26,7 @@ from .batched import (
     segment_offsets,
     segment_target_digits,
 )
+from .order import lex_order, stable_sort
 from .select import stable_topk_order
 from .histogram import batched_digit_histogram, digit_histogram
 from .scan import (
@@ -59,6 +60,8 @@ __all__ = [
     "segment_min_max",
     "segment_offsets",
     "segment_target_digits",
+    "lex_order",
+    "stable_sort",
     "stable_topk_order",
     "block_scan_ops",
     "find_target_bucket",

@@ -33,6 +33,7 @@ import math
 
 import numpy as np
 
+from .order import pack, unpack
 from .select import stable_topk_order
 
 
@@ -102,10 +103,10 @@ def segment_target_digits(
     :func:`~repro.primitives.scan.find_target_bucket` picks from its dense
     histogram — returned with ``below`` (elements with a smaller digit)
     and ``count`` (elements equal to it).  Fewer elements than
-    ``segments * buckets`` are answered by one sort of packed
-    ``(segment << 32) | digit`` keys, more by one offset ``bincount``
-    (about where the two cost the same: the histograms' cumulative sums
-    cover every bucket of every segment).
+    ``segments * buckets`` are answered by one sort of (segment, digit)
+    pairs packed by :func:`~repro.primitives.order.pack`, more by one
+    offset ``bincount`` (about where the two cost the same: the
+    histograms' cumulative sums cover every bucket of every segment).
     """
     counts = np.asarray(counts, dtype=np.int64)
     ranks = np.asarray(ranks, dtype=np.int64)
@@ -131,14 +132,13 @@ def segment_target_digits(
     if digits.shape[0] < segments * num_buckets:
         packed = digits
         if segments > 1:
-            packed = np.repeat(np.arange(segments, dtype=np.uint64) << 32, counts)
-            packed |= digits
+            packed = pack(np.repeat(np.arange(segments), counts), digits)
         packed = np.sort(packed)
         pick = packed[starts + (ranks - 1)]
         left = packed.searchsorted(pick, "left")
         count = packed.searchsorted(pick, "right") - left
         if segments > 1:
-            pick = (pick & 0xFFFFFFFF).astype(digits.dtype)
+            pick = unpack(pick)[1].astype(digits.dtype)
         return pick, left - starts, count
     flat = digits
     if segments > 1:
