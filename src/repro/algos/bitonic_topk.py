@@ -51,19 +51,19 @@ class BitonicTopK(TopKAlgorithm):
         keys, idx = stable_sort(keys.reshape(batch, runs, kp))
         idx += np.arange(0, padded_len, kp)[:, None]
         idx[idx >= n] = -1
+        # the reference kernel handles one row: each phase charges one
+        # identical launch per row, its arguments computed once
         comps = runs * comparator_count_sort(kp)
+        charge = dict(
+            grid_blocks=streaming_grid(device.spec, ctx.nominal_n, items_per_thread=4),
+            block_threads=256,
+            bytes_read=4.0 * n,
+            bytes_written=8.0 * n,
+            flops=cal.BITONIC_OPS_PER_COMPARATOR * comps,
+            fixed_dependent_cycles=cal.BITONIC_KERNEL_FIXED_CYCLES,
+        )
         for _ in range(batch):
-            device.launch_kernel(
-                "BitonicLocalSort",
-                grid_blocks=streaming_grid(
-                    device.spec, ctx.nominal_n, items_per_thread=4
-                ),
-                block_threads=256,
-                bytes_read=4.0 * n,
-                bytes_written=8.0 * n,
-                flops=cal.BITONIC_OPS_PER_COMPARATOR * comps,
-                fixed_dependent_cycles=cal.BITONIC_KERNEL_FIXED_CYCLES,
-            )
+            device.launch_kernel("BitonicLocalSort", **charge)
 
         # merge-reduce phases: pair runs, keep the k smaller, re-sort
         phase = 0
@@ -90,19 +90,20 @@ class BitonicTopK(TopKAlgorithm):
             elems = pairs * 2 * kp
             comps = pairs * (kp + comparator_count_merge(kp))
             phase += 1
+            name = f"BitonicMergeReduce({phase})"
+            charge = dict(
+                grid_blocks=streaming_grid(
+                    device.spec,
+                    max(1, int(elems * device.scale)),  # nominal phase size
+                    items_per_thread=4,
+                ),
+                block_threads=256,
+                bytes_read=8.0 * elems,
+                bytes_written=8.0 * elems / 2,
+                flops=cal.BITONIC_OPS_PER_COMPARATOR * comps,
+                fixed_dependent_cycles=cal.BITONIC_KERNEL_FIXED_CYCLES,
+            )
             for _ in range(batch):
-                device.launch_kernel(
-                    f"BitonicMergeReduce({phase})",
-                    grid_blocks=streaming_grid(
-                        device.spec,
-                        max(1, int(elems * device.scale)),  # nominal phase size
-                        items_per_thread=4,
-                    ),
-                    block_threads=256,
-                    bytes_read=8.0 * elems,
-                    bytes_written=8.0 * elems / 2,
-                    flops=cal.BITONIC_OPS_PER_COMPARATOR * comps,
-                    fixed_dependent_cycles=cal.BITONIC_KERNEL_FIXED_CYCLES,
-                )
+                device.launch_kernel(name, **charge)
 
         return keys[:, 0, : ctx.k], idx[:, 0, : ctx.k]

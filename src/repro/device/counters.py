@@ -7,6 +7,7 @@ Light" utilisation percentages).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -28,20 +29,6 @@ class KernelStats:
     @property
     def bytes_total(self) -> float:
         return self.bytes_read + self.bytes_written
-
-    def merge_launch(
-        self,
-        *,
-        bytes_read: float,
-        bytes_written: float,
-        flops: float,
-        time: float,
-    ) -> None:
-        self.launches += 1
-        self.bytes_read += bytes_read
-        self.bytes_written += bytes_written
-        self.flops += flops
-        self.time += time
 
 
 @dataclass
@@ -84,16 +71,20 @@ class DeviceCounters:
         ``N/alpha`` elements (Sec. 3.2); this counter lets tests assert that
         bound.
         """
-        if nbytes < 0:
-            raise ValueError("workspace size must be non-negative")
+        if not 0.0 <= nbytes < math.inf:
+            raise ValueError(
+                f"workspace size must be non-negative and finite, got {nbytes}"
+            )
         self._current_workspace += nbytes
         self.peak_workspace_bytes = max(
             self.peak_workspace_bytes, self._current_workspace
         )
 
     def free_workspace(self, nbytes: float) -> None:
-        if nbytes < 0:
-            raise ValueError("workspace size must be non-negative")
+        if not 0.0 <= nbytes < math.inf:
+            raise ValueError(
+                f"workspace size must be non-negative and finite, got {nbytes}"
+            )
         self._current_workspace = max(0.0, self._current_workspace - nbytes)
 
     def merge(self, other: "DeviceCounters") -> None:

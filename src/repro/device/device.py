@@ -21,18 +21,20 @@ intensive quantities and are never scaled.
 
 from __future__ import annotations
 
+import math
+
 from .counters import DeviceCounters, KernelStats
 from .spec import GPUSpec, A100
 from .timeline import Timeline
-from ..perf.costmodel import KernelCostModel, LaunchShape
+from ..perf.costmodel import KernelCostModel
 
 
 class Device:
     """A simulated GPU attached to a host over PCIe."""
 
     def __init__(self, spec: GPUSpec = A100, *, scale: float = 1.0) -> None:
-        if scale < 1.0:
-            raise ValueError(f"scale must be >= 1, got {scale}")
+        if not 1.0 <= scale < math.inf:
+            raise ValueError(f"scale must be finite and >= 1, got {scale}")
         self.spec = spec
         self.scale = scale
         self.cost_model = KernelCostModel(spec)
@@ -83,37 +85,37 @@ class Device:
         bytes_read = bytes_read * s + fixed_bytes_read
         bytes_written = bytes_written * s + fixed_bytes_written
         flops = flops * s + fixed_flops
-        dependent_cycles = dependent_cycles * s + fixed_dependent_cycles
-
-        shape = LaunchShape(grid_blocks=grid_blocks, block_threads=block_threads)
-        cost = self.cost_model.price(
-            shape,
+        # price() rejects negative and non-finite work and an invalid grid
+        duration = self.cost_model.price(
+            (grid_blocks, block_threads),
             bytes_read=bytes_read,
             bytes_written=bytes_written,
             flops=flops,
-            dependent_cycles=dependent_cycles,
+            dependent_cycles=dependent_cycles * s + fixed_dependent_cycles,
             warp_efficiency=warp_efficiency,
-        )
+        ).duration
 
         # host submits the launch, then the stream runs it in order
         self.cpu_time += self.spec.kernel_launch_latency
         start = max(self.gpu_time, self.cpu_time)
-        end = start + cost.duration
+        end = start + duration
         self.gpu_time = end
         self.timeline.record(name, "gpu", start, end, args=span_args)
 
-        self.counters.kernel_launches += 1
-        self.counters.bytes_read += bytes_read
-        self.counters.bytes_written += bytes_written
-        self.counters.flops += flops
-        stats = self.kernel_stats.setdefault(name, KernelStats(name=name))
-        stats.merge_launch(
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-            flops=flops,
-            time=cost.duration,
-        )
-        return cost.duration
+        counters = self.counters
+        counters.kernel_launches += 1
+        counters.bytes_read += bytes_read
+        counters.bytes_written += bytes_written
+        counters.flops += flops
+        stats = self.kernel_stats.get(name)
+        if stats is None:
+            stats = self.kernel_stats[name] = KernelStats(name)
+        stats.launches += 1
+        stats.bytes_read += bytes_read
+        stats.bytes_written += bytes_written
+        stats.flops += flops
+        stats.time += duration
+        return duration
 
     def memcpy_d2h(self, name: str, nbytes: float, *, scalable: bool = False) -> float:
         """Blocking device-to-host copy (how the baselines fetch histograms)."""
@@ -124,8 +126,10 @@ class Device:
         return self._memcpy(name, nbytes, "pcie_h2d", scalable)
 
     def _memcpy(self, name: str, nbytes: float, stream: str, scalable: bool) -> float:
-        if nbytes < 0:
-            raise ValueError("transfer size must be non-negative")
+        if not 0.0 <= nbytes < math.inf:
+            raise ValueError(
+                f"transfer size must be non-negative and finite, got {nbytes}"
+            )
         nbytes *= self.scale if scalable else 1.0
         duration = self.cost_model.pcie_time(nbytes)
         # a blocking copy waits for the stream to drain, then occupies both
@@ -145,8 +149,8 @@ class Device:
 
     def host_compute(self, name: str, seconds: float) -> float:
         """Host-side processing (e.g. the CPU scan in baseline RadixSelect)."""
-        if seconds < 0:
-            raise ValueError("duration must be non-negative")
+        if not 0.0 <= seconds < math.inf:
+            raise ValueError(f"duration must be non-negative and finite, got {seconds}")
         start = self.cpu_time
         self.cpu_time = start + seconds
         self.timeline.record(name, "cpu", start, self.cpu_time)

@@ -68,6 +68,15 @@ def occupancy(
     return Occupancy(blocks_per_sm=max(0, limits[limiter]), limited_by=limiter)
 
 
+#: residency caps :func:`streaming_grid` holds before it drops its oldest
+GRID_CAP_ENTRIES = 256
+
+#: ``(id(spec), block_threads, max_waves) -> (spec, cap)``.  Keying by id
+#: skips hashing every field of the spec per call; the entry holds the spec,
+#: so its id cannot be reused by another object while the entry lives.
+_GRID_CAPS: dict = {}
+
+
 def streaming_grid(
     spec: GPUSpec,
     n: int,
@@ -80,13 +89,21 @@ def streaming_grid(
 
     Covers the input at ``items_per_thread`` granularity but never launches
     more than ``max_waves`` full waves of the device — large inputs are
-    grid-stride looped, exactly as the RAFT implementation does.
+    grid-stride looped, exactly as the RAFT implementation does.  The wave
+    cap depends only on ``(spec, block_threads, max_waves)`` and is
+    computed once per such triple (at most :data:`GRID_CAP_ENTRIES` kept).
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if n == 0:
         return 1
     blocks_needed = ceil_div(n, block_threads * items_per_thread)
-    resident = occupancy(spec, block_threads=block_threads).blocks_per_sm
-    cap = max(1, spec.sm_count * max(1, resident) * max_waves)
-    return max(1, min(blocks_needed, cap))
+    key = (id(spec), block_threads, max_waves)
+    entry = _GRID_CAPS.get(key)
+    if entry is None:
+        resident = occupancy(spec, block_threads=block_threads).blocks_per_sm
+        entry = (spec, max(1, spec.sm_count * max(1, resident) * max_waves))
+        if len(_GRID_CAPS) >= GRID_CAP_ENTRIES:
+            del _GRID_CAPS[next(iter(_GRID_CAPS))]
+        _GRID_CAPS[key] = entry
+    return max(1, min(blocks_needed, entry[1]))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ..errors import check_problem
 from . import calibration as cal
@@ -38,20 +39,26 @@ class LaunchShape:
     block_threads: int
 
     def __post_init__(self) -> None:
-        if self.grid_blocks <= 0:
-            raise ValueError(f"grid_blocks must be positive, got {self.grid_blocks}")
-        if self.block_threads <= 0:
+        if not 0 < self.grid_blocks < math.inf:
             raise ValueError(
-                f"block_threads must be positive, got {self.block_threads}"
+                f"grid_blocks must be positive and finite, got {self.grid_blocks}"
             )
+        if not 0 < self.block_threads < math.inf:
+            raise ValueError(
+                f"block_threads must be positive and finite, got {self.block_threads}"
+            )
+
+    def __iter__(self):
+        """Unpack as ``(grid_blocks, block_threads)``, the pair
+        :meth:`KernelCostModel.price` also accepts."""
+        return iter((self.grid_blocks, self.block_threads))
 
     def warps(self, warp_size: int) -> int:
         """Total warps launched."""
         return self.grid_blocks * -(-self.block_threads // warp_size)
 
 
-@dataclass(frozen=True)
-class KernelCost:
+class KernelCost(NamedTuple):
     """Priced execution of one kernel launch."""
 
     duration: float
@@ -70,11 +77,35 @@ class KernelCost:
         return "latency"
 
 
+#: launch geometries one spec's rate table holds before it drops its oldest
+RATE_CACHE_ENTRIES = 2048
+#: specs with a rate table before the oldest table is dropped
+RATE_CACHE_SPECS = 8
+
+#: spec -> {(grid_blocks, block_threads, warp_efficiency): launch rates},
+#: shared by every model of an equal spec
+_RATE_TABLES: dict = {}
+
+
+def _rate_table(spec) -> dict:
+    """The launch-rate table every model of ``spec`` shares."""
+    table = _RATE_TABLES.get(spec)
+    if table is None:
+        if len(_RATE_TABLES) >= RATE_CACHE_SPECS:
+            del _RATE_TABLES[next(iter(_RATE_TABLES))]
+        table = _RATE_TABLES[spec] = {}
+    return table
+
+
 class KernelCostModel:
     """Prices kernel launches against a :class:`repro.device.GPUSpec`."""
 
     def __init__(self, spec) -> None:
         self.spec = spec
+        self._rates = _rate_table(spec)
+        # derived constants price() would otherwise recompute per launch
+        self._mem_latency = spec.mem_latency_cycles / spec.clock_hz
+        self._effective_bandwidth = spec.effective_bandwidth
 
     def available_bandwidth(self, shape: LaunchShape, *, warp_efficiency: float = 1.0) -> float:
         """Device-memory bandwidth available to a launch, bytes/second.
@@ -97,9 +128,35 @@ class KernelCostModel:
         frac = self.spec.compute_fraction(warps)
         return self.spec.effective_fp32 * frac
 
+    def _new_rates(
+        self, grid_blocks: int, block_threads: int, warp_efficiency: float
+    ) -> tuple[float, float, float]:
+        """Compute and keep ``(available bandwidth, first-burst bytes,
+        available compute)`` of a launch geometry.
+
+        These depend only on the geometry, so :meth:`price` reads them from
+        a table per ``(spec, grid_blocks, block_threads, warp_efficiency)``
+        shared by every model of an equal spec (at most
+        :data:`RATE_CACHE_ENTRIES` geometries, oldest dropped first).  An
+        invalid geometry raises before it is stored, so on every call.
+        """
+        shape = LaunchShape(grid_blocks, block_threads)
+        spec = self.spec
+        # floats whatever numeric types the first caller passed, so a kept
+        # entry reads the same to every later caller
+        rates = (
+            float(self.available_bandwidth(shape, warp_efficiency=warp_efficiency)),
+            float(shape.warps(spec.warp_size) * spec.outstanding_bytes_per_warp),
+            float(self.available_compute(shape)),
+        )
+        if len(self._rates) >= RATE_CACHE_ENTRIES:
+            del self._rates[next(iter(self._rates))]
+        self._rates[(grid_blocks, block_threads, warp_efficiency)] = rates
+        return rates
+
     def price(
         self,
-        shape: LaunchShape,
+        shape,
         *,
         bytes_read: float = 0.0,
         bytes_written: float = 0.0,
@@ -109,48 +166,57 @@ class KernelCostModel:
     ) -> KernelCost:
         """Price one kernel launch.
 
-        ``dependent_cycles`` is the length (in SM cycles) of the serially
-        dependent chain on the kernel's critical path; it is divided by the
-        clock only, never by parallelism, because by definition it cannot be
-        overlapped.
+        ``shape`` is a :class:`LaunchShape` or a ``(grid_blocks,
+        block_threads)`` pair.  ``dependent_cycles`` is the length (in SM
+        cycles) of the serially dependent chain on the kernel's critical
+        path; it is divided by the clock only, never by parallelism,
+        because by definition it cannot be overlapped.  Work must be
+        non-negative and finite.
         """
-        if min(bytes_read, bytes_written, flops, dependent_cycles) < 0:
-            raise ValueError("work quantities must be non-negative")
-        bw = self.available_bandwidth(shape, warp_efficiency=warp_efficiency)
         nbytes = bytes_read + bytes_written
+        # NaN fails every comparison; an infinity survives into the sum
+        if not (
+            bytes_read >= 0.0 and bytes_written >= 0.0 and flops >= 0.0
+            and dependent_cycles >= 0.0
+            and nbytes + flops + dependent_cycles < math.inf
+        ):
+            raise ValueError(
+                "work quantities must be non-negative and finite, got "
+                f"bytes_read={bytes_read}, bytes_written={bytes_written}, "
+                f"flops={flops}, dependent_cycles={dependent_cycles}"
+            )
+        grid_blocks, block_threads = shape
+        rates = self._rates.get((grid_blocks, block_threads, warp_efficiency))
+        if rates is None:
+            rates = self._new_rates(grid_blocks, block_threads, warp_efficiency)
+        bw, first_burst, comp = rates
         # the first burst rides a single memory round trip regardless of how
         # throttled the kernel's sustained rate is: every launched warp fires
         # its initial outstanding loads at once.  Only the remainder pays the
         # occupancy-limited sustained bandwidth — this is what lets tiny
         # problems finish in launch-latency time for single-block kernels
         # (the near-1x small-N ratios of the paper's Table 2).
-        spec = self.spec
-        first_burst = shape.warps(spec.warp_size) * spec.outstanding_bytes_per_warp
         sustained_bytes = max(0.0, nbytes - first_burst)
         mem_time = 0.0
         if nbytes > 0:
-            mem_time = spec.mem_latency_cycles / spec.clock_hz
+            mem_time = self._mem_latency
             if sustained_bytes > 0 and bw > 0:
                 mem_time += sustained_bytes / bw
-            mem_time = max(mem_time, nbytes / spec.effective_bandwidth)
-        comp = self.available_compute(shape)
+            mem_time = max(mem_time, nbytes / self._effective_bandwidth)
         compute_time = flops / comp if comp > 0 else 0.0
         latency_time = dependent_cycles / self.spec.clock_hz
         duration = (
             max(mem_time, compute_time, latency_time)
             + self.spec.kernel_tail_latency
         )
-        return KernelCost(
-            duration=duration,
-            mem_time=mem_time,
-            compute_time=compute_time,
-            latency_time=latency_time,
-        )
+        return KernelCost(duration, mem_time, compute_time, latency_time)
 
     def pcie_time(self, nbytes: float) -> float:
         """Duration of one PCIe transfer of ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError("transfer size must be non-negative")
+        if not 0.0 <= nbytes < math.inf:
+            raise ValueError(
+                f"transfer size must be non-negative and finite, got {nbytes}"
+            )
         return self.spec.pcie_latency + nbytes / self.spec.pcie_bandwidth
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,60 @@ class TestDeviceCounters:
             device.memcpy_d2h("d", -1)
         with pytest.raises(ValueError):
             device.host_compute("h", -1)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+WORK = ["bytes_read", "bytes_written", "flops", "dependent_cycles",
+        "fixed_bytes_read", "fixed_bytes_written", "fixed_flops",
+        "fixed_dependent_cycles"]
+
+
+class TestNonFiniteRejected:
+    """NaN slips past every ``x < 0`` guard; each check rejects it now."""
+
+    @staticmethod
+    def _untouched(device) -> None:
+        assert device.counters == type(device.counters)()
+        assert device.kernel_stats == {}
+        assert len(device.timeline) == 0 and device.elapsed == 0.0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", WORK)
+    def test_launch_work(self, device, field, value):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite"):
+                device.launch_kernel("k", grid_blocks=4, block_threads=256,
+                                     **{field: value})
+        self._untouched(device)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_transfers_host_work_and_workspace(self, device, value):
+        for call in (
+            lambda: device.memcpy_d2h("d", value),
+            lambda: device.memcpy_h2d("h", value),
+            lambda: device.host_compute("c", value),
+            lambda: device.allocate_workspace(value),
+            lambda: device.free_workspace(value),
+            lambda: device.cost_model.pcie_time(value),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+        self._untouched(device)
+        assert device.counters.peak_workspace_bytes == 0.0
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_scale(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            Device(A100, scale=scale)
+
+    def test_finite_work_still_accepted(self, device):
+        device.launch_kernel("k", grid_blocks=4, block_threads=256,
+                             bytes_read=1e12, flops=1e15, dependent_cycles=1e9)
+        device.memcpy_d2h("d", 0.0)
+        device.host_compute("c", 0.0)
+        device.allocate_workspace(0.0)
+        assert device.counters.kernel_launches == 1
+        assert math.isfinite(device.elapsed)
 
 
 class TestScaledAccounting:
