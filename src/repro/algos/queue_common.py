@@ -15,6 +15,7 @@ the qualification threshold.  They differ in *queue discipline*:
 The emulation executes lanes-in-lockstep semantics exactly, vectorised over
 independent slices (thread blocks and/or batch problems), and reports the
 event counts the cost model prices: rounds, inserts, flushes, comparators.
+No flush feeds back into the scan, so flushes are counted once per run.
 :class:`QueueSelect` is the one driver of all three methods.
 
 Fidelity note: the qualification threshold is refreshed once per emulated
@@ -83,17 +84,17 @@ class QueueRunResult:
 def _thread_mode_flushes(
     mask: np.ndarray, carry: np.ndarray, queue_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact flush counts for per-thread queues over one chunk of rounds.
+    """Exact flush counts for per-thread queues over a run of rounds.
 
     ``mask`` is (..., rounds, lanes): which lane inserted in which round,
     for any number of independent slices.  ``carry`` is (..., lanes), the
-    per-lane queue fill entering the chunk (each below ``queue_len``).  A
+    per-lane queue fill entering the run (each below ``queue_len``).  A
     flush clears every lane's queue (the warp sorts and merges all queues
     together).  Returns the per-slice flush counts, shape (...), and the
-    per-lane fill leaving the chunk, shape (..., lanes).
+    per-lane fill leaving the run, shape (..., lanes).
 
     No loop runs per slice, round or flush.  The carry enters as inserts
-    in ``queue_len - 1`` virtual rounds ahead of the chunk, a lane holding
+    in ``queue_len - 1`` virtual rounds ahead of the run, a lane holding
     c entries inserting in the last c of them, so every queue epoch starts
     empty: at virtual round 0, or one round after a flush.  From an epoch
     start t, the flush is the earliest insert whose lane already made
@@ -323,6 +324,8 @@ def emulate_queue_select(
         raise ValueError(f"expected (slices, len) keys, got shape {slices.shape}")
     if lanes <= 0 or queue_len <= 0:
         raise ValueError("lanes and queue_len must be positive")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got k={k}")
     num_slices, length = slices.shape
     if valid_lengths is None:
         valid_lengths = np.full(num_slices, length, dtype=np.int64)
@@ -333,20 +336,17 @@ def emulate_queue_select(
                 f"valid_lengths must have shape ({num_slices},), "
                 f"got {valid_lengths.shape}"
             )
-    stats = QueueStats()
-    stats.rounds = -(-length // lanes) * num_slices
+    rounds = -(-length // lanes)
+    stats = QueueStats(rounds=rounds * num_slices)
 
     # the packed state holds the sentinel key and a position per entry
     packs = fits(sentinel_for(slices.dtype)) and length < LOW
     top = (_PackedTopK if packs else _WideTopK)(num_slices, k, slices.dtype)
-    if mode == "shared":
-        shared_fill = np.zeros(num_slices, dtype=np.int64)
-    else:
-        thread_fill = np.zeros((num_slices, lanes), dtype=np.int64)
-
-    flush_cost = stats.merge_cost_comparators(
-        queue_len * (lanes if mode == "thread" else 1), k
-    )
+    inserted = np.zeros(num_slices, dtype=np.int64)
+    if mode == "thread":
+        # every chunk's inserts, in whole rounds; the last round's tail
+        # stays False
+        qualified = np.zeros((num_slices, rounds * lanes), dtype=bool)
 
     pos = 0
     chunk = lanes * 8
@@ -368,46 +368,9 @@ def emulate_queue_select(
             )
             mask |= has_pad[:, None] & is_real & (block == threshold)
         per_slice_q = mask.sum(axis=1)
-        stats.inserts += int(per_slice_q.sum())
-
-        # --- flush counting (the discipline difference) -------------------
-        if mode == "shared":
-            total = shared_fill + per_slice_q
-            stats.flushes += int((total // queue_len).sum())
-            shared_fill = total % queue_len
-        else:
-            rounds_c = -(-c // lanes)
-            per_round = mask
-            if c % lanes:
-                per_round = np.zeros((num_slices, rounds_c * lanes), dtype=bool)
-                per_round[:, :c] = mask
-            per_round = per_round.reshape(num_slices, rounds_c, lanes)
-            # tier 0 — no flush possible: cumulative lane counts are
-            # monotone, so if no lane's final fill reaches queue_len, no
-            # prefix does either; the chunk is plain accumulation.  This is
-            # the common case once the threshold tightens.
-            carry = thread_fill
-            thread_fill = carry + per_round.sum(axis=1, dtype=np.int64)
-            flushing = thread_fill.max(axis=1) >= queue_len
-            # tier 1 — dense phase: every lane inserts every round and the
-            # fills are uniform, so flush arithmetic is closed-form
-            dense = (
-                flushing
-                & (per_slice_q == rounds_c * lanes)
-                & (carry == carry[:, :1]).all(axis=1)
-            )
-            if dense.any():
-                total_d = carry[dense, 0] + rounds_c
-                stats.flushes += int((total_d // queue_len).sum())
-                thread_fill[dense] = (total_d % queue_len)[:, None]
-                flushing &= ~dense
-            # tier 2 — the irregular remainder: exact flush chains of all
-            # its slices in one batched computation
-            if flushing.any():
-                f, thread_fill[flushing] = _thread_mode_flushes(
-                    per_round[flushing], carry[flushing], queue_len
-                )
-                stats.flushes += int(f.sum())
+        inserted += per_slice_q
+        if mode == "thread":
+            qualified[:, pos : pos + c] = mask
 
         # --- merge qualified candidates into the maintained top-k ---------
         maxc = int(per_slice_q.max()) if num_slices else 0
@@ -420,7 +383,38 @@ def emulate_queue_select(
         if maxc <= max(4, queue_len // 4):
             chunk = min(chunk * 2, max_chunk)
 
-    stats.merge_comparators = stats.flushes * flush_cost
+    # --- flush counting (the discipline difference) -----------------------
+    stats.inserts = int(inserted.sum())
+    if mode == "shared":
+        stats.flushes = int((inserted // queue_len).sum())
+    else:
+        per_round = qualified.reshape(num_slices, rounds, lanes)
+        busy = np.count_nonzero(per_round, axis=2)
+        # d leading rounds in which every lane inserts flush d // queue_len
+        # times and leave each lane holding d % queue_len
+        lead = np.logical_and.accumulate(busy == lanes, axis=1).sum(axis=1)
+        carry = np.repeat((lead % queue_len)[:, None], lanes, axis=1)
+        flushes = (lead // queue_len).sum()
+        # lane counts only grow: a slice whose lanes all stay below
+        # queue_len after the lead flushes no more
+        rest = carry + np.count_nonzero(per_round, axis=1) - lead[:, None]
+        flushing = rest.max(axis=1) >= queue_len
+        if flushing.any():
+            # a round without inserts leaves the flush chain as it was:
+            # each slice's later inserting rounds, moved to the front
+            later = (busy > 0) & (np.arange(rounds) >= lead[:, None])
+            later &= flushing[:, None]
+            counts = np.count_nonzero(later, axis=1)
+            rows, rnd, slot = _qualified(later, counts)
+            compact = np.zeros((num_slices, counts.max(), lanes), dtype=bool)
+            compact[rows, slot] = per_round[rows, rnd]
+            flushes += _thread_mode_flushes(
+                compact[flushing], carry[flushing], queue_len
+            )[0].sum()
+        stats.flushes = int(flushes)
+    stats.merge_comparators = stats.flushes * stats.merge_cost_comparators(
+        queue_len * (lanes if mode == "thread" else 1), k
+    )
     if metrics_enabled():
         registry = get_metrics()
         registry.counter("queue.rounds", mode=mode).inc(stats.rounds)

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..algos.queue_common import QueueSelect, QueueStats, best_first, sentinel_for
 from ..device import Device, GPUSpec, A100, ceil_div
+from ..errors import check_k
 from ..obs.metrics import count, get_metrics, metrics_enabled
 from ..obs.spans import tracing_enabled
 from ..perf import calibration as cal
@@ -88,6 +89,7 @@ class GridSelectStream:
         spec: GPUSpec = A100,
         largest: bool = False,
     ) -> None:
+        k = check_k(k)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if k > GridSelect.max_k:
@@ -100,9 +102,6 @@ class GridSelectStream:
         self._dtype: np.dtype | None = None
         self._keys: np.ndarray | None = None
         self._idx = np.full(k, -1, dtype=np.int64)
-        self._queue_fill = 0
-        self._flushes = 0
-        self._inserts = 0
 
     @property
     def count_seen(self) -> int:
@@ -133,10 +132,6 @@ class GridSelectStream:
         if self._idx[-1] < 0:
             mask |= keys == threshold
         qualified = int(mask.sum())
-        self._inserts += qualified
-        total = self._queue_fill + qualified
-        self._flushes += total // cal.SHARED_QUEUE_LEN
-        self._queue_fill = total % cal.SHARED_QUEUE_LEN
 
         if qualified:
             cand_idx = np.flatnonzero(mask) + self._seen

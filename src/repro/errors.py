@@ -17,20 +17,25 @@ class InputError(ValueError):
     """A caller passed an invalid argument; the message says which."""
 
 
-def check_problem(n: int, k, batch: int = 1) -> int:
+def check_k(k) -> int:
     """``k`` as a Python int; raise :class:`InputError` unless it is an
-    integer (a NumPy integer passes, ``bool`` does not), ``1 <= k <= n``
-    and ``batch >= 1``.
+    integer (a NumPy integer passes, ``bool`` does not)."""
+    try:
+        if isinstance(k, bool):  # an int subclass, but never a count
+            raise TypeError
+        return operator.index(k)
+    except TypeError:
+        raise InputError(f"k must be an integer, got k={k!r}") from None
+
+
+def check_problem(n: int, k, batch: int = 1) -> int:
+    """``k`` as a Python int; raise :class:`InputError` unless it passes
+    :func:`check_k`, ``1 <= k <= n`` and ``batch >= 1``.
 
     The wording matches the serving layer's per-request admission check
     (:func:`repro.serve.admission_failure`).
     """
-    try:
-        if isinstance(k, bool):  # an int subclass, but never a count
-            raise TypeError
-        k = operator.index(k)
-    except TypeError:
-        raise InputError(f"k must be an integer, got k={k!r}") from None
+    k = check_k(k)
     if not 1 <= k <= n:
         raise InputError(f"k must be in [1, n={n}], got k={k}")
     if batch < 1:

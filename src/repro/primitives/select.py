@@ -36,6 +36,9 @@ def stable_topk_order(keys: np.ndarray, k: int) -> np.ndarray:
     n = keys.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n={n}], got k={k}")
+    if k == 1 and keys.dtype.kind in "ui":
+        # the first minimum; a float NaN would break the equality
+        return keys.argmin(axis=-1)[..., None]
     if k > FULL_SORT_SHARE * n or keys.size <= FULL_SORT_MAX_KEYS:
         return np.argsort(keys, axis=-1, kind="stable")[..., :k]
     # C order throughout: the tie fix-up below writes through `take.ravel()`

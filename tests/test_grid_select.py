@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import GridSelect, GridSelectStream, check_topk, topk
+from repro.errors import InputError
 from repro.device import A100, A10, Device
 from repro.verify import oracle_topk_values
 
@@ -139,6 +140,15 @@ class TestGridSelectStream:
         stream = GridSelectStream(4)
         with pytest.raises(ValueError):
             stream.push(np.zeros((2, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("k", [2.5, "3", True, None])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(InputError, match="k must be an integer"):
+            GridSelectStream(k)
+
+    def test_numpy_integer_k(self):
+        stream = GridSelectStream(np.int64(3))
+        assert type(stream.k) is int and stream.k == 3
 
     def test_float64_values(self):
         stream = GridSelectStream(2)

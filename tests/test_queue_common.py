@@ -336,6 +336,115 @@ class TestEmulateQueueSelect:
         with pytest.raises(ValueError):
             emulate_queue_select(keys[0], 4, lanes=32, mode="shared", queue_len=32)
 
+    @pytest.mark.parametrize("mode", ["thread", "shared"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, mode, k):
+        keys = np.zeros((1, 8), dtype=np.uint32)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            emulate_queue_select(keys, k, lanes=32, mode=mode, queue_len=2)
+
+
+def designed_masks(rng, num, rounds, lanes, tail, leads, densities, queue_len, fill):
+    """Insert masks of ``num`` slices over ``rounds`` rounds, the last one
+    ``tail`` lanes short.
+
+    With ``fill``, slice s inserts with lanes every round for its first
+    ``leads[s]`` rounds (one lane sits out the next), then at random with
+    ``densities[s]``.  Without it, no lane inserts ``queue_len`` times.
+    """
+    length = max(0, rounds * lanes - tail)
+    mask = np.zeros((num, rounds, lanes), dtype=bool)
+    for s in range(num):
+        if fill:
+            lead = min(leads[s], rounds)
+            mask[s] = rng.random((rounds, lanes)) < densities[s]
+            mask[s, :lead] = True
+            if lead < rounds:
+                mask[s, lead, rng.integers(lanes)] = False
+        else:
+            for lane in range(lanes):
+                hits = rng.integers(0, queue_len)
+                mask[s, rng.choice(rounds, min(hits, rounds), replace=False), lane] = True
+    return mask.reshape(num, -1)[:, :length]
+
+
+class TestOneCountPerRun:
+    """Thread-mode flushes are counted once, after the scan, and equal the
+    slice-by-slice replay's chunk-by-chunk count.
+
+    Keys are small where a lane inserts and the sentinel elsewhere; with
+    k = length and every slice marked as padding, the threshold stays at
+    the sentinel and the insert mask is exactly the designed one.  The
+    first chunk is 8 rounds, and dense chunks do not grow, so a leading
+    dense run of 3 or 13 rounds ends mid-chunk and one of 8 or 16 at a
+    chunk boundary.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([32, 128]),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=127),
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 3, 8, 13, 16, 1000]),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_stats_equal_replay(
+        self, queue_len, lanes, rounds, tail, plans, fill, seed
+    ):
+        rng = np.random.default_rng(seed)
+        leads, densities = zip(*plans)
+        num = len(plans)
+        mask = designed_masks(
+            rng, num, rounds, lanes, tail % lanes if rounds else 0,
+            leads, densities, queue_len, fill,
+        )
+        length = mask.shape[1]
+        keys = np.where(mask, rng.integers(0, 1000, mask.shape), SENTINEL)
+        keys = keys.astype(np.uint32)
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return _thread_mode_flushes(*args)
+
+        k = max(1, length)
+        no_lengths = np.zeros(num, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(queue_common, "_thread_mode_flushes", spy)
+            got = emulate_queue_select(
+                keys, k, lanes=lanes, mode="thread", queue_len=queue_len,
+                valid_lengths=no_lengths,
+            )
+        want = reference_queue_select(
+            keys, k, lanes=lanes, mode="thread", queue_len=queue_len,
+            valid_lengths=no_lengths,
+        )
+        assert got.stats == want[2]
+        assert np.array_equal(got.keys, want[0])
+        assert np.array_equal(got.indices, want[1])
+        assert len(calls) <= 1
+        if not fill:
+            assert not calls and got.stats.flushes == 0
+
+    @pytest.mark.parametrize("queue_len", [1, 2, 3])
+    def test_whole_run_dense_makes_no_call(self, monkeypatch, queue_len):
+        """A run every lane inserts through is counted in closed form."""
+        monkeypatch.setattr(queue_common, "_thread_mode_flushes", None)
+        keys = np.zeros((2, 32 * 21), dtype=np.uint32)
+        got = emulate_queue_select(
+            keys, keys.shape[1], lanes=32, mode="thread", queue_len=queue_len
+        )
+        assert got.stats.flushes == 2 * (21 // queue_len)
+
 
 class TestBestFirst:
     def test_rejects_k_above_width(self):

@@ -88,3 +88,24 @@ def test_matches_stable_argsort(dtype, rows, n, k_raw, high, seed):
     keys = rng.integers(0, high, size=(rows, n), dtype=dtype, endpoint=True)
     k = 1 + (k_raw - 1) % n
     assert_matches(keys, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([np.uint16, np.uint32, np.uint64, np.int32]),
+    st.sampled_from([(), (3,), (2, 3)]),
+    # whole inputs on both sides of FULL_SORT_MAX_KEYS
+    st.sampled_from([1, 7, 200, FULL_SORT_MAX_KEYS, FULL_SORT_MAX_KEYS + 1, 5000]),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_first_minimum_on_integer_keys(dtype, lead, n, seed):
+    """k == 1 on integer keys is the first minimum: few distinct values,
+    the dtype's extremes included, so most rows hold tied minima."""
+    rng = np.random.default_rng(seed)
+    info = np.iinfo(dtype)
+    values = np.array([info.min, info.min + 1, 0, 1, info.max - 1, info.max], dtype=dtype)
+    keys = rng.choice(values, size=lead + (n,))
+    got = stable_topk_order(keys, 1)
+    want = np.argsort(keys, axis=-1, kind="stable")[..., :1]
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
