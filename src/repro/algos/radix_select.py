@@ -11,6 +11,12 @@ paper's Fig. 8 timeline and removed by AIR's iteration-fused design.
 Each problem in a batch is solved serially, as the reference single-problem
 implementation does; this is the source of AIR's up-to-574x batch-100
 speedup (Table 2).
+
+Host emulation.  The digit the host's search picks in every pass is that
+digit of the row's k-th smallest key (the argument is in
+:mod:`repro.core.air_topk`), so the emulation finds that key once per row
+with ``np.partition`` and reads each pass's target from it.  The device's
+histogram kernel, the copies and the host scan are still charged.
 """
 
 from __future__ import annotations
@@ -20,13 +26,7 @@ import numpy as np
 from .base import RunContext, TopKAlgorithm
 from ..device import streaming_grid
 from ..perf import calibration as cal
-from ..primitives import (
-    digit_histogram,
-    digit_layout,
-    find_target_bucket,
-    inclusive_scan,
-    partition_three_way,
-)
+from ..primitives import digit_layout, partition_three_way
 
 
 class RadixSelect(TopKAlgorithm):
@@ -56,6 +56,7 @@ class RadixSelect(TopKAlgorithm):
         device = ctx.device
         scale = device.scale
         n = row_keys.shape[0]
+        kth = np.partition(row_keys, ctx.k - 1)[ctx.k - 1]
         cand_keys = row_keys
         cand_idx = np.arange(n, dtype=np.int64)
         k_rem = ctx.k
@@ -92,8 +93,6 @@ class RadixSelect(TopKAlgorithm):
                 items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
             )
             digits = dpass.extract(cand_keys)
-            hist = digit_histogram(digits, dpass.num_buckets)
-
             device.launch_kernel(
                 "CalculateOccurrence",
                 grid_blocks=grid,
@@ -106,13 +105,18 @@ class RadixSelect(TopKAlgorithm):
             device.memcpy_d2h("MemcpyDtoH(hist)", dpass.num_buckets * 4.0)
             # host scans the histogram and finds the target digit
             device.host_compute("host_scan", cal.HOST_RADIX_ITER_SECONDS)
-            psum = inclusive_scan(hist)
-            target = int(find_target_bucket(psum, k_rem))
+            target = int(dpass.extract(kth))
             device.memcpy_h2d("MemcpyHtoD(params)", 64.0)
 
             winners, survivors = partition_three_way(
                 cand_keys, cand_idx, digits, target
             )
+            if not winners.count < k_rem <= winners.count + survivors.count:
+                raise AssertionError(
+                    f"pass {dpass.index}: target digit {target} holds ranks "
+                    f"{winners.count + 1}..{winners.count + survivors.count}, "
+                    f"not rank {k_rem}"
+                )
             if winners.count == 0 and survivors.count == count:
                 # the target bucket holds everything: filtering would copy
                 # the list onto itself, so the reference code skips it

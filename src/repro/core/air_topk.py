@@ -45,8 +45,15 @@ exactly that candidate set: each pass splits the previous pass's
 survivors, so they are the elements whose processed prefix equals the
 target prefix.
 
-Host emulation.  Pass 0 runs row by row: each full row gets its dense
-digit histogram and target digit, then one split writes its winners to
+Host emulation.  The target digit of pass ``p`` is digit ``p`` of the
+row's k-th smallest key.  The histogram search picks the bucket that
+holds the ``k_rem``-th smallest survivor; removing the winners below that
+bucket keeps the same element at rank ``k_rem`` among the survivors, so
+by induction that element is always the row's k-th smallest key.  The
+host therefore finds each row's k-th key once, with one ``np.partition``,
+and reads every pass's target from it, while the modelled kernels still
+build, scan and search the histogram and are charged for it.  Pass 0 runs
+row by row: one split (``digit <= target``) writes a row's winners to
 the output and keeps its survivors.  Every later pass, and the last
 filter, runs over all live rows at once, on survivors held flat and
 grouped by ascending row (:mod:`repro.primitives.batched`).  The host
@@ -59,6 +66,7 @@ over the rows, so ``batched_execution`` holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,19 +75,10 @@ from ..device import streaming_grid
 from ..obs.metrics import get_metrics, metrics_enabled
 from ..obs.spans import tracing_enabled
 from ..perf import calibration as cal
-from ..primitives import (
-    block_scan_ops,
-    digit_histogram,
-    digit_layout,
-    find_target_bucket,
-    head_mask,
-    inclusive_scan,
-    segment_target_digits,
-)
+from ..primitives import block_scan_ops, digit_layout, head_mask, segment_offsets
 
 
-@dataclass(frozen=True)
-class PassRecord:
+class PassRecord(NamedTuple):
     """One fused pass of one problem row, as the debug trace reports it.
 
     Exposes the quantities the paper's Sec. 3 reasons about: how many
@@ -115,7 +114,9 @@ class _Live:
     keys: np.ndarray
     idx: np.ndarray
     rows: list[int]
-    #: survivors per row (histogram[target] of its last pass)
+    #: each row's k-th smallest key, whose digits are the pass targets
+    kth: np.ndarray
+    #: survivors per row (the keys at its last pass's target)
     counts: list[int]
     #: results still to be found among each row's survivors
     k_rem: list[int]
@@ -299,7 +300,17 @@ class AIRTopK(TopKAlgorithm):
         of the row's whole input — and scatters the winners below the
         target; when the row is finished it also writes the results (an
         early-stopped row's kernel degenerates to one gather).
+
+        ``k_rem`` is the rank of the row's k-th key among the pass's
+        candidates, so its target bucket must hold that rank:
+        ``below < k_rem <= below + count``.
         """
+        if not below < k_rem <= below + count:
+            raise AssertionError(
+                f"row {row} pass {p}: target digit {target} holds ranks "
+                f"{below + 1}..{below + count}, not rank {k_rem}"
+            )
+        k_rem -= below
         final = p == len(self.passes) - 1
         # the first kernel never buffers: its candidate set is the whole
         # input.  The fused final filter reads the candidate list after its
@@ -326,15 +337,9 @@ class AIRTopK(TopKAlgorithm):
             after.bytes_written += 8.0 * k_rem
             if not stopped:
                 after.flops += cal.FILTER_OPS_PER_ELEM * count
+        # positional: a named tuple built by keyword costs twice as much
         return PassRecord(
-            row=row,
-            pass_index=p,
-            candidates_in=candidates_in,
-            target_digit=target,
-            candidates_out=count,
-            k_remaining=k_rem,
-            buffered=buffered,
-            early_stopped=stopped,
+            row, p, candidates_in, target, count, k_rem, buffered, stopped
         )
 
     def _first_pass(
@@ -342,41 +347,34 @@ class AIRTopK(TopKAlgorithm):
         records: list[PassRecord], out_keys: np.ndarray, out_idx: np.ndarray,
         fill: list[int],
     ) -> _Live | None:
-        """Pass 0, row by row: each full row's dense histogram picks its
-        target digit, and one split writes the winners and keeps the
-        survivors.  Returns the survivors of the rows still selecting."""
+        """Pass 0, row by row: each full row's k-th key gives its target
+        digit, and one split writes the winners and keeps the survivors.
+        Returns the survivors of the rows still selecting."""
         dpass = self.passes[0]
         final = len(self.passes) == 1
         batch, n = ctx.keys.shape
         k = ctx.k
         kernels[0].bytes_read += 4.0 * n * batch
-        rows, counts, k_rems, keys, idx = [], [], [], [], []
+        rows, kths, counts, k_rems, keys, idx = [], [], [], [], [], []
         for row in range(batch):
             row_keys = ctx.keys[row]
+            # one partition per row: a whole-batch one copies the batch
+            # into temporaries that measured slower than the row loop
+            kth = np.partition(row_keys, k - 1)[k - 1]
+            target = int(dpass.extract(kth))
             digits = dpass.extract(row_keys)
-            hist = digit_histogram(digits, dpass.num_buckets)
-            psum = inclusive_scan(hist)
-            target = int(find_target_bucket(psum, k))
-            count = int(hist[target])
-            below = int(psum[target]) - count
             # winners and survivors in input order: digit <= target.  When
-            # every key survives (a radix-adversarial row), the row itself
-            # is the survivor set: no mask and no copy
-            if count == n:
-                sel = np.arange(n)
-            else:
-                sel = (digits <= target).nonzero()[0]
+            # that is every key (a radix-adversarial row), sel is the
+            # identity and the winners are read without a gather
+            sel = (digits <= target).nonzero()[0]
+            win = (digits if sel.shape[0] == n else digits[sel]) < target
+            below = int(np.count_nonzero(win))
+            count = sel.shape[0] - below
             if below:
-                win = digits[sel] < target
                 out_idx[row, :below] = winners = sel[win]
                 out_keys[row, :below] = row_keys[winners]
                 sel = sel[~win]
-            if sel.shape[0] != count:
-                raise AssertionError(
-                    f"candidate bookkeeping drifted: have {sel.shape[0]}, "
-                    f"histogram said {count}"
-                )
-            rec = self._book(kernels, n, row, 0, n, target, below, count, k - below)
+            rec = self._book(kernels, n, row, 0, n, target, below, count, k)
             records.append(rec)
             if rec.early_stopped or final:
                 # after the final pass every survivor shares the complete
@@ -388,19 +386,25 @@ class AIRTopK(TopKAlgorithm):
             else:
                 fill[row] = below
                 rows.append(row)
+                kths.append(kth)
                 counts.append(count)
                 k_rems.append(rec.k_remaining)
+                # when every key survives (a radix-adversarial row), the
+                # row itself is the survivor set: no copy
                 keys.append(row_keys if count == n else row_keys[sel])
                 idx.append(sel)
             # free the row's digits before the next row allocates its own:
             # the allocator then reuses their pages, which is measurably
             # faster at 2^16-element rows than holding two rows at once
-            del digits
+            del digits, win
         if not rows:
             return None
+        kth = np.array(kths, dtype=ctx.keys.dtype)
         if len(rows) == 1:
-            return _Live(keys[0], idx[0], rows, counts, k_rems)
-        return _Live(np.concatenate(keys), np.concatenate(idx), rows, counts, k_rems)
+            return _Live(keys[0], idx[0], rows, kth, counts, k_rems)
+        return _Live(
+            np.concatenate(keys), np.concatenate(idx), rows, kth, counts, k_rems
+        )
 
     def _flat_pass(
         self, live: _Live, dpass, n: int, kernels: list[_KernelTraffic],
@@ -410,36 +414,37 @@ class AIRTopK(TopKAlgorithm):
         """One later pass over every live row at once (the last pass also
         does the last filter's work).  Returns the rows still selecting."""
         final = dpass.index == len(self.passes) - 1
+        one_row = len(live.rows) == 1
         digits = dpass.extract(live.keys)
-        target, below, count = segment_target_digits(
-            digits, live.counts, live.k_rem, dpass.num_buckets
-        )
-        belows, counts = below.tolist(), count.tolist()
+        target = dpass.extract(live.kth)
+        per_elem = target if one_row else np.repeat(target, live.counts)
+        # masks index through their nonzero positions: indexing with a
+        # scattered boolean mask directly is several times slower.  Each
+        # row's counts below and at its target are read off the same
+        # positions (a reduceat over the masks costs about ten times more)
+        win = (digits < per_elem).nonzero()[0]
+        keep = (digits == per_elem).nonzero()[0]
+        if one_row:
+            belows, counts = [win.shape[0]], [keep.shape[0]]
+        else:
+            offsets = segment_offsets(live.counts)
+            belows = np.diff(win.searchsorted(offsets)).tolist()
+            counts = np.diff(keep.searchsorted(offsets)).tolist()
         k_rems, done = [], []
         for row, c_in, t, b, c, kr in zip(
             live.rows, live.counts, target.tolist(), belows, counts, live.k_rem
         ):
-            rec = self._book(kernels, n, row, dpass.index, c_in, t, b, c, kr - b)
+            rec = self._book(kernels, n, row, dpass.index, c_in, t, b, c, kr)
             records.append(rec)
             k_rems.append(rec.k_remaining)
             done.append(rec.early_stopped or final)
 
-        # masks index through their nonzero positions: indexing with a
-        # scattered boolean mask directly is several times slower
-        per_elem = target if len(live.rows) == 1 else np.repeat(target, live.counts)
-        if sum(belows):
-            win = (digits < per_elem).nonzero()[0]
+        if win.shape[0]:
             _emit(out_keys, out_idx, fill, live.rows, belows,
                   live.keys[win], live.idx[win])
-        keep = (digits == per_elem).nonzero()[0]
         keys, idx = live.keys[keep], live.idx[keep]
-        if keys.shape[0] != sum(counts):
-            raise AssertionError(
-                f"candidate bookkeeping drifted: have {keys.shape[0]}, "
-                f"histograms said {sum(counts)}"
-            )
         if not any(done):
-            return _Live(keys, idx, live.rows, counts, k_rems)
+            return _Live(keys, idx, live.rows, live.kth, counts, k_rems)
         if all(done):
             # after the final pass every survivor shares the complete key:
             # any k_rem of a row's survivors are its results
@@ -462,6 +467,7 @@ class AIRTopK(TopKAlgorithm):
         return _Live(
             keys[go], idx[go],
             [live.rows[j] for j in keep_rows],
+            live.kth[keep_rows],
             [counts[j] for j in keep_rows],
             [k_rems[j] for j in keep_rows],
         )

@@ -24,11 +24,10 @@ from .batched import (
     partition_topc,
     segment_min_max,
     segment_offsets,
-    segment_target_digits,
 )
 from .order import lex_order, stable_sort
 from .select import stable_topk_order
-from .histogram import batched_digit_histogram, digit_histogram
+from .histogram import batched_digit_histogram
 from .scan import (
     block_scan_ops,
     find_target_bucket,
@@ -52,14 +51,12 @@ __all__ = [
     "merge_select_lower",
     "merge_select_lower_with_payload",
     "batched_digit_histogram",
-    "digit_histogram",
     "affine_partitions",
     "flat_histogram",
     "head_mask",
     "partition_topc",
     "segment_min_max",
     "segment_offsets",
-    "segment_target_digits",
     "lex_order",
     "stable_sort",
     "stable_topk_order",

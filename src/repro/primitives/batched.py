@@ -11,8 +11,6 @@ are the segment algebra of its flat view:
 * :func:`flat_histogram` — per-segment digit histograms of a flat array
   in one ``bincount`` (the multi-row generalisation of
   :func:`repro.primitives.histogram.batched_digit_histogram`);
-* :func:`segment_target_digits` — every segment's radix target digit
-  and the counts below and at it (AIR Top-K's later passes);
 * :func:`head_mask` — select the first ``take[i]`` elements of each
   segment of a row-major flat array;
 * :func:`segment_min_max` — per-segment min/max reductions;
@@ -33,7 +31,6 @@ import math
 
 import numpy as np
 
-from .order import pack, unpack
 from .select import stable_topk_order
 
 
@@ -87,72 +84,6 @@ def flat_histogram(
     flat = segments * num_buckets + v
     counts = np.bincount(flat, minlength=num_segments * num_buckets)
     return counts.reshape(num_segments, num_buckets)
-
-
-def segment_target_digits(
-    digits: np.ndarray,
-    counts,
-    ranks,
-    num_buckets: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each segment's target digit, with the counts below and at it.
-
-    ``digits`` (unsigned, below ``num_buckets``) is row-major flat with
-    segments of lengths ``counts``.  Segment ``i``'s target is the digit
-    of its ``ranks[i]``-th smallest element — the bucket
-    :func:`~repro.primitives.scan.find_target_bucket` picks from its dense
-    histogram — returned with ``below`` (elements with a smaller digit)
-    and ``count`` (elements equal to it).  Fewer elements than
-    ``segments * buckets`` are answered by one sort of (segment, digit)
-    pairs packed by :func:`~repro.primitives.order.pack`, more by one
-    offset ``bincount`` (about where the two cost the same: the
-    histograms' cumulative sums cover every bucket of every segment).
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    ranks = np.asarray(ranks, dtype=np.int64)
-    if counts.ndim != 1 or ranks.shape != counts.shape:
-        raise ValueError("counts and ranks must be matching 1-d arrays")
-    if digits.dtype.kind != "u" or digits.dtype.itemsize > 4:
-        raise ValueError(f"digits must be unsigned 32-bit at most, got {digits.dtype}")
-    segments = counts.shape[0]
-    if not segments:
-        return digits[:0], counts, counts
-    # ndarray methods: the np.* wrappers cost more than these small arrays
-    ends = counts.cumsum()
-    starts = ends - counts
-    if digits.shape != (int(ends[-1]),):
-        raise ValueError(
-            f"digits must be flat with {int(ends[-1])} entries, "
-            f"got shape {digits.shape}"
-        )
-    if ranks.min() < 1 or (counts - ranks).min() < 0:
-        raise ValueError("some rank outside [1, count] of its segment")
-    if digits.max() >= num_buckets:
-        raise ValueError(f"digit values outside [0, {num_buckets})")
-    if digits.shape[0] < segments * num_buckets:
-        packed = digits
-        if segments > 1:
-            packed = pack(np.repeat(np.arange(segments), counts), digits)
-        packed = np.sort(packed)
-        pick = packed[starts + (ranks - 1)]
-        left = packed.searchsorted(pick, "left")
-        count = packed.searchsorted(pick, "right") - left
-        if segments > 1:
-            pick = unpack(pick)[1].astype(digits.dtype)
-        return pick, left - starts, count
-    flat = digits
-    if segments > 1:
-        flat = digits + np.repeat(
-            np.arange(segments, dtype=np.int64) * num_buckets, counts
-        )
-    hist = np.bincount(flat, minlength=segments * num_buckets).reshape(
-        segments, num_buckets
-    )
-    psum = hist.cumsum(axis=1)
-    rows = np.arange(segments)
-    target = (psum < ranks[:, None]).sum(axis=1)
-    count = hist[rows, target]
-    return target.astype(digits.dtype), psum[rows, target] - count, count
 
 
 def head_mask(counts: np.ndarray, take: np.ndarray) -> np.ndarray:

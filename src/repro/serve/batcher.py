@@ -14,10 +14,17 @@ into one ``(batch, n)`` buffer) and flushes a group when either
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..errors import InputError
 from .request import Request
+
+#: ``str(dtype)``, remembered per dtype: NumPy formats a dtype's name in
+#: Python (about 6 us), and every queued request needs its group's name.
+#: Byte orders stay apart (``'>f4'`` is not ``'float32'``): dtypes of
+#: different byte order neither compare nor hash equal
+_dtype_name = functools.lru_cache(maxsize=64)(str)
 
 
 def quality_class(min_recall: float | None) -> float | None:
@@ -51,7 +58,7 @@ class GroupKey:
         return cls(
             n=request.n,
             k=request.k,
-            dtype=str(request.data.dtype),
+            dtype=_dtype_name(request.data.dtype),
             largest=request.largest,
             quality=quality_class(request.min_recall),
         )

@@ -24,8 +24,6 @@ quantities the paper's figures reason about.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,7 +115,7 @@ class TestBatchEqualsRows:
                 assert np.array_equal(res.indices[row], single.indices)
                 # the batch's records of this row, renumbered to row 0
                 mine = [
-                    dataclasses.replace(rec, row=0)
+                    rec._replace(row=0)
                     for rec in batched
                     if rec.row == row
                 ]

@@ -1,4 +1,7 @@
-"""Tests for prefix scans, target-bucket search and digit histograms."""
+"""Tests for prefix scans, target-bucket search and digit histograms.
+
+The histogram tests run on one-row batches of
+:func:`batched_digit_histogram`, the radix kernels' histogram."""
 
 from __future__ import annotations
 
@@ -10,11 +13,14 @@ from hypothesis import strategies as st
 from repro.primitives import (
     batched_digit_histogram,
     block_scan_ops,
-    digit_histogram,
     find_target_bucket,
     inclusive_scan,
-    segment_target_digits,
 )
+
+
+def digit_histogram(digits, num_buckets: int) -> np.ndarray:
+    """The histogram of one row of digits."""
+    return batched_digit_histogram(np.asarray(digits)[None, :], num_buckets)[0]
 
 
 class TestScans:
@@ -93,8 +99,9 @@ class TestHistogram:
 
     @pytest.mark.parametrize("dtype", ["u1", "u2", "u8", "i8"])
     def test_dtype_maximum_rejected(self, dtype):
-        """Digits far past the buckets: some wrap negative in bincount's
-        index type, some would need an impossible allocation."""
+        """Digits far past the buckets, which would wrap negative in
+        bincount's index type or need an impossible allocation, are
+        rejected before any count is made."""
         top = np.iinfo(dtype).max
         digits = np.array([1, top], dtype=dtype)
         with pytest.raises(
@@ -114,7 +121,9 @@ class TestHistogram:
         digits = rng.integers(0, 16, size=(5, 200)).astype(np.uint32)
         batched = batched_digit_histogram(digits, 16)
         for row in range(5):
-            assert np.array_equal(batched[row], digit_histogram(digits[row], 16))
+            assert np.array_equal(
+                batched[row], np.bincount(digits[row], minlength=16)
+            )
 
     def test_batched_requires_2d(self):
         with pytest.raises(ValueError):
@@ -144,47 +153,3 @@ def test_histogram_sums_to_count(digit_list):
     hist = digit_histogram(digits, 8)
     assert hist.sum() == len(digit_list)
     assert (hist >= 0).all()
-
-
-class TestSegmentTargetDigits:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=12),
-        st.sampled_from([4, 16, 2048]),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_matches_each_segments_dense_histogram(self, counts, buckets, seed):
-        """Both strategies (packed sort for few elements, offset bincount
-        for many) read what each segment's own histogram reads."""
-        rng = np.random.default_rng(seed)
-        spread = int(rng.integers(1, buckets + 1))  # small spreads make ties
-        digits = rng.integers(0, spread, sum(counts)).astype(np.uint32)
-        ranks = [int(rng.integers(1, c + 1)) for c in counts]
-        target, below, count = segment_target_digits(digits, counts, ranks, buckets)
-        assert target.dtype == digits.dtype
-        start = 0
-        for i, (c, r) in enumerate(zip(counts, ranks)):
-            hist = digit_histogram(digits[start : start + c], buckets)
-            psum = inclusive_scan(hist)
-            t = int(find_target_bucket(psum, r))
-            assert (int(target[i]), int(below[i]), int(count[i])) == (
-                t, int(psum[t]) - int(hist[t]), int(hist[t])
-            )
-            start += c
-
-    def test_rejects_bad_ranks_and_digits(self):
-        digits = np.array([0, 1, 2], dtype=np.uint32)
-        with pytest.raises(ValueError):
-            segment_target_digits(digits, [3], [0], 4)
-        with pytest.raises(ValueError):
-            segment_target_digits(digits, [3], [4], 4)
-        with pytest.raises(ValueError):
-            segment_target_digits(digits, [2], [1], 4)
-        with pytest.raises(ValueError):
-            segment_target_digits(digits, [3], [1], 2)
-
-    def test_no_segments(self):
-        target, below, count = segment_target_digits(
-            np.empty(0, dtype=np.uint32), [], [], 16
-        )
-        assert target.size == below.size == count.size == 0

@@ -349,6 +349,15 @@ class TestMicroBatcher:
         assert deadline == pytest.approx(1.05)
         assert key == GroupKey(n=64, k=4, dtype="float32", largest=False)
 
+    def test_byte_orders_group_apart(self):
+        b = MicroBatcher(max_batch=8, max_delay_s=1.0)
+        for i, dtype in enumerate(["<f4", ">f4", "<f4", "=f4"]):
+            r = make_request(i, 0.0)
+            r.data = r.data.astype(dtype)
+            b.add(r)
+        names = sorted(key.dtype for key in b.groups())
+        assert names == sorted({str(np.dtype(">f4")), "float32"})
+
     def test_pop_caps_at_max_batch(self):
         b = MicroBatcher(max_batch=2, max_delay_s=1.0)
         for i in range(5):
