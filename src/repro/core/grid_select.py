@@ -30,7 +30,7 @@ import numpy as np
 from ..algos.queue_common import QueueSelect, QueueStats, best_first, sentinel_for
 from ..device import Device, GPUSpec, A100, ceil_div
 from ..errors import check_k
-from ..obs.metrics import count, get_metrics, metrics_enabled
+from ..obs.metrics import get_metrics, metrics_enabled
 from ..obs.spans import tracing_enabled
 from ..perf import calibration as cal
 
@@ -59,9 +59,7 @@ class GridSelect(QueueSelect):
         return max(1, min(needed, 2 * spec.sm_count))
 
     def _telemetry(self, stats: QueueStats) -> dict | None:
-        """Count ``gridselect.*`` metrics; the queue stats as span args."""
-        count("gridselect.flushes", stats.flushes, queue=self.queue)
-        count("gridselect.inserts", stats.inserts, queue=self.queue)
+        """The queue stats as span args (the emulation counts ``queue.*``)."""
         if tracing_enabled():
             return {"queue": self.queue, **dataclasses.asdict(stats)}
         return None
