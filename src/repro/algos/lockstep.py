@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .queue_common import QueueStats, sentinel_for
+from .queue_common import QueueStats, flush_capacity, sentinel_for
 from ..primitives import two_step_positions
 
 WARP = 32
@@ -77,9 +77,7 @@ def lockstep_queue_select(
     stats = QueueStats()
     stats.rounds = -(-n // WARP)
     maintained = _Maintained(k, keys.dtype)
-    flush_cost = stats.merge_cost_comparators(
-        queue_len * (WARP if mode == "thread" else 1), k
-    )
+    flush_cost = stats.merge_cost_comparators(flush_capacity(mode, queue_len, WARP), k)
 
     if mode == "shared":
         queue_keys = np.empty(queue_len, dtype=keys.dtype)
