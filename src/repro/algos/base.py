@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..device import Device, GPUSpec, A100
+from ..device import Device, GPUSpec, Step, A100
 from ..errors import InputError, check_problem
 from ..primitives import priority_keys
 
@@ -268,14 +268,20 @@ class TopKAlgorithm(abc.ABC):
         """
         return result
 
-    def schedule(self, spec: GPUSpec, run: RunShape, counts=None) -> list[dict] | None:
-        """Every launch of a run, as :meth:`Device.launch_kernel` keywords
-        in launch order, or None for a method that decides its launches as
-        it goes (their number or size depends on the data).
+    def schedule(
+        self, spec: GPUSpec, run: RunShape, counts=None
+    ) -> list[Step] | None:
+        """Everything a run charges the device, as :class:`~repro.device.Step`
+        entries in order: kernel launches, syncs, PCIe copies and host
+        compute.  :meth:`Device.charge` charges it.  None for a method
+        whose charges are not written as a schedule yet.
 
-        ``counts`` holds the data-dependent event counts a schedule reads
-        (the queue family's :class:`~repro.algos.queue_common.QueueStats`):
-        the run passes measured ones, the predictor expected ones
+        ``counts`` holds the data-dependent counts a schedule reads, where
+        the number or size of its steps depends on the data (the queue
+        family's :class:`~repro.algos.queue_common.QueueStats`, the
+        partition family's per-iteration
+        :class:`~repro.algos.partition_common.PartitionCounts`): the run
+        passes measured ones, the predictor expected ones
         (:mod:`repro.perf.costmodel`).
         """
         return None

@@ -16,7 +16,7 @@ import numpy as np
 
 from .base import RunContext, RunShape, TopKAlgorithm
 from .queue_common import sentinel_for
-from ..device import next_pow2, streaming_grid
+from ..device import Step, next_pow2, streaming_grid
 from ..perf import calibration as cal
 from ..primitives import (
     comparator_count_merge,
@@ -72,11 +72,10 @@ class BitonicTopK(TopKAlgorithm):
             keys = low_k.reshape(batch, m // 2, kp)
             idx = low_i.reshape(batch, m // 2, kp)
 
-        for launch in self.schedule(device.spec, ctx.shape):
-            device.launch_kernel(**launch)
+        device.charge(self.schedule(device.spec, ctx.shape))
         return keys[:, 0, : ctx.k], idx[:, 0, : ctx.k]
 
-    def schedule(self, spec, run: RunShape, counts=None) -> list[dict]:
+    def schedule(self, spec, run: RunShape, counts=None) -> list[Step]:
         """Every launch of a run: the local sort, then a merge-reduce per
         phase until one run is left, each launched once per row (the
         reference kernel handles one row), phase by phase."""
@@ -85,8 +84,8 @@ class BitonicTopK(TopKAlgorithm):
         work = dict(
             block_threads=256, fixed_dependent_cycles=cal.BITONIC_KERNEL_FIXED_CYCLES
         )
-        launches = [dict(
-            name="BitonicLocalSort", **work,
+        launches = [Step.launch(
+            "BitonicLocalSort", **work,
             grid_blocks=streaming_grid(spec, run.nominal_n, items_per_thread=4),
             bytes_read=4.0 * run.n, bytes_written=8.0 * run.n,
             flops=cal.BITONIC_OPS_PER_COMPARATOR * (runs * comparator_count_sort(kp)),
@@ -97,8 +96,8 @@ class BitonicTopK(TopKAlgorithm):
             pairs, phase = (runs + 1) // 2, phase + 1
             elems = pairs * 2 * kp
             nominal = max(1, int(elems * run.scale))  # nominal phase size
-            launches += [dict(
-                name=f"BitonicMergeReduce({phase})", **work,
+            launches += [Step.launch(
+                f"BitonicMergeReduce({phase})", **work,
                 grid_blocks=streaming_grid(spec, nominal, items_per_thread=4),
                 bytes_read=8.0 * elems, bytes_written=8.0 * elems / 2,
                 flops=cal.BITONIC_OPS_PER_COMPARATOR

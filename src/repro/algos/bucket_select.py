@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import RunContext
-from .partition_common import BucketPartition, Flat, Frontier, Rect, stream_grid
+from .base import RunContext, RunShape
+from .partition_common import BucketPartition, Flat, Frontier, Level, Rect, stream_grid
+from ..device import Step
 from ..perf import calibration as cal
 from ..primitives import inclusive_scan
 
@@ -52,25 +53,15 @@ class BucketSelect(BucketPartition):
         raw = (rel * scale).astype(np.uint32)
         return np.minimum(raw, np.uint32(self.num_buckets - 1))
 
-    def _step(self, ctx: RunContext, f: Frontier, view: Rect | Flat) -> None:
-        device = ctx.device
-        # min/max reduction over every active row in one fused launch
+    def _step(self, ctx: RunContext, f: Frontier, view: Rect | Flat) -> Level:
+        # one fused min/max pass over every active row, flat ones included
+        minmax = dict(minmax_rows=view.rows.size, minmax_total=view.total)
         lo, hi = view.min_max()
-        device.launch_kernel(
-            "MinMaxReduce",
-            grid_blocks=stream_grid(device, view.total),
-            block_threads=256,
-            bytes_read=4.0 * view.total,
-            bytes_written=8.0 * view.rows.size,
-            flops=2.0 * view.total,
-        )
-        device.synchronize("sync_minmax")
-        device.memcpy_d2h("MemcpyDtoH(minmax)", 8.0 * view.rows.size)
         flat = lo == hi  # all candidates equal: any k_rem of them are results
         if flat.any():
             view = view.drop(f, flat)
             if not view.rows.size:
-                return
+                return Level(0, 0, **minmax)
             lo, hi = lo[~flat], hi[~flat]
         buckets = self._bucket_of(view.keys, view.spread(lo), view.spread(hi))
         psum = inclusive_scan(view.histogram(buckets, self.num_buckets), axis=1)
@@ -79,4 +70,25 @@ class BucketSelect(BucketPartition):
             t = view.spread(target)
             return buckets < t, buckets == t
 
-        self._split(device, f, view, psum, split)
+        self._split(f, view, psum, split)
+        return Level(view.rows.size, view.total, **minmax)
+
+    def _level(self, spec, run: RunShape, level: Level) -> list[Step]:
+        """The min/max pass and its round trip, then the bucket split of
+        the rows that are not flat."""
+        total = level.minmax_total
+        steps = [
+            Step.launch(
+                "MinMaxReduce",
+                grid_blocks=stream_grid(spec, run, total),
+                block_threads=256,
+                bytes_read=4.0 * total,
+                bytes_written=8.0 * level.minmax_rows,
+                flops=2.0 * total,
+            ),
+            Step.sync("sync_minmax"),
+            Step.d2h("MemcpyDtoH(minmax)", 8.0 * level.minmax_rows),
+        ]
+        if level.rows:
+            steps += self._split_steps(spec, run, level.rows, level.total)
+        return steps

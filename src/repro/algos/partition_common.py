@@ -13,7 +13,15 @@ splitters) and its kernels, so :class:`PartitionSelect` owns the rest:
 * the iteration loop: settled rows (small enough, or finished) retire
   before each step, and the ``max_iterations`` cap retires the rest;
 * one shared terminal sort over every row still owing results, and the
-  assembly with its result-count check.
+  assembly with its result-count check;
+* the schedule: the run records a :class:`Level` per iteration (its
+  active rows and candidates at the split, BucketSelect's min/max pass
+  before flat rows retire, SampleSelect's sample bytes and comparators)
+  and a :class:`Terminal` for the terminal sort or the fast path, then
+  charges :meth:`PartitionSelect.schedule` of those counts.  The
+  predictor replays the same schedule with expected counts
+  (:func:`repro.perf.costmodel._expected_counts`).  A method's
+  ``_level`` lists one iteration's steps.
 
 A batch runs fused — the RadiK-style batched scheduling: each iteration
 runs one launch set over every active row's candidates and pays one sync
@@ -37,11 +45,12 @@ from __future__ import annotations
 import abc
 from collections.abc import Callable
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .base import RunContext, TopKAlgorithm
-from ..device import next_pow2, streaming_grid
+from .base import RunContext, RunShape, TopKAlgorithm
+from ..device import Step, next_pow2, streaming_grid
 from ..perf import calibration as cal
 from ..primitives import (
     batched_digit_histogram,
@@ -56,13 +65,48 @@ from ..primitives import (
 )
 
 
-def stream_grid(device, total: int) -> int:
+def stream_grid(spec, run: RunShape, total: float) -> int:
     """Blocks of a streaming kernel over ``total`` candidates."""
     return streaming_grid(
-        device.spec,
-        max(1, int(total * device.scale)),
+        spec,
+        max(1, int(total * run.scale)),
         items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
     )
+
+
+class Level(NamedTuple):
+    """What one iteration's steps read of a run (:class:`PartitionCounts`)."""
+
+    #: active rows at the split, and their candidates
+    rows: int
+    total: float
+    #: BucketSelect's min/max pass, before rows whose candidates are all
+    #: equal retire
+    minmax_rows: int = 0
+    minmax_total: float = 0.0
+    #: SampleSelect's samples over the rows: bytes read, sort comparators
+    sample_bytes: float = 0.0
+    sample_comparators: float = 0.0
+
+
+class Terminal(NamedTuple):
+    """What the terminal sort (or the fast path's sort) reads of a run."""
+
+    #: rows still owing results (one block each), their candidates, the
+    #: results they owe and the comparators of their sorts
+    rows: int
+    candidates: float
+    owed: float
+    comparators: float
+
+
+class PartitionCounts(NamedTuple):
+    """The counts :meth:`PartitionSelect.schedule` reads: one
+    :class:`Level` per iteration, and the terminal sort if any row still
+    owed results."""
+
+    levels: tuple[Level, ...]
+    terminal: Terminal | None
 
 
 class Frontier:
@@ -225,7 +269,7 @@ class Flat:
 
 
 class PartitionSelect(TopKAlgorithm):
-    """One fused partition run; subclasses supply ``_step`` and charges."""
+    """One fused partition run; subclasses supply ``_step`` and ``_level``."""
 
     library = "GpuSelection"
     category = "partition-based"
@@ -240,27 +284,38 @@ class PartitionSelect(TopKAlgorithm):
     kernel_prefix = ""
 
     @abc.abstractmethod
-    def _step(self, ctx: RunContext, f: Frontier, view: Rect | Flat) -> None:
+    def _step(self, ctx: RunContext, f: Frontier, view: Rect | Flat) -> Level:
         """One split of every row in ``view``: emit the candidates that are
-        surely results, keep the ones that may be, update the counts."""
+        surely results, keep the ones that may be, update the counts.
+        Returns what the iteration's steps read."""
 
-    def _charge_terminal(
-        self,
-        device,
-        grid: int,
-        bytes_read: float,
-        bytes_written: float,
-        flops: float,
-    ) -> None:
-        device.launch_kernel(
-            f"{self.kernel_prefix}TerminalSort",
-            grid_blocks=grid,
-            block_threads=256,
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-            flops=flops,
-        )
-        device.synchronize("sync_final")
+    @abc.abstractmethod
+    def _level(self, spec, run: RunShape, level: Level) -> list[Step]:
+        """The steps of one iteration."""
+
+    def schedule(
+        self, spec, run: RunShape, counts: PartitionCounts
+    ) -> list[Step]:
+        """Every step of a run: each iteration's launch set and host round
+        trip, then the terminal sort.  ``counts`` are the run's
+        per-iteration counts."""
+        steps = []
+        for level in counts.levels:
+            steps += self._level(spec, run, level)
+        term = counts.terminal
+        if term is not None:
+            steps += [
+                Step.launch(
+                    f"{self.kernel_prefix}TerminalSort",
+                    grid_blocks=term.rows,
+                    block_threads=256,
+                    bytes_read=8.0 * term.candidates,
+                    bytes_written=8.0 * term.owed,
+                    flops=cal.OPS_PER_COMPARATOR * term.comparators,
+                ),
+                Step.sync("sync_final"),
+            ]
+        return steps
 
     def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
         device = ctx.device
@@ -271,21 +326,16 @@ class PartitionSelect(TopKAlgorithm):
         # one fused sort finishes the batch without any flat state
         if n <= max(self.terminal_size, ctx.k):
             order = stable_topk_order(keys2d, ctx.k)
-            self._charge_terminal(
-                device,
-                batch,
-                8.0 * batch * n,
-                8.0 * batch * ctx.k,
-                cal.OPS_PER_COMPARATOR
-                * comparator_count_sort(next_pow2(max(2, n)))
-                * batch,
-            )
+            comparators = comparator_count_sort(next_pow2(max(2, n))) * batch
+            term = Terminal(batch, batch * n, batch * ctx.k, comparators)
+            counts = PartitionCounts((), term)
+            device.charge(self.schedule(device.spec, ctx.shape, counts))
             return np.take_along_axis(keys2d, order, axis=1), order.astype(
                 np.int64
             )
 
         f = Frontier(batch, n, ctx.k, keys2d.dtype, ctx.seed)
-        self._step(ctx, f, Rect(np.arange(batch), keys2d))
+        levels = [self._step(ctx, f, Rect(np.arange(batch), keys2d))]
         for _ in range(1, self.max_iterations):
             settled = f.active & (
                 (f.k_rem == 0) | (f.count <= np.maximum(self.terminal_size, f.k_rem))
@@ -295,11 +345,12 @@ class PartitionSelect(TopKAlgorithm):
             rows = np.flatnonzero(f.active)
             if not rows.size:
                 break
-            self._step(ctx, f, Flat(f, rows))
+            levels.append(self._step(ctx, f, Flat(f, rows)))
         else:  # iteration cap: remaining rows owe results to the terminal
             f.retire(f.active.copy())
 
         # one shared terminal sort covers every row that still owes results
+        term = None
         if f.term:
             term_rows, term_keys, term_idx = (
                 np.concatenate(c) for c in zip(*f.term)
@@ -312,17 +363,15 @@ class PartitionSelect(TopKAlgorithm):
             f.emit(
                 term_rows[mask], term_keys[order][mask], term_idx[order][mask]
             )
-            counts = seg[seg > 0]
+            owing = seg[seg > 0]
             comparators = sum(
-                comparator_count_sort(next_pow2(max(2, int(c)))) for c in counts
+                comparator_count_sort(next_pow2(max(2, int(c)))) for c in owing
             )
-            self._charge_terminal(
-                device,
-                int(counts.size),
-                8.0 * float(counts.sum()),
-                8.0 * float(f.term_k.sum()),
-                cal.OPS_PER_COMPARATOR * comparators,
+            term = Terminal(
+                int(owing.size), int(owing.sum()), int(f.term_k.sum()), comparators
             )
+        counts = PartitionCounts(tuple(levels), term)
+        device.charge(self.schedule(device.spec, ctx.shape, counts))
 
         all_rows, all_keys, all_idx = (np.concatenate(c) for c in zip(*f.out))
         totals = np.bincount(all_rows, minlength=batch)
@@ -350,59 +399,21 @@ class BucketPartition(PartitionSelect):
 
     def _split(
         self,
-        device,
         f: Frontier,
         view: Rect | Flat,
         psum: np.ndarray,
         split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     ) -> np.ndarray:
-        """Histogram → scan → target bucket; emit the buckets below the
-        target, keep the target.  ``psum`` is each row's cumulative bucket
-        histogram (row i's candidates in buckets ``0..j`` at ``[i, j]``);
-        ``split(target)`` returns the candidate masks ``(win, keep)`` of the
-        buckets below each row's target and of the target itself.  Returns
-        which rows kept every candidate."""
-        nb = self.num_buckets
+        """Target bucket; emit the buckets below the target, keep the
+        target.  ``psum`` is each row's cumulative bucket histogram (row
+        i's candidates in buckets ``0..j`` at ``[i, j]``); ``split(target)``
+        returns the candidate masks ``(win, keep)`` of the buckets below
+        each row's target and of the target itself.  Returns which rows
+        kept every candidate."""
         rows = view.rows
-        nrows = rows.size
-        grid = stream_grid(device, view.total)
-        device.launch_kernel(
-            self.histogram_kernel,
-            grid_blocks=grid,
-            block_threads=256,
-            bytes_read=4.0 * view.total,
-            bytes_written=nrows * nb * 4.0,
-            flops=self.histogram_ops * view.total,
-        )
-        device.synchronize("sync_hist")
-        device.memcpy_d2h("MemcpyDtoH(hist)", nrows * nb * 4.0)
-        device.host_compute("host_scan", cal.HOST_SCAN_SECONDS * nrows)
-        # bucket offsets are scanned on the device before scattering — one
-        # block per active row
-        device.launch_kernel(
-            "ScanBucketOffsets",
-            grid_blocks=nrows,
-            block_threads=256,
-            bytes_read=nrows * nb * 4.0,
-            bytes_written=nrows * nb * 4.0,
-            flops=float(nrows * nb * 8),
-            scalable=False,
-        )
-        device.synchronize("sync_scan")
         target = np.asarray(find_target_bucket(psum, f.k_rem[rows]), dtype=np.int64)
         win, keep = split(target)
-        device.launch_kernel(
-            f"{self.kernel_prefix}Filter",
-            grid_blocks=grid,
-            block_threads=256,
-            bytes_read=8.0 * view.total,
-            # the reference implementation scatters the whole candidate
-            # array into grouped buckets, not only the surviving one
-            bytes_written=cal.SCATTER_WRITE_PENALTY * 8.0 * view.total,
-            flops=cal.FILTER_OPS_PER_ELEM * view.total,
-        )
-        device.synchronize("sync_filter")
-        at = np.arange(nrows)
+        at = np.arange(rows.size)
         below = np.where(target > 0, psum[at, target - 1], 0)
         in_target = psum[at, target] - below
         if below.any():
@@ -412,3 +423,46 @@ class BucketPartition(PartitionSelect):
         stuck = in_target == f.count[rows]
         f.count[rows] = in_target
         return stuck
+
+    def _split_steps(
+        self, spec, run: RunShape, rows: int, total: float
+    ) -> list[Step]:
+        """The bucket split's steps over ``rows`` active rows holding
+        ``total`` candidates: histogram, its round trip and host scan, the
+        offset scan, the filtering scatter."""
+        nb = self.num_buckets
+        stream = dict(grid_blocks=stream_grid(spec, run, total), block_threads=256)
+        return [
+            Step.launch(
+                self.histogram_kernel,
+                **stream,
+                bytes_read=4.0 * total,
+                bytes_written=rows * nb * 4.0,
+                flops=self.histogram_ops * total,
+            ),
+            Step.sync("sync_hist"),
+            Step.d2h("MemcpyDtoH(hist)", rows * nb * 4.0),
+            Step.host("host_scan", cal.HOST_SCAN_SECONDS * rows),
+            # bucket offsets are scanned on the device before scattering —
+            # one block per active row
+            Step.launch(
+                "ScanBucketOffsets",
+                grid_blocks=rows,
+                block_threads=256,
+                bytes_read=rows * nb * 4.0,
+                bytes_written=rows * nb * 4.0,
+                flops=float(rows * nb * 8),
+                scalable=False,
+            ),
+            Step.sync("sync_scan"),
+            Step.launch(
+                f"{self.kernel_prefix}Filter",
+                **stream,
+                bytes_read=8.0 * total,
+                # the reference implementation scatters the whole candidate
+                # array into grouped buckets, not only the surviving one
+                bytes_written=cal.SCATTER_WRITE_PENALTY * 8.0 * total,
+                flops=cal.FILTER_OPS_PER_ELEM * total,
+            ),
+            Step.sync("sync_filter"),
+        ]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import RunContext, RunShape, TopKAlgorithm
-from ..device import ceil_div, next_pow2
+from ..device import Step, ceil_div, next_pow2
 from ..obs.metrics import get_metrics, metrics_enabled
 from ..perf import calibration as cal
 from ..primitives import comparator_count_merge, comparator_count_sort
@@ -524,8 +524,7 @@ class QueueSelect(TopKAlgorithm):
             queue_len=costs.queue_len,
             valid_lengths=lengths,
         )
-        for launch in self.schedule(ctx.device.spec, ctx.shape, result.stats):
-            ctx.device.launch_kernel(**launch)
+        ctx.device.charge(self.schedule(ctx.device.spec, ctx.shape, result.stats))
         if blocks == 1:
             return result.keys, result.indices
         # local slice positions -> row positions
@@ -534,7 +533,7 @@ class QueueSelect(TopKAlgorithm):
             result.keys.reshape(batch, blocks * k), idx.reshape(batch, blocks * k), k
         )
 
-    def schedule(self, spec, run: RunShape, counts: QueueStats) -> list[dict]:
+    def schedule(self, spec, run: RunShape, counts: QueueStats) -> list[Step]:
         """Every launch of a run: the main kernel, then the merge when a
         problem spans blocks.  ``counts`` are the run's queue counts."""
         batch, n, k = run.batch, run.n, run.k
@@ -543,8 +542,8 @@ class QueueSelect(TopKAlgorithm):
         flush_comps = (
             counts.merge_comparators / counts.flushes if counts.flushes else 0.0
         )
-        launches = [dict(
-            name=self.kernel_name,
+        launches = [Step.launch(
+            self.kernel_name,
             grid_blocks=batch * blocks,
             block_threads=self.lanes,
             bytes_read=4.0 * batch * n,
@@ -567,8 +566,8 @@ class QueueSelect(TopKAlgorithm):
         )]
         if blocks > 1:
             # one block per problem reduces its per-block top-k candidates
-            launches.append(dict(
-                name=self.merge_name,
+            launches.append(Step.launch(
+                self.merge_name,
                 grid_blocks=batch,
                 block_threads=self.lanes,
                 bytes_read=8.0 * batch * blocks * k,

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import RunContext
-from .partition_common import Flat, Frontier, PartitionSelect, Rect, stream_grid
+from .base import RunContext, RunShape
+from .partition_common import Flat, Frontier, Level, PartitionSelect, Rect, stream_grid
+from ..device import Step
 from ..perf import calibration as cal
 
 
@@ -29,34 +30,36 @@ class QuickSelect(PartitionSelect):
     kernel_prefix = "QuickSelect"
     max_iterations = 128  # pathological pivot sequences
 
-    def _charge_level(self, device, total: int, nrows: int) -> None:
-        """Device accounting of one fused recursion level: the reference
-        code runs a counting pass, fetches the counts, then launches the
-        scatter pass; then one batch-sized PCIe round trip, host pivots."""
-        grid = stream_grid(device, total)
-        device.launch_kernel(
-            "QuickSelectCount",
-            grid_blocks=grid,
-            block_threads=256,
-            bytes_read=4.0 * total,
-            bytes_written=8.0 * nrows,
-            flops=2.0 * total,
-        )
-        device.synchronize("sync_count")
-        device.launch_kernel(
-            "QuickSelectScatter",
-            grid_blocks=grid,
-            block_threads=256,
-            bytes_read=8.0 * total,
-            bytes_written=cal.SCATTER_WRITE_PENALTY * 8.0 * total,
-            flops=cal.PARTITION_OPS_PER_ELEM * total,
-        )
-        device.synchronize("sync_partition")
-        device.memcpy_d2h("MemcpyDtoH(counts)", 8.0 * nrows)
-        device.host_compute("host_pivot", cal.HOST_PIVOT_SECONDS * nrows)
+    def _level(self, spec, run: RunShape, level: Level) -> list[Step]:
+        """One fused recursion level: the reference code runs a counting
+        pass, fetches the counts, then launches the scatter pass; then one
+        batch-sized PCIe round trip, host pivots."""
+        total, rows = level.total, level.rows
+        stream = dict(grid_blocks=stream_grid(spec, run, total), block_threads=256)
+        return [
+            Step.launch(
+                "QuickSelectCount",
+                **stream,
+                bytes_read=4.0 * total,
+                bytes_written=8.0 * rows,
+                flops=2.0 * total,
+            ),
+            Step.sync("sync_count"),
+            Step.launch(
+                "QuickSelectScatter",
+                **stream,
+                bytes_read=8.0 * total,
+                bytes_written=cal.SCATTER_WRITE_PENALTY * 8.0 * total,
+                flops=cal.PARTITION_OPS_PER_ELEM * total,
+            ),
+            Step.sync("sync_partition"),
+            Step.d2h("MemcpyDtoH(counts)", 8.0 * rows),
+            Step.host("host_pivot", cal.HOST_PIVOT_SECONDS * rows),
+        ]
 
-    def _step(self, ctx: RunContext, f: Frontier, view: Rect | Flat) -> None:
+    def _step(self, ctx: RunContext, f: Frontier, view: Rect | Flat) -> Level:
         rows = view.rows
+        level = Level(rows.size, view.total)
         # per-row median-of-3 pivots, each drawn host-side from its row's
         # own stream
         pivots = np.empty(rows.size, dtype=view.keys.dtype)
@@ -66,7 +69,6 @@ class QuickSelect(PartitionSelect):
         pivot = view.spread(pivots)
         lt = view.keys < pivot
         n_lt = view.row_sum(lt)
-        self._charge_level(ctx.device, view.total, rows.size)
 
         kr = f.k_rem[rows]
         case_a = kr <= n_lt  # recurse into the < side
@@ -75,7 +77,7 @@ class QuickSelect(PartitionSelect):
             # the tie masks are never needed
             f.rows, f.keys, f.idx = view.take(lt)
             f.count[rows] = n_lt
-            return
+            return level
         eq = view.keys == pivot
         n_eq = view.row_sum(eq)
         case_b = ~case_a & (kr <= n_lt + n_eq)  # pivot ties finish the row
@@ -97,3 +99,4 @@ class QuickSelect(PartitionSelect):
         f.count[rows[case_a]] = n_lt[case_a]
         f.count[rows[case_b]] = 0
         f.count[rows[case_c]] = rest[case_c]
+        return level

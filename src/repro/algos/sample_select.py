@@ -28,9 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base import RunContext
-from .partition_common import BucketPartition, Flat, Frontier, Rect
-from ..device import next_pow2
+from .base import RunContext, RunShape
+from .partition_common import BucketPartition, Flat, Frontier, Level, Rect
+from ..device import Step, next_pow2
 from ..perf import calibration as cal
 from ..primitives import comparator_count_sort
 
@@ -64,8 +64,7 @@ class SampleSelect(BucketPartition):
         sample.sort()
         return sample[_splitter_picks(s, self.num_buckets)], s
 
-    def _step(self, ctx: RunContext, f: Frontier, view: Rect | Flat) -> None:
-        device = ctx.device
+    def _step(self, ctx: RunContext, f: Frontier, view: Rect | Flat) -> Level:
         rows = view.rows
         nb = self.num_buckets
         # the cumulative histogram from each sorted row (module docstring)
@@ -79,16 +78,6 @@ class SampleSelect(BucketPartition):
             psum[i, -1] = seg.shape[0]
             sample_bytes += 4.0 * s
             sample_comparators += comparator_count_sort(next_pow2(max(2, s)))
-        # one fused sample-sort launch (one block per row) covers the batch
-        device.launch_kernel(
-            "SampleGatherSort",
-            grid_blocks=rows.size,
-            block_threads=256,
-            bytes_read=sample_bytes,
-            bytes_written=4.0 * (nb - 1) * rows.size,
-            flops=cal.OPS_PER_COMPARATOR * sample_comparators,
-            scalable=False,  # the sample size is fixed, not O(N)
-        )
 
         def split(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # bucket t holds [spl[t-1], spl[t]); bucket 0 has no lower
@@ -105,6 +94,24 @@ class SampleSelect(BucketPartition):
             keep &= ~win
             return win, keep
 
-        stuck = self._split(device, f, view, psum, split)
+        stuck = self._split(f, view, psum, split)
         if stuck.any():  # all candidates identical: splitters cannot split
             f.retire(f.mask(rows[stuck]))
+        return Level(
+            rows.size, view.total,
+            sample_bytes=sample_bytes, sample_comparators=sample_comparators,
+        )
+
+    def _level(self, spec, run: RunShape, level: Level) -> list[Step]:
+        """One fused sample-sort launch (one block per row), then the
+        bucket split."""
+        sort = Step.launch(
+            "SampleGatherSort",
+            grid_blocks=level.rows,
+            block_threads=256,
+            bytes_read=level.sample_bytes,
+            bytes_written=4.0 * (self.num_buckets - 1) * level.rows,
+            flops=cal.OPS_PER_COMPARATOR * level.sample_comparators,
+            scalable=False,  # the sample size is fixed, not O(N)
+        )
+        return [sort] + self._split_steps(spec, run, level.rows, level.total)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import RunContext, RunShape, TopKAlgorithm
-from ..device import streaming_grid
+from ..device import Step, streaming_grid
 from ..perf import calibration as cal
 from ..primitives import stable_topk_order
 
@@ -44,12 +44,11 @@ class SortTopK(TopKAlgorithm):
         key_out = np.take_along_axis(keys, idx, axis=1)
 
         device.allocate_workspace(8.0 * n)  # double buffer, reused per problem
-        for launch in self.schedule(device.spec, ctx.shape):
-            device.launch_kernel(**launch)
+        device.charge(self.schedule(device.spec, ctx.shape))
         device.free_workspace(8.0 * n)
         return key_out, idx
 
-    def schedule(self, spec, run: RunShape, counts=None) -> list[dict]:
+    def schedule(self, spec, run: RunShape, counts=None) -> list[Step]:
         """Every launch of a run: one sort of ``run.key_bits``-wide keys
         per problem."""
         n, k = run.n, run.k
@@ -59,14 +58,14 @@ class SortTopK(TopKAlgorithm):
         )
         stream = dict(grid_blocks=grid, block_threads=256)
         # upfront histogram pass over all digits (onesweep)
-        sort = [dict(
-            name="DeviceRadixSortHistogram", **stream, bytes_read=4.0 * n,
+        sort = [Step.launch(
+            "DeviceRadixSortHistogram", **stream, bytes_read=4.0 * n,
             bytes_written=passes * 256 * 4.0, flops=cal.HISTOGRAM_OPS_PER_ELEM * n,
         )]
         # one rank-and-scatter pass per digit, ping-ponging the pairs
         sort += [
-            dict(
-                name=f"DeviceRadixSortOnesweep({p + 1})", **stream,
+            Step.launch(
+                f"DeviceRadixSortOnesweep({p + 1})", **stream,
                 bytes_read=8.0 * n, bytes_written=8.0 * n,
                 flops=cal.SORT_PASS_OPS_PER_ELEM * n,
             )
@@ -76,8 +75,8 @@ class SortTopK(TopKAlgorithm):
         copy_grid = streaming_grid(
             spec, run.nominal_k, items_per_thread=cal.STREAM_ITEMS_PER_THREAD
         )
-        sort.append(dict(
-            name="CopyTopK", grid_blocks=copy_grid, block_threads=256,
+        sort.append(Step.launch(
+            "CopyTopK", grid_blocks=copy_grid, block_threads=256,
             bytes_read=8.0 * k, bytes_written=8.0 * k, flops=2.0 * k,
         ))
         return sort * run.batch

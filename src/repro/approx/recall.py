@@ -22,11 +22,11 @@ Increased Parallelism") generalized to ``keep >= 1`` per partition, which
 also covers the two-stage construction of Samaga et al. ("A Faster
 Generalized Two-Stage Approximate Top-K").
 
-:func:`recall_floor` turns the expectation into the same kind of
+:func:`recall_floor` turns the expectation into the same
 high-probability floor the degraded-serving path attaches
-(:func:`repro.faults.recall_bound`): recall is a mean of ``k`` bounded
-indicator-like terms, so Hoeffding gives
-``P[recall < E - t] <= exp(-2 k t^2)``.
+(:func:`repro.faults.recall_bound`), both through
+:func:`hoeffding_floor`: recall is a mean of ``k`` bounded indicator-like
+terms, so Hoeffding gives ``P[recall < E - t] <= exp(-2 k t^2)``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from functools import lru_cache
 
 __all__ = [
     "expected_recall",
+    "hoeffding_floor",
     "partition_sizes",
     "plan_buckets",
     "plan_twostage",
@@ -124,8 +125,14 @@ def recall_floor(
     expected = expected_recall(n, k, parts, keep)
     if expected >= 1.0:
         return 1.0
-    slack = math.sqrt(math.log(1.0 / delta) / (2.0 * k))
-    return max(0.0, expected - slack)
+    return hoeffding_floor(expected, k, delta)
+
+
+def hoeffding_floor(expected: float, k: int, delta: float) -> float:
+    """``max(0, expected - sqrt(ln(1/delta) / (2k)))``: the recall a mean
+    of ``k`` indicators of mean ``expected`` stays above with probability
+    at least ``1 - delta``.  Callers check their arguments."""
+    return max(0.0, expected - math.sqrt(math.log(1.0 / delta) / (2.0 * k)))
 
 
 def plan_buckets(n: int, k: int, buckets: int) -> tuple[int, int]:

@@ -7,7 +7,7 @@ observable behaviour.
 from .spec import GPUSpec, A100, H100, A10, V100, PRESETS, get_spec
 from .counters import DeviceCounters, KernelStats, aggregate_counters
 from .timeline import Timeline, TraceEvent, STREAMS
-from .device import Device
+from .device import Device, Step
 from .launch import Occupancy, occupancy, streaming_grid, ceil_div, next_pow2
 from .tracing import timeline_spans
 
@@ -20,6 +20,7 @@ __all__ = [
     "PRESETS",
     "get_spec",
     "Device",
+    "Step",
     "DeviceCounters",
     "KernelStats",
     "Timeline",

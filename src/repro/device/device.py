@@ -22,11 +22,39 @@ intensive quantities and are never scaled.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .counters import DeviceCounters, KernelStats
 from .spec import GPUSpec, A100
 from .timeline import Timeline
 from ..perf.costmodel import KernelCostModel
+
+
+class Step(NamedTuple):
+    """One entry of a schedule (:meth:`repro.algos.TopKAlgorithm.schedule`):
+    what the device does and its keywords.  ``kind`` is ``"launch"`` (a
+    kernel, :meth:`Device.launch_kernel`), ``"sync"``, ``"d2h"`` or
+    ``"h2d"`` (a blocking PCIe copy) or ``"host"`` (host compute);
+    :meth:`Device.charge` runs it."""
+
+    kind: str
+    args: dict
+
+    @staticmethod
+    def launch(name: str, **work) -> Step:
+        return Step("launch", dict(name=name, **work))
+
+    @staticmethod
+    def sync(name: str) -> Step:
+        return Step("sync", dict(name=name))
+
+    @staticmethod
+    def d2h(name: str, nbytes: float) -> Step:
+        return Step("d2h", dict(name=name, nbytes=nbytes))
+
+    @staticmethod
+    def host(name: str, seconds: float) -> Step:
+        return Step("host", dict(name=name, seconds=seconds))
 
 
 class Device:
@@ -116,6 +144,18 @@ class Device:
         stats.flops += flops
         stats.time += duration
         return duration
+
+    def charge(self, schedule) -> None:
+        """Charge a schedule's :class:`Step` entries in order."""
+        act = {
+            "launch": self.launch_kernel,
+            "sync": self.synchronize,
+            "d2h": self.memcpy_d2h,
+            "h2d": self.memcpy_h2d,
+            "host": self.host_compute,
+        }
+        for kind, args in schedule:
+            act[kind](**args)
 
     def memcpy_d2h(self, name: str, nbytes: float, *, scalable: bool = False) -> float:
         """Blocking device-to-host copy (how the baselines fetch histograms)."""

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..approx.recall import hoeffding_floor
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -154,5 +156,4 @@ def recall_bound(
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     coverage = 1.0 - (n_lost / n_total if n_total else 0.0)
-    slack = math.sqrt(math.log(1.0 / delta) / (2.0 * k))
-    return coverage, max(0.0, coverage - slack)
+    return coverage, hoeffding_floor(coverage, k, delta)

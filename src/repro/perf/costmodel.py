@@ -226,9 +226,9 @@ class KernelCostModel:
 #
 # ``predict_topk_time`` prices a complete top-k run from the problem shape
 # alone, without generating data or executing an algorithm.  The queue
-# family, Sort and Bitonic Top-K replay the ``schedule`` their runs charge
-# on a fresh device (keys 32 bits wide, the ``RunShape`` default); the
-# other methods replay their launch sequence
+# family, Sort, Bitonic Top-K and the partition family replay the
+# ``schedule`` their runs charge on a fresh device (keys 32 bits wide, the
+# ``RunShape`` default); the other methods replay their launch sequence
 # analytically: the same launch shapes, calibration constants and
 # per-launch overheads the simulated implementations charge.  Either way
 # *expected* (distribution-free) values stand in for data-dependent
@@ -236,7 +236,7 @@ class KernelCostModel:
 # insert counts use the E[inserts] ~ K ln(N/K) streaming bound).  The
 # ``auto`` registry algorithm ranks these predictions to choose a concrete
 # method per problem; accuracy is judged by ranking fidelity, not absolute
-# microseconds (see tests/test_costmodel.py and the differential suite).
+# microseconds (see tests/test_dispatch_grid.py and the differential suite).
 # --------------------------------------------------------------------------
 
 #: exact algorithms the analytic predictor understands.  The ``auto``
@@ -331,160 +331,6 @@ def _predict_radix_select(
         if count <= k:
             break
     return batch * per_row
-
-
-def _partition_terminal_time(
-    model: KernelCostModel, spec, count: float, k: int, batch: int
-) -> float:
-    """Shared terminal bitonic sort of the partition family: one block per
-    row still owing results, priced at the fused survivor count."""
-    comps = comparator_count_sort(2 ** math.ceil(math.log2(max(2.0, count))))
-    t = model.price(
-        LaunchShape(batch, 256),
-        bytes_read=8.0 * count * batch,
-        bytes_written=8.0 * k * batch,
-        flops=cal.OPS_PER_COMPARATOR * batch * comps,
-    ).duration
-    return t + spec.kernel_launch_latency + spec.sync_latency
-
-
-def _predict_quick_select(
-    model: KernelCostModel, spec, n: int, k: int, batch: int
-) -> float:
-    """Fused batched QuickSelect: one count+scatter launch pair per
-    recursion level over the concatenated survivors of every active row.
-
-    The host round trip (sync, batched count transfer, per-row pivot picks)
-    is paid once per *level*, not once per row; the expected survivor
-    fraction of a median-of-three pivot is 1/2.
-    """
-    terminal = float(cal.PARTITION_TERMINAL_SIZE)
-    t = cal.HOST_ALLOC_SECONDS
-    count = float(n)
-    while count > max(terminal, float(k)):
-        total = count * batch
-        shape = _stream_shape(spec, total)
-        t += model.price(  # QuickSelectCount: pivot-comparison tallies
-            shape, bytes_read=4.0 * total, bytes_written=8.0 * batch,
-            flops=2.0 * total,
-        ).duration
-        t += model.price(  # QuickSelectScatter partitions the candidates
-            shape,
-            bytes_read=8.0 * total,
-            bytes_written=cal.SCATTER_WRITE_PENALTY * 8.0 * total,
-            flops=cal.PARTITION_OPS_PER_ELEM * total,
-        ).duration
-        # host coordination once per level, not once per row
-        t += 2 * spec.kernel_launch_latency + 2 * spec.sync_latency
-        t += model.pcie_time(8.0 * batch)  # per-row counts
-        t += cal.HOST_PIVOT_SECONDS * batch
-        count = max(float(k), count * 0.5)
-    return t + _partition_terminal_time(model, spec, count, k, batch)
-
-
-def _predict_sample_select(
-    model: KernelCostModel, spec, n: int, k: int, batch: int
-) -> float:
-    """Fused batched SampleSelect: per iteration, one block-per-row sample
-    sort, a splitter-search histogram over the flat candidates, a batched
-    histogram PCIe transfer + host scan, an offset scan and the filtering
-    scatter — the splitter buckets shrink the survivors by ~1/256."""
-    buckets = cal.PARTITION_BUCKETS
-    terminal = float(cal.PARTITION_TERMINAL_SIZE)
-    sample = float(cal.SAMPLE_SIZE)
-    sample_comps = comparator_count_sort(cal.SAMPLE_SIZE)
-    t = cal.HOST_ALLOC_SECONDS
-    count = float(n)
-    while count > max(terminal, float(k)):
-        total = count * batch
-        shape = _stream_shape(spec, total)
-        s = min(sample, count)
-        t += model.price(  # SampleGatherSort: one block per row
-            LaunchShape(batch, 256),
-            bytes_read=4.0 * s * batch,
-            bytes_written=4.0 * (buckets - 1) * batch,
-            flops=cal.OPS_PER_COMPARATOR * sample_comps * batch,
-        ).duration
-        t += model.price(  # SplitterHistogram over the flat candidates
-            shape,
-            bytes_read=4.0 * total,
-            bytes_written=batch * buckets * 4.0,
-            flops=cal.SPLITTER_SEARCH_OPS_PER_ELEM * total,
-        ).duration
-        t += model.price(  # ScanBucketOffsets: one block per active row
-            LaunchShape(batch, 256),
-            bytes_read=batch * buckets * 4.0,
-            bytes_written=batch * buckets * 4.0,
-            flops=float(batch * buckets * 8),
-        ).duration
-        t += model.price(  # SampleFilter scatters into grouped buckets
-            shape,
-            bytes_read=8.0 * total,
-            bytes_written=cal.SCATTER_WRITE_PENALTY * 8.0 * total,
-            flops=cal.FILTER_OPS_PER_ELEM * total,
-        ).duration
-        # host coordination once per iteration, not once per row
-        t += 4 * spec.kernel_launch_latency + 3 * spec.sync_latency
-        t += model.pcie_time(batch * buckets * 4.0)  # histograms
-        t += cal.HOST_SCAN_SECONDS * batch
-        count = max(float(k), count / buckets)
-    return t + _partition_terminal_time(model, spec, count, k, batch)
-
-
-def _predict_bucket_select(
-    model: KernelCostModel, spec, n: int, k: int, batch: int
-) -> float:
-    """Fused batched BucketSelect: one launch set per iteration, all rows.
-
-    Unlike the serial partition family, the host round trip (sync, batched
-    histogram PCIe transfer, host scan) is paid once per *iteration*, not
-    once per row — the kernels stream the concatenated candidates of every
-    still-active row, so only the device-side traffic scales with batch.
-    """
-    buckets = cal.PARTITION_BUCKETS
-    terminal = float(cal.PARTITION_TERMINAL_SIZE)
-    t = cal.HOST_ALLOC_SECONDS
-    count = float(n)
-    while count > max(terminal, float(k)):
-        total = count * batch
-        shape = _stream_shape(spec, total)
-        t += model.price(  # MinMaxReduce: bucket boundaries for every row
-            shape, bytes_read=4.0 * total, bytes_written=8.0 * batch,
-            flops=2.0 * total,
-        ).duration
-        t += model.price(  # BucketHistogram over the flat candidates
-            shape,
-            bytes_read=4.0 * total,
-            bytes_written=batch * buckets * 4.0,
-            flops=cal.HISTOGRAM_OPS_PER_ELEM * total,
-        ).duration
-        t += model.price(  # ScanBucketOffsets: one block per active row
-            LaunchShape(batch, 256),
-            bytes_read=batch * buckets * 4.0,
-            bytes_written=batch * buckets * 4.0,
-            flops=float(batch * buckets * 8),
-        ).duration
-        t += model.price(  # BucketFilter scatters into grouped buckets
-            shape,
-            bytes_read=8.0 * total,
-            bytes_written=cal.SCATTER_WRITE_PENALTY * 8.0 * total,
-            flops=cal.FILTER_OPS_PER_ELEM * total,
-        ).duration
-        # host coordination once per iteration, not once per row
-        t += 4 * spec.kernel_launch_latency + 4 * spec.sync_latency
-        t += model.pcie_time(8.0 * batch)  # min/max
-        t += model.pcie_time(batch * buckets * 4.0)  # histograms
-        t += cal.HOST_SCAN_SECONDS * batch
-        count = max(float(k), count / buckets)
-    # shared terminal sort: one block per row still owing results
-    comps = comparator_count_sort(2 ** math.ceil(math.log2(max(2.0, count))))
-    t += model.price(
-        LaunchShape(batch, 256),
-        bytes_read=8.0 * count * batch,
-        bytes_written=8.0 * k * batch,
-        flops=cal.OPS_PER_COMPARATOR * batch * comps,
-    ).duration
-    return t + spec.kernel_launch_latency + spec.sync_latency
 
 
 def _predict_air_topk(
@@ -611,36 +457,62 @@ def _predict_twostage_approx(
 
 def _expected_counts(method, spec, run):
     """Expected (real-valued) counts of a run, for a method whose schedule
-    reads them: a queue-family block's inserts follow
+    reads them.  A queue-family block's inserts follow
     :func:`_expected_inserts` over its slice, and a flush empties one full
-    queue.  None for every other method."""
+    queue.  In the partition family every row stays active, and each
+    iteration keeps half of a row's candidates (QuickSelect's pivot) or one
+    bucket's share (BucketSelect, SampleSelect), never fewer than ``k``,
+    until they fit the terminal sort.  None for every other method."""
+    from ..algos.partition_common import (
+        BucketPartition,
+        Level,
+        PartitionCounts,
+        PartitionSelect,
+        Terminal,
+    )
     from ..algos.queue_common import QueueSelect, QueueStats, flush_capacity
+    from ..device import next_pow2
 
+    batch, k = run.batch, run.k
+    if isinstance(method, PartitionSelect):
+        survive = (
+            1.0 / cal.PARTITION_BUCKETS if isinstance(method, BucketPartition) else 0.5
+        )
+        levels, count = [], float(run.n)
+        while count > max(cal.PARTITION_TERMINAL_SIZE, k):
+            total, sample = count * batch, min(float(cal.SAMPLE_SIZE), count)
+            levels.append(Level(
+                batch, total, batch, total, 4.0 * sample * batch,
+                comparator_count_sort(next_pow2(math.ceil(sample))) * batch,
+            ))
+            count = max(float(k), count * survive)
+        comparators = comparator_count_sort(next_pow2(max(2, math.ceil(count))))
+        terminal = Terminal(batch, count * batch, k * batch, comparators * batch)
+        return PartitionCounts(tuple(levels), terminal)
     if not isinstance(method, QueueSelect):
         return None
     costs = cal.queue_cost(method.cost_record)
     blocks = method.num_blocks(spec, run.nominal_n)
     slice_len = -(-run.n // blocks)
     capacity = flush_capacity(costs.mode, costs.queue_len, method.lanes)
-    inserts = _expected_inserts(slice_len, min(run.k, slice_len)) * blocks * run.batch
+    inserts = _expected_inserts(slice_len, min(k, slice_len)) * blocks * batch
     return QueueStats.counted(
-        inserts=inserts, flushes=inserts / capacity, capacity=capacity, k=run.k
+        inserts=inserts, flushes=inserts / capacity, capacity=capacity, k=k
     )
 
 
 def _replay_schedule(method, spec, run, counts=None) -> float | None:
-    """Price ``method``'s launch schedule for ``run`` (the one its run
-    charges) on a fresh device, plus the result sync every run pays, so
-    launch-latency overlap is priced exactly as it is simulated.  None
-    for a method without a schedule."""
+    """Price ``method``'s schedule for ``run`` (the one its run charges) on
+    a fresh device, plus the result sync every run pays, so launch-latency
+    overlap is priced exactly as it is simulated.  None for a method
+    without a schedule."""
     from ..device import Device  # lazy: device imports this module
 
-    launches = method.schedule(spec, run, counts)
-    if launches is None:
+    steps = method.schedule(spec, run, counts)
+    if steps is None:
         return None
     device = Device(spec, scale=run.scale)
-    for launch in launches:
-        device.launch_kernel(**launch)
+    device.charge(steps)
     device.synchronize("sync_result")
     return device.elapsed
 
@@ -655,12 +527,6 @@ def _predict(algo: str, model: KernelCostModel, spec, n: int, k: int, batch: int
         return replayed
     if algo == "radix_select":
         return _predict_radix_select(model, spec, n, k, batch)
-    if algo == "quick_select":
-        return _predict_quick_select(model, spec, n, k, batch)
-    if algo == "bucket_select":
-        return _predict_bucket_select(model, spec, n, k, batch)
-    if algo == "sample_select":
-        return _predict_sample_select(model, spec, n, k, batch)
     if algo == "air_topk":
         return _predict_air_topk(model, spec, n, k, batch)
     if algo == "drtopk_hybrid":

@@ -1,0 +1,75 @@
+"""The cost-model dispatcher on a fixed grid: how often ``auto`` misses.
+
+The grid is uniform float32 rows, n = 2^12, 2^14, 2^16 and 2^18, k = 8,
+64 and 512, batch 1 and 8, on a simulated A100 at seed 0: 24 shapes.  On
+each, every predictable method that supports the shape runs once, and
+``auto``'s pick (the first of ``rank_algorithms``) is a miss when another
+method's simulated time is lower.
+
+Pinned here:
+
+* ``auto`` misses at most 4 shapes, and no miss costs more than 1.30x
+  the simulated-fastest method's time;
+* the methods whose schedule the predictor replays with counts that
+  match uniform data — Sort, Bitonic Top-K and BucketSelect — predict
+  within 1% of their simulated time on every shape they support.
+
+A change to the predictor tightens these bounds as it earns them.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.algos import get_algorithm
+from repro.datagen import generate
+from repro.perf.costmodel import (
+    PREDICTABLE_ALGORITHMS,
+    predict_topk_time,
+    rank_algorithms,
+)
+
+NS = (2**12, 2**14, 2**16, 2**18)
+KS = (8, 64, 512)
+BATCHES = (1, 8)
+SHAPES = [(n, k, batch) for n in NS for k in KS for batch in BATCHES]
+
+#: at most this many misses on the grid, none costlier than WORST_MISS
+MAX_MISSES = 4
+WORST_MISS = 1.30
+#: methods predicted within ``EXACT_REL`` of their simulated time
+EXACT = ("sort", "bitonic_topk", "bucket_select")
+EXACT_REL = 0.01
+
+
+@pytest.fixture(scope="module")
+def grid() -> dict:
+    """(n, k, batch) -> {method: simulated seconds}."""
+    out = {}
+    for n, k, batch in SHAPES:
+        data = generate("uniform", n, batch=batch, seed=0)
+        out[n, k, batch] = {
+            algo: get_algorithm(algo).select(data, k).time
+            for algo in PREDICTABLE_ALGORITHMS
+            if get_algorithm(algo).supports(n, k) is None
+        }
+    return out
+
+
+def test_auto_misses_stay_few_and_cheap(grid):
+    misses = {}
+    for (n, k, batch), simulated in grid.items():
+        pick = rank_algorithms(n=n, k=k, batch=batch)[0].algo
+        best = min(simulated.values())
+        if simulated[pick] > best:
+            misses[n, k, batch] = (pick, simulated[pick] / best)
+    assert len(misses) <= MAX_MISSES, misses
+    assert all(ratio <= WORST_MISS for _, ratio in misses.values()), misses
+
+
+@pytest.mark.parametrize("algo", EXACT)
+def test_replayed_methods_predict_the_simulated_time(grid, algo):
+    for (n, k, batch), simulated in grid.items():
+        if algo in simulated:
+            predicted = predict_topk_time(algo, n=n, k=k, batch=batch)
+            assert predicted == pytest.approx(simulated[algo], rel=EXACT_REL), (n, k, batch)

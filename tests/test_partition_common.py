@@ -38,7 +38,7 @@ class SplitProbe(SampleSelect):
     def _row_splitters(self, rng, cand):
         return next(self._splitters), self.sample_size
 
-    def _split(self, device, f, view, psum, split):
+    def _split(self, f, view, psum, split):
         self.seen.append((psum, split))
         return np.zeros(view.rows.size, dtype=bool)
 

@@ -1,20 +1,25 @@
-"""One launch schedule per method: the run charges it, a replay reproduces it.
+"""One schedule per method: the run charges it, a replay reproduces it.
 
 WarpSelect, BlockSelect, GridSelect (shared queue and its per-thread-queue
-ablation), Sort and Bitonic Top-K each declare every launch of a run in
-one ``schedule`` method.  The run charges that schedule, and the
-predictor replays it with expected counts.  Here every run is replayed
-with its own counts, the queue family's from ``emulate_queue_select`` over
-the slices the run hands it, on a fresh device of the run's scale, plus
-the result sync every run pays.  The replay's ``elapsed`` must equal the
-run's to 1e-9 relative: the schedule holds all of the run's simulated
-time, launch-latency overlap included.  Sort and Bitonic Top-K need no
-counts, so their prediction must equal the simulated time outright.
+ablation), Sort, Bitonic Top-K, BucketSelect, QuickSelect and SampleSelect
+each declare everything a run charges the device in one ``schedule``
+method.  The run charges that schedule, and the predictor replays it with
+expected counts.  Here every run is replayed with its own counts on a
+fresh device of the run's scale, plus the result sync every run pays: the
+queue family's from ``emulate_queue_select`` over the slices the run hands
+it, the partition family's as its run handed them to its schedule.  The
+replay's ``elapsed`` must equal the run's to 1e-9 relative: the schedule
+holds all of the run's simulated time, launch-latency overlap and host
+round trips included.  Sort and Bitonic Top-K need no counts, and neither
+does a partition run on its terminal fast path, so there the prediction
+must equal the simulated time outright.
 
 Inputs: every golden queue and radix case in both directions (the shapes
-a method supports), and a small sweep of batch 1, 3 and 100 with n not a
-multiple of the lanes, in exact and scaled mode (the nominal n and k
-above the materialised ones).
+a method supports) for the queue family, Sort and Bitonic, every golden
+partition case (its iteration-cap subclasses included) for the partition
+family, and for every method a small sweep of batch 1, 3 and 100 with n
+not a multiple of the lanes, in exact and scaled mode (the nominal n and
+k above the materialised ones).
 """
 
 from __future__ import annotations
@@ -26,11 +31,13 @@ import pytest
 
 from repro.algos import get_algorithm
 from repro.algos.base import RunShape
+from repro.algos.partition_common import PartitionSelect
 from repro.algos.queue_common import QueueSelect, emulate_queue_select, slice_rows
 from repro.device import A100, Device
 from repro.perf import calibration as cal
 from repro.perf.costmodel import _replay_schedule, predict_topk_time
 from repro.primitives import priority_keys
+from tests import test_golden_partition as partition_pins
 from tests import test_golden_queue as queue_pins
 from tests import test_golden_radix as radix_pins
 
@@ -42,7 +49,14 @@ METHODS = {
     "grid_select_thread": ("grid_select", {"queue": "thread"}),
     "sort": ("sort", {}),
     "bitonic_topk": ("bitonic_topk", {}),
+    "bucket_select": ("bucket_select", {}),
+    "quick_select": ("quick_select", {}),
+    "sample_select": ("sample_select", {}),
 }
+
+#: the partition family runs the golden partition cases, every other
+#: method the golden queue and radix cases; all run the sweep
+PARTITION = ("bucket_select", "quick_select", "sample_select")
 
 #: (batch, n, k, scale): the nominal problem is (n * scale, k * scale)
 SWEEP = [
@@ -62,30 +76,44 @@ def _sweep_data(batch: int, n: int) -> np.ndarray:
 
 
 def _inputs():
-    """(id, data, n, k, scale) of every input; data is made on first use."""
+    """(id, data, n, k, scale, max_iterations) of every input; data is made
+    on first use, and ``max_iterations`` lowers a partition method's cap."""
     for name, case in queue_pins.CASES.items():
-        yield f"queue/{name}", partial(queue_pins.case_data, name), case.n, case.k, 1
+        yield f"queue/{name}", partial(queue_pins.case_data, name), case.n, case.k, 1, None
     for name, case in radix_pins.CASES.items():
-        yield f"radix/{name}", partial(radix_pins.case_data, name), case.n, case.k, 1
+        yield f"radix/{name}", partial(radix_pins.case_data, name), case.n, case.k, 1, None
+    for name, case in partition_pins.CASES.items():
+        data = partial(partition_pins.case_data, name)
+        yield f"partition/{name}", data, case.n, case.k, 1, case.max_iterations
     for batch, n, k, scale in SWEEP:
         data = partial(_sweep_data, batch, n)
-        yield f"sweep/b{batch}-n{n}-k{k}-s{scale}", data, n, k, scale
+        yield f"sweep/b{batch}-n{n}-k{k}-s{scale}", data, n, k, scale, None
 
 
-#: input id -> (data, n, k, scale)
+#: input id -> (data, n, k, scale, max_iterations)
 INPUTS = {key: rest for key, *rest in _inputs()}
 
 
-def _method(method_id: str):
+def _method(method_id: str, max_iterations: int | None = None):
     algo, params = METHODS[method_id]
-    return get_algorithm(algo, params=params)
+    method = get_algorithm(algo, params=params)
+    if max_iterations is not None:
+        method.max_iterations = max_iterations
+    return method
+
+
+def _runs_input(method_id: str, key: str) -> bool:
+    source = key.split("/")[0]
+    if source == "sweep":
+        return True
+    return (source == "partition") == (method_id in PARTITION)
 
 
 def _ids():
     for method_id in METHODS:
         method = _method(method_id)
-        for key, (_, n, k, scale) in INPUTS.items():
-            if method.supports(n * scale, k * scale) is None:
+        for key, (_, n, k, scale, _) in INPUTS.items():
+            if _runs_input(method_id, key) and method.supports(n * scale, k * scale) is None:
                 for direction in ("smallest", "largest"):
                     yield f"{method_id}/{key}/{direction}"
 
@@ -111,12 +139,26 @@ def _counts(method, keys: np.ndarray, k: int, nominal_n: int):
     ).stats
 
 
+def _keep_counts(method, seen: list) -> None:
+    """Make ``method``'s run append the counts it hands its schedule to
+    ``seen`` (the partition family's counts are only known to the run)."""
+    schedule = method.schedule
+
+    def recording(spec, run, counts=None):
+        seen.append(counts)
+        return schedule(spec, run, counts)
+
+    method.schedule = recording
+
+
 @pytest.mark.parametrize("case_id", list(_ids()))
 def test_replayed_schedule_reproduces_the_run(case_id):
     method_id, source, name, direction = case_id.split("/")
-    make, n, k, scale = INPUTS[f"{source}/{name}"]
+    make, n, k, scale, max_iterations = INPUTS[f"{source}/{name}"]
     data, largest = make(), direction == "largest"
-    method = _method(method_id)
+    method, seen = _method(method_id, max_iterations), []
+    if isinstance(method, PartitionSelect):
+        _keep_counts(method, seen)
     device = Device(A100, scale=scale)
     method.select(
         data, k, device=device, largest=largest,
@@ -124,7 +166,11 @@ def test_replayed_schedule_reproduces_the_run(case_id):
     )
     keys = priority_keys(np.ascontiguousarray(data), largest=largest)
     run = RunShape(*keys.shape, k, n * scale, k * scale, scale, keys.dtype.itemsize * 8)
-    replayed = _replay_schedule(method, A100, run, _counts(method, keys, k, n * scale))
+    if seen:
+        (counts,) = seen
+    else:
+        counts = _counts(method, keys, k, n * scale)
+    replayed = _replay_schedule(_method(method_id, max_iterations), A100, run, counts)
     assert replayed == pytest.approx(device.elapsed, rel=1e-9, abs=0.0)
 
 
@@ -135,6 +181,18 @@ def test_replayed_schedule_reproduces_the_run(case_id):
 def test_shape_only_schedules_predict_the_simulated_time(algo, batch, n, k):
     """Sort's and Bitonic's schedules depend on the shape alone (and on
     32-bit keys for Sort), so the prediction is the simulated time."""
+    run = get_algorithm(algo).select(_sweep_data(batch, n), k)
+    predicted = predict_topk_time(algo, n=n, k=k, batch=batch)
+    assert predicted == pytest.approx(run.time, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("algo", PARTITION)
+@pytest.mark.parametrize("batch, n, k", [(1, 1000, 16), (100, 1000, 16), (3, 2000, 2000)])
+def test_partition_fast_path_predicts_the_simulated_time(algo, batch, n, k):
+    """A run with n <= max(PARTITION_TERMINAL_SIZE, k) is one fused
+    terminal sort, a count the shape fixes, so the prediction is the
+    simulated time."""
+    assert n <= max(cal.PARTITION_TERMINAL_SIZE, k)
     run = get_algorithm(algo).select(_sweep_data(batch, n), k)
     predicted = predict_topk_time(algo, n=n, k=k, batch=batch)
     assert predicted == pytest.approx(run.time, rel=1e-9, abs=0.0)
