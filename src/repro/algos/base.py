@@ -280,8 +280,9 @@ class TopKAlgorithm(abc.ABC):
         the number or size of its steps depends on the data (the queue
         family's :class:`~repro.algos.queue_common.QueueStats`, the
         partition family's per-iteration
-        :class:`~repro.algos.partition_common.PartitionCounts`): the run
-        passes measured ones, the predictor expected ones
+        :class:`~repro.algos.partition_common.PartitionCounts`,
+        RadixSelect's per-row :class:`~repro.algos.radix_select.RadixRow`
+        records): the run passes measured ones, the predictor expected ones
         (:mod:`repro.perf.costmodel`).
         """
         return None

@@ -53,6 +53,10 @@ class Step(NamedTuple):
         return Step("d2h", dict(name=name, nbytes=nbytes))
 
     @staticmethod
+    def h2d(name: str, nbytes: float) -> Step:
+        return Step("h2d", dict(name=name, nbytes=nbytes))
+
+    @staticmethod
     def host(name: str, seconds: float) -> Step:
         return Step("host", dict(name=name, seconds=seconds))
 

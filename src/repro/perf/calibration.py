@@ -169,7 +169,8 @@ HOST_PIVOT_SECONDS = 1.5e-6
 #: DrTopK's RadixSelect allocates and frees its device workspaces around
 #: every problem (cudaMalloc/cudaFree pairs cost tens of microseconds);
 #: this per-problem constant is what keeps its batch-100 serialisation
-#: penalty high even at moderate N (Table 2's 8-574x column).
+#: penalty high even at moderate N (Table 2's 8-574x column).  Only
+#: RadixSelect's schedule charges it, once per row.
 HOST_ALLOC_SECONDS = 50e-6
 #: DrTopK's RadixSelect host step does more than a scan — it reduces the
 #: histogram on one CPU thread and reshuffles host-side bookkeeping between

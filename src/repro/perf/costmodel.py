@@ -226,14 +226,15 @@ class KernelCostModel:
 #
 # ``predict_topk_time`` prices a complete top-k run from the problem shape
 # alone, without generating data or executing an algorithm.  The queue
-# family, Sort, Bitonic Top-K and the partition family replay the
-# ``schedule`` their runs charge on a fresh device (keys 32 bits wide, the
-# ``RunShape`` default); the other methods replay their launch sequence
-# analytically: the same launch shapes, calibration constants and
-# per-launch overheads the simulated implementations charge.  Either way
-# *expected* (distribution-free) values stand in for data-dependent
-# quantities (survivor counts assume a smooth value distribution; queue
-# insert counts use the E[inserts] ~ K ln(N/K) streaming bound).  The
+# family, Sort, Bitonic Top-K, the partition family and RadixSelect replay
+# the ``schedule`` their runs charge on a fresh device (keys 32 bits wide,
+# the ``RunShape`` default); AIR Top-K, the Dr. Top-K hybrid and the
+# approximate tier replay their launch sequence analytically: the same
+# launch shapes, calibration constants and per-launch overheads the
+# simulated implementations charge.  Either way *expected*
+# (distribution-free) values stand in for data-dependent quantities
+# (survivor counts assume a smooth value distribution; queue insert counts
+# use the E[inserts] ~ K ln(N/K) streaming bound).  The
 # ``auto`` registry algorithm ranks these predictions to choose a concrete
 # method per problem; accuracy is judged by ranking fidelity, not absolute
 # microseconds (see tests/test_dispatch_grid.py and the differential suite).
@@ -295,42 +296,6 @@ def _expected_inserts(n: float, k: float) -> float:
     if n <= 0 or k <= 0:
         return 0.0
     return k * (1.0 + math.log(max(n / k, 1.0)))
-
-
-def _predict_radix_select(
-    model: KernelCostModel, spec, n: int, k: int, batch: int
-) -> float:
-    """Host-coordinated RadixSelect: per-iteration sync/PCIe/host costs."""
-    buckets = 256
-    passes = 4
-    per_row = cal.HOST_ALLOC_SECONDS
-    per_row += (
-        model.price(_stream_shape(spec, n), bytes_written=4.0 * n, flops=1.0 * n).duration
-        + spec.kernel_launch_latency
-    )
-    count = float(n)
-    for _ in range(passes):
-        shape = _stream_shape(spec, count)
-        per_row += model.price(
-            shape,
-            bytes_read=4.0 * count,
-            bytes_written=buckets * 4.0,
-            flops=cal.HISTOGRAM_OPS_PER_ELEM * count,
-        ).duration
-        per_row += spec.sync_latency + model.pcie_time(buckets * 4.0)
-        per_row += cal.HOST_RADIX_ITER_SECONDS + model.pcie_time(64.0)
-        survivors = max(float(k), count / buckets)
-        per_row += model.price(
-            shape,
-            bytes_read=8.0 * count,
-            bytes_written=cal.SCATTER_WRITE_PENALTY * 8.0 * survivors,
-            flops=cal.FILTER_OPS_PER_ELEM * count,
-        ).duration
-        per_row += 2 * spec.kernel_launch_latency + spec.sync_latency
-        count = survivors
-        if count <= k:
-            break
-    return batch * per_row
 
 
 def _predict_air_topk(
@@ -462,7 +427,10 @@ def _expected_counts(method, spec, run):
     queue.  In the partition family every row stays active, and each
     iteration keeps half of a row's candidates (QuickSelect's pivot) or one
     bucket's share (BucketSelect, SampleSelect), never fewer than ``k``,
-    until they fit the terminal sort.  None for every other method."""
+    until they fit the terminal sort.  RadixSelect runs every digit pass
+    of every row, each keeping one bucket's share (at least one candidate,
+    no filter at one); the first filter emits all results but the one the
+    final gather takes.  None for every other method."""
     from ..algos.partition_common import (
         BucketPartition,
         Level,
@@ -471,9 +439,20 @@ def _expected_counts(method, spec, run):
         Terminal,
     )
     from ..algos.queue_common import QueueSelect, QueueStats, flush_capacity
+    from ..algos.radix_select import RadixRow, RadixSelect
     from ..device import next_pow2
 
     batch, k = run.batch, run.k
+    if isinstance(method, RadixSelect):
+        buckets, passes = 1 << method.digit_bits, []
+        count, owed = float(run.n), float(k)
+        for _ in range(-(-run.key_bits // method.digit_bits)):
+            survivors = max(1.0, count / buckets)
+            # the first filter emits every result but the one gathered last
+            scattered = min(count, survivors + owed - 1.0)
+            passes.append((count, None if count == 1.0 else scattered))
+            count, owed = survivors, 1.0
+        return (RadixRow(run.n, tuple(passes), 1.0),) * batch
     if isinstance(method, PartitionSelect):
         survive = (
             1.0 / cal.PARTITION_BUCKETS if isinstance(method, BucketPartition) else 0.5
@@ -525,8 +504,6 @@ def _predict(algo: str, model: KernelCostModel, spec, n: int, k: int, batch: int
     replayed = _replay_schedule(method, spec, run, _expected_counts(method, spec, run))
     if replayed is not None:
         return replayed
-    if algo == "radix_select":
-        return _predict_radix_select(model, spec, n, k, batch)
     if algo == "air_topk":
         return _predict_air_topk(model, spec, n, k, batch)
     if algo == "drtopk_hybrid":

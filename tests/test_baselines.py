@@ -173,6 +173,23 @@ class TestRadixSelect:
     def test_eight_bit_digits(self):
         assert RadixSelect.digit_bits == 8
 
+    @pytest.mark.parametrize("dtype", ["float16", "float32", "float64"])
+    @pytest.mark.parametrize("largest", [False, True])
+    def test_every_row_runs_every_pass_and_one_gather(self, rng, dtype, largest):
+        """Every row runs all ``itemsize * 8 / 8`` digit passes and ends in
+        one LastGather: the run always owes a result after the last pass."""
+        data = rng.standard_normal((5, 3000)).astype(dtype)
+        data[1] = 0.5  # one bucket holds the whole row in every pass
+        data[2, :2000] = data[2, 0]  # ties across the k-th key
+        r = RadixSelect().select(data, 64, largest=largest)
+        names = [e.name for e in r.device.timeline]
+        starts = [i for i, name in enumerate(names) if name == "IndexInit"]
+        assert len(starts) == 5
+        for lo, hi in zip(starts, starts[1:] + [len(names)]):
+            row = names[lo:hi]
+            assert row.count("CalculateOccurrence") == np.dtype(dtype).itemsize
+            assert row.count("LastGather") == 1
+
 
 class TestWarpBlockSelect:
     def test_single_block_per_problem(self, rng):

@@ -14,6 +14,7 @@ from repro.device import (
     V100,
     Device,
     GPUSpec,
+    Step,
     Timeline,
     TraceEvent,
     ceil_div,
@@ -229,6 +230,33 @@ class TestDeviceCounters:
             device.memcpy_d2h("d", -1)
         with pytest.raises(ValueError):
             device.host_compute("h", -1)
+
+
+class TestStepBuilders:
+    """Each :class:`Step` builder, charged through :meth:`Device.charge`,
+    does what the direct :class:`Device` call does."""
+
+    LAUNCH = dict(grid_blocks=16, block_threads=256, bytes_read=1000.0,
+                  bytes_written=500.0, flops=250.0)
+
+    @pytest.mark.parametrize("step, direct", [
+        (Step.launch("k", **LAUNCH), lambda d: d.launch_kernel("k", **TestStepBuilders.LAUNCH)),
+        (Step.sync("s"), lambda d: d.synchronize("s")),
+        (Step.d2h("d", 2048.0), lambda d: d.memcpy_d2h("d", 2048.0)),
+        (Step.h2d("h", 64.0), lambda d: d.memcpy_h2d("h", 64.0)),
+        (Step.host("c", 3e-6), lambda d: d.host_compute("c", 3e-6)),
+    ], ids=["launch", "sync", "d2h", "h2d", "host"])
+    def test_charged_step_matches_direct_call(self, step, direct):
+        charged, called = Device(A100, scale=2.0), Device(A100, scale=2.0)
+        # a kernel in flight first, so waits and overlap show
+        for d in (charged, called):
+            d.launch_kernel("warm", **self.LAUNCH)
+        charged.charge([step])
+        direct(called)
+        assert charged.timeline.events == called.timeline.events
+        assert charged.counters == called.counters
+        assert charged.kernel_stats == called.kernel_stats
+        assert (charged.cpu_time, charged.gpu_time) == (called.cpu_time, called.gpu_time)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]

@@ -12,7 +12,9 @@ Pinned here:
   the simulated-fastest method's time;
 * the methods whose schedule the predictor replays with counts that
   match uniform data — Sort, Bitonic Top-K and BucketSelect — predict
-  within 1% of their simulated time on every shape they support.
+  within 1% of their simulated time on every shape they support, and
+  RadixSelect, whose expected candidates per pass only approximate the
+  uniform rows' digits, within 5%.
 
 A change to the predictor tightens these bounds as it earns them.
 """
@@ -37,9 +39,13 @@ SHAPES = [(n, k, batch) for n in NS for k in KS for batch in BATCHES]
 #: at most this many misses on the grid, none costlier than WORST_MISS
 MAX_MISSES = 4
 WORST_MISS = 1.30
-#: methods predicted within ``EXACT_REL`` of their simulated time
-EXACT = ("sort", "bitonic_topk", "bucket_select")
-EXACT_REL = 0.01
+#: method -> relative distance of its prediction from its simulated time
+REPLAYED = {
+    "sort": 0.01,
+    "bitonic_topk": 0.01,
+    "bucket_select": 0.01,
+    "radix_select": 0.05,
+}
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +73,11 @@ def test_auto_misses_stay_few_and_cheap(grid):
     assert all(ratio <= WORST_MISS for _, ratio in misses.values()), misses
 
 
-@pytest.mark.parametrize("algo", EXACT)
+@pytest.mark.parametrize("algo", REPLAYED)
 def test_replayed_methods_predict_the_simulated_time(grid, algo):
     for (n, k, batch), simulated in grid.items():
         if algo in simulated:
             predicted = predict_topk_time(algo, n=n, k=k, batch=batch)
-            assert predicted == pytest.approx(simulated[algo], rel=EXACT_REL), (n, k, batch)
+            assert predicted == pytest.approx(
+                simulated[algo], rel=REPLAYED[algo]
+            ), (n, k, batch)

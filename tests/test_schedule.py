@@ -1,13 +1,14 @@
 """One schedule per method: the run charges it, a replay reproduces it.
 
 WarpSelect, BlockSelect, GridSelect (shared queue and its per-thread-queue
-ablation), Sort, Bitonic Top-K, BucketSelect, QuickSelect and SampleSelect
-each declare everything a run charges the device in one ``schedule``
-method.  The run charges that schedule, and the predictor replays it with
-expected counts.  Here every run is replayed with its own counts on a
-fresh device of the run's scale, plus the result sync every run pays: the
-queue family's from ``emulate_queue_select`` over the slices the run hands
-it, the partition family's as its run handed them to its schedule.  The
+ablation), Sort, Bitonic Top-K, BucketSelect, QuickSelect, SampleSelect
+and RadixSelect each declare everything a run charges the device in one
+``schedule`` method.  The run charges that schedule, and the predictor
+replays it with expected counts.  Here every run is replayed with its own
+counts on a fresh device of the run's scale, plus the result sync every
+run pays: the queue family's from ``emulate_queue_select`` over the slices
+the run hands it, the partition family's and RadixSelect's per-row records
+as the run handed them to its schedule.  The
 replay's ``elapsed`` must equal the run's to 1e-9 relative: the schedule
 holds all of the run's simulated time, launch-latency overlap and host
 round trips included.  Sort and Bitonic Top-K need no counts, and neither
@@ -15,7 +16,9 @@ does a partition run on its terminal fast path, so there the prediction
 must equal the simulated time outright.
 
 Inputs: every golden queue and radix case in both directions (the shapes
-a method supports) for the queue family, Sort and Bitonic, every golden
+a method supports) for the queue family, Sort, Bitonic and RadixSelect
+(the radix cases hold 16- and 64-bit keys, whose pass count differs from
+32-bit keys'), every golden
 partition case (its iteration-cap subclasses included) for the partition
 family, and for every method a small sweep of batch 1, 3 and 100 with n
 not a multiple of the lanes, in exact and scaled mode (the nominal n and
@@ -33,6 +36,7 @@ from repro.algos import get_algorithm
 from repro.algos.base import RunShape
 from repro.algos.partition_common import PartitionSelect
 from repro.algos.queue_common import QueueSelect, emulate_queue_select, slice_rows
+from repro.algos.radix_select import RadixSelect
 from repro.device import A100, Device
 from repro.perf import calibration as cal
 from repro.perf.costmodel import _replay_schedule, predict_topk_time
@@ -52,11 +56,15 @@ METHODS = {
     "bucket_select": ("bucket_select", {}),
     "quick_select": ("quick_select", {}),
     "sample_select": ("sample_select", {}),
+    "radix_select": ("radix_select", {}),
 }
 
 #: the partition family runs the golden partition cases, every other
 #: method the golden queue and radix cases; all run the sweep
 PARTITION = ("bucket_select", "quick_select", "sample_select")
+#: methods whose counts only the run knows: the test keeps what the run
+#: hands its schedule
+RECORDED = (PartitionSelect, RadixSelect)
 
 #: (batch, n, k, scale): the nominal problem is (n * scale, k * scale)
 SWEEP = [
@@ -141,7 +149,7 @@ def _counts(method, keys: np.ndarray, k: int, nominal_n: int):
 
 def _keep_counts(method, seen: list) -> None:
     """Make ``method``'s run append the counts it hands its schedule to
-    ``seen`` (the partition family's counts are only known to the run)."""
+    ``seen``."""
     schedule = method.schedule
 
     def recording(spec, run, counts=None):
@@ -157,7 +165,7 @@ def test_replayed_schedule_reproduces_the_run(case_id):
     make, n, k, scale, max_iterations = INPUTS[f"{source}/{name}"]
     data, largest = make(), direction == "largest"
     method, seen = _method(method_id, max_iterations), []
-    if isinstance(method, PartitionSelect):
+    if isinstance(method, RECORDED):
         _keep_counts(method, seen)
     device = Device(A100, scale=scale)
     method.select(
