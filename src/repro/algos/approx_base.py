@@ -39,7 +39,7 @@ from ..approx import (
 )
 from ..device import streaming_grid
 from ..perf import calibration as cal
-from ..primitives import affine_partitions, partition_topc, stable_topk_order
+from ..primitives import affine_partitions, partition_topc
 from .base import RunContext, TopKAlgorithm, TopKResult
 
 
@@ -122,9 +122,11 @@ class PartitionApproxTopK(TopKAlgorithm):
         # stage 2 consumes stage 1's device buffers on the same stream —
         # no host round trip between the stages (the single-sync shape is
         # the entire point of both approximate schemes); only the final
-        # result sync in select() is paid
+        # result sync in select() is paid.  It is stage 1's selection over
+        # one partition of every candidate: ties break toward the lower
+        # candidate column
         m = cand_keys.shape[1]
-        sel = stable_topk_order(cand_keys, ctx.k)
+        keys, sel = partition_topc(cand_keys, np.arange(m), np.array([m]), ctx.k)
         device.launch_kernel(
             self.kernel_stage2,
             grid_blocks=streaming_grid(
@@ -135,7 +137,4 @@ class PartitionApproxTopK(TopKAlgorithm):
             block_threads=256,
             **stage2_workload(m, ctx.k, batch),
         )
-        return (
-            np.take_along_axis(cand_keys, sel, axis=1),
-            np.take_along_axis(cand_idx, sel, axis=1),
-        )
+        return keys, np.take_along_axis(cand_idx, sel, axis=1)

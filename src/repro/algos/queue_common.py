@@ -37,7 +37,7 @@ from ..device import Step, ceil_div, next_pow2
 from ..obs.metrics import get_metrics, metrics_enabled
 from ..perf import calibration as cal
 from ..primitives import comparator_count_merge, comparator_count_sort
-from ..primitives.order import LOW, fits, lex_order, pack, unpack
+from ..primitives.order import LOW, fits, lex_order, pack, smallest, unpack
 
 #: sentinel key strictly above every encodable 32-bit key (see
 #: repro.primitives.radix: float32 encodings top out at the canonical-NaN
@@ -191,24 +191,11 @@ def best_first(
     if fits(keys) and 2 * width <= LOW:
         col = np.arange(width, dtype=np.uint64)
         packed = pack(keys, np.where(idx < 0, col + np.uint64(width), col))
-        order = (unpack(_smallest(packed, k))[1] % np.uint64(width)).astype(np.intp)
+        order = (unpack(smallest(packed, k))[1] % np.uint64(width)).astype(np.intp)
     else:
         order = lex_order(keys, idx < 0)[:, :k]
     order += np.arange(order.shape[0])[:, None] * width
     return np.take(keys, order), np.take(idx, order)
-
-
-def _smallest(packed: np.ndarray, k: int) -> np.ndarray:
-    """Each row's ``k`` smallest packed entries, ascending.
-
-    Reorders ``packed`` in place.  A partition pays off only once the row
-    is well over ``k`` wide; a narrower row is sorted whole.
-    """
-    if packed.shape[1] > 3 * k:
-        packed.partition(k - 1, axis=1)
-        return np.sort(packed[:, :k], axis=1)
-    packed.sort(axis=1)
-    return packed[:, :k]
 
 
 def _qualified(mask: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -265,7 +252,7 @@ class _PackedTopK:
             cand = np.full((num, maxc), self.pad, dtype=np.uint64)
             rows, cols, slot = _qualified(mask, counts)
             cand[rows, slot] = pack(block[rows, cols], cols + pos)
-        self.packed = _smallest(np.concatenate([self.packed, cand], axis=1), self.k)
+        self.packed = smallest(np.concatenate([self.packed, cand], axis=1), self.k)
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """The maintained keys and positions, -1 where padding."""

@@ -17,12 +17,17 @@ are the segment algebra of its flat view:
 * :func:`affine_partitions` / :func:`partition_topc` — the batched bucket
   partition helpers of the approximate tier: a seeded affine scatter of
   positions into near-equal partitions, and per-partition best-``keep``
-  selection over a whole batch in one vectorised pass.
+  selection over a whole batch in one vectorised pass.  The selection
+  runs on ``uint64`` entries packed as ``key << 32 | position``
+  (:mod:`repro.primitives.order`): positions are unique, so the entries'
+  plain order is the stable order and no tie pass is needed.  Keys wider
+  than 32 bits take :func:`~repro.primitives.select.stable_topk_order`.
 
 All helpers are exact (integer arithmetic only); the fused paths that use
 them are pinned byte-identical to stacked single-row runs by
 ``tests/test_differential.py::TestBatchedDifferential``, and the
-partition family byte for byte by ``tests/test_golden_partition.py``.
+partition family byte for byte by ``tests/test_golden_partition.py``,
+and the approximate tier by ``tests/test_golden_approx.py``.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import math
 
 import numpy as np
 
+from .order import fits, pack, smallest, unpack
 from .select import stable_topk_order
 
 
@@ -213,17 +219,20 @@ def partition_topc(
     """Per-partition smallest-``keep`` selection across a whole batch.
 
     ``keys2d`` is ``(batch, n)``; ``order`` groups the ``n`` positions by
-    partition and ``sizes`` gives the partition lengths in ``order``'s
-    grouping (equal sizes must be consecutive, as
+    partition, ascending within each, and ``sizes`` gives the partition
+    lengths in ``order``'s grouping (equal sizes must be consecutive, as
     :func:`affine_partitions` produces).  Every partition must hold at
     least ``keep`` elements.
 
     Because near-equal splits have at most two distinct sizes, the
     ragged per-partition selection decomposes into (at most two)
-    rectangular ``(batch, count, size)`` blocks, each solved by one
-    vectorised :func:`stable_topk_order` — no padding sentinels, so ties
-    between real elements and padding can never surface.  Ties within a
-    partition break toward the lower original position.
+    rectangular ``(batch, count, size)`` blocks — no padding sentinels,
+    so ties between real elements and padding can never surface.  Ties
+    within a partition break toward the lower original position.  Keys
+    that fit 32 bits are packed over their original positions
+    (:func:`repro.primitives.order.pack`); the entries are unique, so each
+    block's :func:`~repro.primitives.order.smallest` entries are already
+    in that order.  Wider keys take :func:`stable_topk_order` per block.
 
     Returns ``(keys, positions)`` of shape ``(batch, parts * keep)``,
     partition-major, best-first within each partition.
@@ -243,30 +252,25 @@ def partition_topc(
             f"every partition needs >= keep={keep} elements, "
             f"smallest has {int(sizes.min())}"
         )
-    grouped = keys2d[:, order]
-    out_keys: list[np.ndarray] = []
-    out_pos: list[np.ndarray] = []
-    start = 0
-    run_start = 0
+    narrow = fits(keys2d)
+    keys = np.empty((batch, sizes.size * keep), dtype=keys2d.dtype)
+    positions = np.empty((batch, sizes.size * keep), dtype=np.int64)
+    start = run_start = done = 0
     for i in range(1, sizes.size + 1):
         if i < sizes.size and sizes[i] == sizes[run_start]:
             continue
-        size = int(sizes[run_start])
-        count = i - run_start
-        span = size * count
-        block = grouped[:, start : start + span].reshape(batch, count, size)
-        sel = stable_topk_order(block, keep)
-        out_keys.append(
-            np.take_along_axis(block, sel, axis=2).reshape(batch, -1)
-        )
-        base = order[start : start + span].reshape(1, count, size)
-        positions = np.take_along_axis(
-            np.broadcast_to(base, (batch, count, size)), sel, axis=2
-        )
-        out_pos.append(positions.reshape(batch, -1))
-        start += span
+        size, count = int(sizes[run_start]), i - run_start
+        pos = order[start : start + size * count].reshape(count, size)
+        block = np.take(keys2d, pos, axis=1)
+        if narrow:
+            best_keys, best_pos = unpack(smallest(pack(block, pos), keep))
+        else:
+            sel = stable_topk_order(block, keep)
+            best_keys = np.take_along_axis(block, sel, axis=2)
+            best_pos = np.take_along_axis(np.broadcast_to(pos, block.shape), sel, axis=2)
+        keys[:, done : done + count * keep] = best_keys.reshape(batch, -1)
+        positions[:, done : done + count * keep] = best_pos.reshape(batch, -1)
+        start += size * count
+        done += count * keep
         run_start = i
-    return (
-        np.concatenate(out_keys, axis=1),
-        np.concatenate(out_pos, axis=1),
-    )
+    return keys, positions

@@ -3,14 +3,21 @@
 Fields that both fit 32 bits are packed into one ``uint64``, ``major << 32
 | minor``, whose plain order is the (major, minor) order; this is the only
 module that knows that layout.  Wider fields fall back to ``np.lexsort``.
+:func:`smallest` is the selection on that layout: the queue family's
+merges and the approximate tier's :func:`repro.primitives.partition_topc`
+keep the k smallest entries with it.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
 #: the minor field of a packed entry, and its largest value
 LOW = np.uint64(0xFFFFFFFF)
+#: which of a packed entry's two native 32-bit words holds the major field
+_MAJOR_WORD = 1 if sys.byteorder == "little" else 0
 
 
 def fits(a) -> bool:
@@ -24,15 +31,43 @@ def fits(a) -> bool:
 
 
 def pack(major, minor) -> np.ndarray:
-    """``major << 32 | minor`` as ``uint64``, in ``major``'s shape."""
-    packed = np.left_shift(major, np.uint64(32), dtype=np.uint64, casting="unsafe")
-    packed |= np.asarray(minor).astype(np.uint64, copy=False)
-    return packed
+    """``major << 32 | minor`` as ``uint64``, in ``major``'s shape.
+
+    Each field is copied into its 32-bit word of the entry: two strided
+    copies, where a shift and an or each make a pass over 64-bit words.
+    """
+    words = np.empty(np.shape(major) + (2,), dtype=np.uint32)
+    words[..., _MAJOR_WORD] = major
+    words[..., 1 - _MAJOR_WORD] = minor
+    return words.view(np.uint64)[..., 0]
 
 
 def unpack(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``(major, minor)`` fields of packed entries."""
     return packed >> np.uint64(32), packed & LOW
+
+
+def smallest(packed: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` smallest packed entries along the last axis, ascending.
+
+    Entries packed over distinct minor fields are unique, so this is the
+    stable order of their major fields and needs no tie pass.  May
+    reorder ``packed`` in place.  ``k == 1`` is one segmented minimum over
+    the flat entries (``reduceat`` runs a tight loop per row, where a
+    ``min`` over a short last axis pays per row).  A partition pays off
+    only once the axis is well over ``k`` long; a shorter one is sorted
+    whole.
+    """
+    if k == 1:
+        width = packed.shape[-1]
+        flat = np.ascontiguousarray(packed).reshape(-1)
+        low = np.minimum.reduceat(flat, np.arange(0, flat.size, width))
+        return low.reshape(packed.shape[:-1] + (1,))
+    if packed.shape[-1] > 3 * k:
+        packed.partition(k - 1, axis=-1)
+        return np.sort(packed[..., :k], axis=-1)
+    packed.sort(axis=-1)
+    return packed[..., :k]
 
 
 def lex_order(major, minor) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""``lex_order`` and ``stable_sort`` against NumPy's own stable sorts."""
+"""``lex_order``, ``stable_sort`` and ``smallest`` against NumPy's own sorts."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.primitives import lex_order, stable_sort
-from repro.primitives.order import LOW, fits, pack, unpack
+from repro.primitives.order import LOW, fits, pack, smallest, unpack
 
 DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64, np.int64]
 
@@ -123,3 +123,38 @@ def test_stable_sort_equals_sort_and_stable_argsort(keys):
     assert got_keys.dtype == keys.dtype
     assert np.array_equal(got_keys, np.sort(keys, axis=-1))
     assert np.array_equal(got_order, order)
+
+
+def test_pack_broadcasts_minor_over_major():
+    major = np.arange(24, dtype=np.uint32).reshape(2, 3, 4)
+    minor = np.arange(12).reshape(3, 4) * 1000
+    want = (major.astype(np.uint64) << np.uint64(32)) | minor.astype(np.uint64)
+    assert np.array_equal(pack(major, minor), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(1,), (40,), (3, 9), (2, 5, 7), (4, 3, 33)]),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([3, 2**32, 2**64 - 1]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_smallest_equals_sorted_head(shape, k_raw, high, strided, seed):
+    """The k smallest along the last axis, ascending, ties included: k = 1
+    (the segmented minimum), k above a third of the axis (the whole sort)
+    and below it (partition, then a sort of the head)."""
+    rng = np.random.default_rng(seed)
+    packed = rng.integers(0, high, size=shape, dtype=np.uint64, endpoint=True)
+    if strided:
+        packed = np.repeat(packed, 2, axis=-1)[..., ::2]
+    k = 1 + (k_raw - 1) % shape[-1]
+    want = np.sort(packed, axis=-1)[..., :k]
+    got = smallest(packed, k)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_smallest_of_no_rows():
+    assert smallest(np.zeros((0, 5), dtype=np.uint64), 1).shape == (0, 1)
+    assert smallest(np.zeros((0, 5), dtype=np.uint64), 2).shape == (0, 2)
