@@ -126,7 +126,7 @@ class PartitionApproxTopK(TopKAlgorithm):
         # one partition of every candidate: ties break toward the lower
         # candidate column
         m = cand_keys.shape[1]
-        keys, sel = partition_topc(cand_keys, np.arange(m), np.array([m]), ctx.k)
+        keys, sel = partition_topc(cand_keys, np.arange(m), [m], ctx.k)
         device.launch_kernel(
             self.kernel_stage2,
             grid_blocks=streaming_grid(
