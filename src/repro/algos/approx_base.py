@@ -37,10 +37,10 @@ from ..approx import (
     stage1_workload,
     stage2_workload,
 )
-from ..device import streaming_grid
+from ..device import Step, streaming_grid
 from ..perf import calibration as cal
 from ..primitives import affine_partitions, partition_topc
-from .base import RunContext, TopKAlgorithm, TopKResult
+from .base import RunContext, RunShape, TopKAlgorithm, TopKResult
 
 
 class PartitionApproxTopK(TopKAlgorithm):
@@ -95,46 +95,44 @@ class PartitionApproxTopK(TopKAlgorithm):
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+    def schedule(self, spec, run: RunShape, counts=None) -> list[Step]:
+        """Both stages' launches, from the shape alone: one streaming pass
+        keeping each partition's best ``keep``, then one merge of every
+        row's survivors.  Stage 2 consumes stage 1's device buffers on the
+        same stream: no host round trip between the stages (the
+        single-sync shape is the entire point of both approximate
+        schemes); only the final result sync in select() is paid."""
+        parts, keep = self.plan(run.n, run.k)
+        batch, m = run.batch, parts * keep
+
+        def grid(elems: int) -> int:
+            return streaming_grid(
+                spec, max(1, int(elems * run.scale)),
+                items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
+            )
+
+        return [
+            Step.launch(
+                self.kernel_stage1, grid_blocks=grid(batch * run.n),
+                block_threads=256, warp_efficiency=APPROX_WARP_EFFICIENCY,
+                **stage1_workload(run.n, parts, keep, batch),
+            ),
+            Step.launch(
+                self.kernel_stage2, grid_blocks=grid(m * batch),
+                block_threads=256, **stage2_workload(m, run.k, batch),
+            ),
+        ]
+
+    def _select(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray, None]:
         parts, keep = self.plan(ctx.n, ctx.k)
-        device = ctx.device
-        keys2d = ctx.keys
-        batch, n = keys2d.shape
-        total = batch * n
         # the scatter depends only on (n, parts, seed): batched and
         # single-shot runs of the same row select identically
-        order, sizes = affine_partitions(n, parts, seed=ctx.seed)
-        grid = streaming_grid(
-            device.spec,
-            max(1, int(total * device.scale)),
-            items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
-        )
+        order, sizes = affine_partitions(ctx.n, parts, seed=ctx.seed)
         # stage 1: one streaming pass; best-`keep` register queue per
         # partition, survivors scattered to a (batch, parts*keep) buffer
-        cand_keys, cand_idx = partition_topc(keys2d, order, sizes, keep)
-        device.launch_kernel(
-            self.kernel_stage1,
-            grid_blocks=grid,
-            block_threads=256,
-            warp_efficiency=APPROX_WARP_EFFICIENCY,
-            **stage1_workload(n, parts, keep, batch),
-        )
-        # stage 2 consumes stage 1's device buffers on the same stream —
-        # no host round trip between the stages (the single-sync shape is
-        # the entire point of both approximate schemes); only the final
-        # result sync in select() is paid.  It is stage 1's selection over
-        # one partition of every candidate: ties break toward the lower
-        # candidate column
+        cand_keys, cand_idx = partition_topc(ctx.keys, order, sizes, keep)
+        # stage 2 is stage 1's selection over one partition of every
+        # candidate: ties break toward the lower candidate column
         m = cand_keys.shape[1]
         keys, sel = partition_topc(cand_keys, np.arange(m), [m], ctx.k)
-        device.launch_kernel(
-            self.kernel_stage2,
-            grid_blocks=streaming_grid(
-                device.spec,
-                max(1, int(m * batch * device.scale)),
-                items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
-            ),
-            block_threads=256,
-            **stage2_workload(m, ctx.k, batch),
-        )
-        return keys, np.take_along_axis(cand_idx, sel, axis=1)
+        return keys, np.take_along_axis(cand_idx, sel, axis=1), None

@@ -10,7 +10,6 @@ in after transcoding.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -149,7 +148,7 @@ class UnsupportedProblem(ValueError):
     """
 
 
-class TopKAlgorithm(abc.ABC):
+class TopKAlgorithm:
     """Base class for a simulated parallel top-k algorithm."""
 
     #: registry name, e.g. ``"air_topk"``
@@ -273,8 +272,8 @@ class TopKAlgorithm(abc.ABC):
     ) -> list[Step] | None:
         """Everything a run charges the device, as :class:`~repro.device.Step`
         entries in order: kernel launches, syncs, PCIe copies and host
-        compute.  :meth:`Device.charge` charges it.  None for a method
-        whose charges are not written as a schedule yet.
+        compute.  :meth:`_run` charges it with :meth:`Device.charge`.  None
+        only for ``auto``, which runs the method it picks.
 
         ``counts`` holds the data-dependent counts a schedule reads, where
         the number or size of its steps depends on the data (the queue
@@ -282,15 +281,28 @@ class TopKAlgorithm(abc.ABC):
         partition family's per-iteration
         :class:`~repro.algos.partition_common.PartitionCounts`,
         RadixSelect's per-row :class:`~repro.algos.radix_select.RadixRow`
-        records): the run passes measured ones, the predictor expected ones
-        (:mod:`repro.perf.costmodel`).
+        records, AIR Top-K's per-launch
+        :class:`~repro.core.air_topk.KernelTraffic` totals, the Dr. Top-K
+        hybrid's per-row :class:`~repro.algos.hybrid.HybridRow` records):
+        the run passes measured ones, the predictor expected ones
+        (:mod:`repro.perf.costmodel`).  Sort, Bitonic Top-K and the
+        approximate tier read none.
         """
         return None
 
-    @abc.abstractmethod
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        """Produce ``(keys, indices)`` of shape (batch, k), unsorted.
+    def _select(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray, object]:
+        """The run's data work, charging nothing: ``(keys, indices,
+        counts)``, where ``counts`` is what :meth:`schedule` reads of the
+        run.  ``keys`` are the encoded keys of the selected elements
+        (used only to order the output) and ``indices`` positions into
+        the input rows, both of shape (batch, k), unsorted."""
+        raise NotImplementedError(f"{type(self).__name__} has no schedule")
 
-        ``keys`` are the encoded keys of the selected elements (used only to
-        order the output); ``indices`` are positions into the input rows.
-        """
+    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+        """Produce ``(keys, indices)`` of shape (batch, k), unsorted, and
+        charge the run's schedule: the one place a run charges the
+        device."""
+        keys, indices, counts = self._select(ctx)
+        device = ctx.device
+        device.charge(self.schedule(device.spec, ctx.shape, counts))
+        return keys, indices

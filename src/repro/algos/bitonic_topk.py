@@ -35,9 +35,8 @@ class BitonicTopK(TopKAlgorithm):
     max_k = 256
     batched_execution = False  # the reference kernel handles one problem
 
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+    def _select(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray, None]:
         batch, n = ctx.keys.shape
-        device = ctx.device
         kp = next_pow2(ctx.k)  # the network works on power-of-two runs
         runs = -(-n // kp)
         padded_len = runs * kp
@@ -72,8 +71,7 @@ class BitonicTopK(TopKAlgorithm):
             keys = low_k.reshape(batch, m // 2, kp)
             idx = low_i.reshape(batch, m // 2, kp)
 
-        device.charge(self.schedule(device.spec, ctx.shape))
-        return keys[:, 0, : ctx.k], idx[:, 0, : ctx.k]
+        return keys[:, 0, : ctx.k], idx[:, 0, : ctx.k], None
 
     def schedule(self, spec, run: RunShape, counts=None) -> list[Step]:
         """Every launch of a run: the local sort, then a merge-reduce per

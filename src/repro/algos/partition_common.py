@@ -317,8 +317,9 @@ class PartitionSelect(TopKAlgorithm):
             ]
         return steps
 
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        device = ctx.device
+    def _select(
+        self, ctx: RunContext
+    ) -> tuple[np.ndarray, np.ndarray, PartitionCounts]:
         keys2d = ctx.keys
         batch, n = keys2d.shape
 
@@ -328,10 +329,10 @@ class PartitionSelect(TopKAlgorithm):
             order = stable_topk_order(keys2d, ctx.k)
             comparators = comparator_count_sort(next_pow2(max(2, n))) * batch
             term = Terminal(batch, batch * n, batch * ctx.k, comparators)
-            counts = PartitionCounts((), term)
-            device.charge(self.schedule(device.spec, ctx.shape, counts))
-            return np.take_along_axis(keys2d, order, axis=1), order.astype(
-                np.int64
+            return (
+                np.take_along_axis(keys2d, order, axis=1),
+                order.astype(np.int64),
+                PartitionCounts((), term),
             )
 
         f = Frontier(batch, n, ctx.k, keys2d.dtype, ctx.seed)
@@ -370,8 +371,6 @@ class PartitionSelect(TopKAlgorithm):
             term = Terminal(
                 int(owing.size), int(owing.sum()), int(f.term_k.sum()), comparators
             )
-        counts = PartitionCounts(tuple(levels), term)
-        device.charge(self.schedule(device.spec, ctx.shape, counts))
 
         all_rows, all_keys, all_idx = (np.concatenate(c) for c in zip(*f.out))
         totals = np.bincount(all_rows, minlength=batch)
@@ -385,6 +384,7 @@ class PartitionSelect(TopKAlgorithm):
         return (
             all_keys[order].reshape(batch, ctx.k),
             all_idx[order].reshape(batch, ctx.k),
+            PartitionCounts(tuple(levels), term),
         )
 
 

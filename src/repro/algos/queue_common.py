@@ -493,7 +493,7 @@ class QueueSelect(TopKAlgorithm):
         """The main kernel's span args."""
         return None
 
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+    def _select(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray, QueueStats]:
         batch, n = ctx.keys.shape
         k = ctx.k
         blocks = self.num_blocks(ctx.device.spec, ctx.nominal_n)
@@ -511,14 +511,14 @@ class QueueSelect(TopKAlgorithm):
             queue_len=costs.queue_len,
             valid_lengths=lengths,
         )
-        ctx.device.charge(self.schedule(ctx.device.spec, ctx.shape, result.stats))
         if blocks == 1:
-            return result.keys, result.indices
+            return result.keys, result.indices, result.stats
         # local slice positions -> row positions
         idx = np.where(result.indices >= 0, result.indices + offsets[:, None], -1)
-        return best_first(
+        keys, idx = best_first(
             result.keys.reshape(batch, blocks * k), idx.reshape(batch, blocks * k), k
         )
+        return keys, idx, result.stats
 
     def schedule(self, spec, run: RunShape, counts: QueueStats) -> list[Step]:
         """Every launch of a run: the main kernel, then the merge when a

@@ -131,10 +131,11 @@ class RadixSelect(TopKAlgorithm):
             steps += gather(row.owed)
         return steps
 
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+    def _select(
+        self, ctx: RunContext
+    ) -> tuple[np.ndarray, np.ndarray, tuple[RadixRow, ...]]:
         keys, idx, rows = zip(*(self._select_row(ctx, row) for row in ctx.keys))
-        ctx.device.charge(self.schedule(ctx.device.spec, ctx.shape, rows))
-        return np.stack(keys), np.stack(idx)
+        return np.stack(keys), np.stack(idx), rows
 
     def _select_row(
         self, ctx: RunContext, row_keys: np.ndarray

@@ -33,9 +33,9 @@ class SortTopK(TopKAlgorithm):
     #: radix-sort digit width (CUB uses 8-bit digits for 32-bit keys)
     digit_bits = 8
 
-    def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+    def _select(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray, None]:
         keys = ctx.keys
-        batch, n = keys.shape
+        n = keys.shape[1]
         device = ctx.device
 
         # functional result: the first k of a stable argsort are exactly
@@ -44,9 +44,8 @@ class SortTopK(TopKAlgorithm):
         key_out = np.take_along_axis(keys, idx, axis=1)
 
         device.allocate_workspace(8.0 * n)  # double buffer, reused per problem
-        device.charge(self.schedule(device.spec, ctx.shape))
         device.free_workspace(8.0 * n)
-        return key_out, idx
+        return key_out, idx, None
 
     def schedule(self, spec, run: RunShape, counts=None) -> list[Step]:
         """Every launch of a run: one sort of ``run.key_bits``-wide keys

@@ -124,6 +124,15 @@ class TestStructure:
         assert h.category == "hybrid"
         assert h.library == "Dr.Top-K"
 
+    @pytest.mark.parametrize("base", ["bucket_approx", "twostage_approx", "auto"])
+    def test_rejects_a_base_it_cannot_run_exactly(self, base):
+        """An approximate base would come back marked exact (the hybrid
+        skips the base's recall annotation), and ``auto`` has no
+        schedule of its own to charge: both are refused by name."""
+        data = generate("uniform", 1 << 20, seed=3)[0]
+        with pytest.raises(ValueError, match="valid bases: .*air_topk"):
+            topk(data, 1024, algo="drtopk_hybrid", params={"base": base})
+
 
 @settings(max_examples=30, deadline=None)
 @given(
