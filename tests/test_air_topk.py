@@ -264,3 +264,16 @@ class TestAIRInternals:
         r2 = run_air(data, 10, device=dev)
         assert dev.elapsed > t1
         assert dev.counters.kernel_launches == 8
+
+    @pytest.mark.parametrize("first", ["float16", "float64"])
+    def test_reused_instance_follows_each_runs_key_width(self, rng, first):
+        """One instance over keys of another width first: a 32-bit run
+        afterwards takes 32-bit passes, as a fresh instance does (it used
+        to keep the previous run's 16- or 64-bit layout)."""
+        data = rng.standard_normal(4096).astype(np.float32)
+        air = AIRTopK()
+        air.select(data.astype(first), 32)
+        again, fresh = air.select(data, 32), AIRTopK().select(data, 32)
+        check_topk(data, again.values, again.indices)
+        assert again.time == fresh.time
+        assert again.device.counters.kernel_launches == 4
