@@ -42,7 +42,9 @@ class Step(NamedTuple):
 
     @staticmethod
     def launch(name: str, **work) -> Step:
-        return Step("launch", dict(name=name, **work))
+        # the keywords are already a fresh dict: no copy
+        work["name"] = name
+        return Step("launch", work)
 
     @staticmethod
     def sync(name: str) -> Step:

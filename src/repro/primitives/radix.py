@@ -16,6 +16,7 @@ b=11 configuration the pass widths are 11, 11, 10).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +142,12 @@ class DigitPass:
         return digits.astype(np.uint32, copy=False)
 
 
-def digit_layout(total_bits: int, digit_bits: int) -> list[DigitPass]:
+@functools.cache
+def digit_layout(total_bits: int, digit_bits: int) -> tuple[DigitPass, ...]:
     """MSB-first digit passes covering ``total_bits`` with ``digit_bits`` digits.
+
+    Computed once per ``(total_bits, digit_bits)``: every radix run and
+    schedule reads it.
 
     >>> [(p.shift, p.width) for p in digit_layout(32, 11)]
     [(21, 11), (10, 11), (0, 10)]
@@ -162,4 +167,4 @@ def digit_layout(total_bits: int, digit_bits: int) -> list[DigitPass]:
         passes.append(DigitPass(index=index, shift=shift, width=width))
         consumed += width
         index += 1
-    return passes
+    return tuple(passes)
